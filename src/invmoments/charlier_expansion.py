@@ -17,12 +17,7 @@ import mpmath
 from mpmath import mpf
 
 from .exact_oracle import DomainError
-from .poisson_moments import (
-    ShiftedMomentTable,
-    _forward_difference_mp,
-    _table_dps,
-    _y_mp_list,
-)
+from .poisson_moments import ShiftedMomentTable, _forward_difference_mp, _y_mp_list
 from .special_numbers import alpha
 
 __all__ = [
@@ -340,23 +335,34 @@ def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:
         raise DomainError("order m must be a positive integer")
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0, 1]")
+    return _first_inverse_moments(N, p, (m,))[0]
+
+
+def _first_inverse_moments(N: int, p: float, orders) -> list[float]:
+    """first_inverse_moment_binomial for every order in ``orders`` at once.
+
+    Order m is the running sum over k < m of one series, so a single y
+    list, built for the largest order, serves them all.  Arguments are
+    the caller's to validate.
+    """
     p = float(p)
     if p == 0.0:
-        return 0.0
-    mu = N * p
-    n_max = 2 * (m - 1)
-    ys = _y_mp_list(mu, n_max)
-    with mpmath.workdps(_table_dps(mu, n_max)):
+        return [0.0] * len(orders)
+    top = max(orders)
+    ys, dps = _y_mp_list(N * p, 2 * (top - 1))
+    with mpmath.workdps(dps):
         total = ys[0]
-        for k in range(1, m):
+        by_order = [float(total)]
+        for k in range(1, top):
             inner = mpf(0)
             for j in range(1, k + 1):
                 a = alpha(k - j, j)
-                c = mpf(a.numerator) / mpf(a.denominator) / mpmath.factorial(j)
+                c = mpf(a.numerator) / mpf(a.denominator) / math.factorial(j)
                 term = c * ys[j + k]
                 inner += -term if j % 2 else term
             total += inner / mpf(N) ** k
-        return float(total)
+            by_order.append(float(total))
+    return [by_order[m - 1] for m in orders]
 
 
 def barbour_error_bound(N: int, p: float, m: int) -> float:

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 from .charlier_expansion import (
+    _first_inverse_moments,
     barbour_error_bound,
     binomial_barbour_polynomial,
-    first_inverse_moment_binomial,
+    first_inverse_moment_binomial,  # unused here, but perfbench/spans.py wraps cli's binding
     inverse_moment_estimate,
 )
 from .competing import rempala, stephan, znidaric
@@ -121,15 +122,20 @@ class ErrorSweepReport:
     rows: tuple[tuple[float, ...], ...]
 
 
-def _charlier_value(N: int, p: float, r: int, m: int) -> float:
+def _charlier_values(N: int, p: float, r: int, orders: tuple[int, ...]) -> list[float]:
+    """Expansion values for each order in ``orders`` from one Poisson kernel.
+
+    Every order reads the same kernel at mu = N p: the y list for r = 1,
+    the shifted-moment table sized for the highest degree for r >= 2.
+    """
     if r == 1:
-        return first_inverse_moment_binomial(N, p, m)
+        return _first_inverse_moments(N, p, orders)
     if p == 0.0:
-        return 0.0
+        return [0.0] * len(orders)
     mu = N * float(p)
-    poly = binomial_barbour_polynomial(N, mu, m)
-    table = build_q_table(mu, r, poly.max_degree)
-    return inverse_moment_estimate(poly, table)
+    polys = [binomial_barbour_polynomial(N, mu, m) for m in orders]
+    table = build_q_table(mu, r, max(poly.max_degree for poly in polys))
+    return [inverse_moment_estimate(poly, table) for poly in polys]
 
 
 _COMPETITORS = {"stephan": stephan, "rempala": rempala, "znidaric": znidaric}
@@ -159,10 +165,13 @@ def run_sweep(config: SweepConfig) -> ErrorSweepReport:
     rows: list[tuple[float, ...]] = []
     for p in config.p_grid.points():
         exact = exact_inverse_moment(Binomial(config.N, p), config.r)
+        if "charlier" in config.methods:
+            charlier = dict(zip(config.orders, _charlier_values(
+                config.N, p, config.r, config.orders)))
         row = [p, exact]
         for _, name, count in series:
             if name == "charlier":
-                value = _charlier_value(config.N, p, config.r, count)
+                value = charlier[count]
             else:
                 value = _COMPETITORS[name](config.N, p, count).value
             row.append(value)
@@ -233,9 +242,11 @@ def _parse_grid(text: str) -> GridSpec:
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    if args.order < 1:
+        raise DomainError("--order must be a positive integer")
     spec = Binomial(args.N, args.p)
     exact = exact_inverse_moment(spec, args.r)
-    approx = _charlier_value(args.N, args.p, args.r, args.order)
+    approx = _charlier_values(args.N, args.p, args.r, (args.order,))[0]
     print(f"N={args.N} p={args.p:g} r={args.r} order={args.order}")
     print(f"exact          {exact:.17g}")
     print(f"approximation  {approx:.17g}")

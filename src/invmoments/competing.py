@@ -92,10 +92,16 @@ def rempala(N: int, p: float, M: int) -> CompetitorResult:
     if q == 0.0:
         return CompetitorResult(1.0 / N, "rempala", M)
     log_ratio = math.log(q) - math.log(p)
-    total = math.fsum(
-        math.exp(i * log_ratio - _log_comb(N - 1, i)) for i in range(M)
-    )
-    return CompetitorResult(total / (N * p), "rempala", M)
+    try:
+        total = math.fsum(
+            math.exp(i * log_ratio - _log_comb(N - 1, i)) for i in range(M)
+        )
+    except OverflowError:  # a term, or fsum's running total
+        total = math.inf
+    value = total / (N * p)
+    if value == math.inf:
+        raise DomainError(f"the M={M} series overflows double precision at p={p:g}")
+    return CompetitorResult(value, "rempala", M)
 
 
 def znidaric(N: int, p: float, M: int) -> CompetitorResult:

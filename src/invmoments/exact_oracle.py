@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 __all__ = [
     "DomainError",
@@ -90,7 +90,39 @@ def _neumaier(terms: Iterable[float]) -> float:
     return total + comp
 
 
+def _check_mu(mu: float) -> None:
+    """Reject a Poisson mean outside (0, inf); NaN fails the test too."""
+    if not 0.0 < mu < math.inf:
+        raise DomainError("mu must be positive and finite")
+
+
 _COMB_LIMIT = 300
+
+
+def _pdf_in_k(N: int, p: float) -> Callable[[int], float]:
+    """k -> P(K = k) for 0 <= k <= N, with the (N, p) invariants computed once.
+
+    Exact binomial coefficients for moderate N; log-space for large N,
+    where the straightforward product would overflow or underflow long
+    before the probability does.
+    """
+    if p == 0.0:
+        return lambda k: 1.0 if k == 0 else 0.0
+    if p == 1.0:
+        return lambda k: 1.0 if k == N else 0.0
+    q = 1.0 - p
+    if N <= _COMB_LIMIT:
+        return lambda k: math.comb(N, k) * p**k * q ** (N - k)
+    lgamma_n = math.lgamma(N + 1)
+    log_p = math.log(p)
+    log_q = math.log(q)
+    return lambda k: math.exp(
+        lgamma_n
+        - math.lgamma(k + 1)
+        - math.lgamma(N - k + 1)
+        + k * log_p
+        + (N - k) * log_q
+    )
 
 
 def binomial_pdf(N: int, p: float, k: int) -> float:
@@ -106,21 +138,7 @@ def binomial_pdf(N: int, p: float, k: int) -> float:
         raise DomainError("p must lie in [0, 1]")
     if k < 0 or k > N:
         return 0.0
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == N else 0.0
-    q = 1.0 - p
-    if N <= _COMB_LIMIT:
-        return math.comb(N, k) * p**k * q ** (N - k)
-    log_pdf = (
-        math.lgamma(N + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(N - k + 1)
-        + k * math.log(p)
-        + (N - k) * math.log(q)
-    )
-    return math.exp(log_pdf)
+    return _pdf_in_k(N, p)(k)
 
 
 def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
@@ -132,9 +150,8 @@ def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     if isinstance(spec, Binomial):
-        return _neumaier(
-            binomial_pdf(spec.N, spec.p, k) / k**r for k in range(1, spec.N + 1)
-        )
+        pdf = _pdf_in_k(spec.N, spec.p)
+        return _neumaier(pdf(k) / k**r for k in range(1, spec.N + 1))
     if isinstance(spec, ExplicitPdf):
         return _neumaier(w / k**r for k, w in enumerate(spec.weights) if k >= 1)
     raise DomainError(f"unsupported distribution spec: {spec!r}")
@@ -168,8 +185,7 @@ def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> Orac
     covers the weighted tail because 1/k**r <= 1, and it is returned as
     the ``tail_bound``.
     """
-    if mu <= 0.0:
-        raise DomainError("mu must be positive")
+    _check_mu(mu)
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     if tol <= 0.0:
@@ -204,8 +220,7 @@ def shifted_poisson_moment_direct(
     result is the positive-part moment; a = 0 with r = 0 is rejected
     because that expectation has no finite defining sum to truncate.
     """
-    if mu <= 0.0:
-        raise DomainError("mu must be positive")
+    _check_mu(mu)
     if a < 0:
         raise DomainError("shift a must be a non-negative integer")
     if r < 0:
@@ -253,7 +268,8 @@ def central_moment_binomial(N: int, p: float, i: int) -> float:
     if i == 1:
         return 0.0
     mu = N * p
-    return math.fsum(binomial_pdf(N, p, k) * (k - mu) ** i for k in range(N + 1))
+    pdf = _pdf_in_k(N, p)
+    return math.fsum(pdf(k) * (k - mu) ** i for k in range(N + 1))
 
 
 def factorial_cumulants_from_pdf(weights: Iterable[float], max_j: int) -> list[float]:

@@ -26,6 +26,7 @@ from mpmath import mpf
 
 from .exact_oracle import (
     DomainError,
+    _check_mu,
     _poisson_terms,
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
@@ -119,7 +120,7 @@ def er_function(mu: float) -> float:
     domain cut there; callers needing e**(-mu) * Er(mu) at large mu
     should work at extended precision instead.
     """
-    if mu < 0.0:
+    if not mu >= 0.0:
         raise DomainError("mu must be non-negative")
     if mu == 0.0:
         return 0.0
@@ -143,19 +144,19 @@ def er_function(mu: float) -> float:
             return total + comp
 
 
-def _er_mp(x: mpf) -> mpf:
-    """Er series at the current mpmath working precision."""
-    eps = mpf(10) ** (-(mpmath.mp.dps + 5))
-    total = mpf(0)
-    t = mpf(1)
-    i = 0
-    while True:
-        i += 1
-        t *= x / i
-        term = t / i
-        total += term
-        if i > x and term < total * eps:
-            return total
+def _er_from_ei(mu: float) -> mpf:
+    """Er(mu) = Ei(mu) - log(mu) - euler at the current working precision.
+
+    Below mu = 1 the difference cancels about log10(|log mu| / mu)
+    digits, so it is taken with that many guard digits.  The count comes
+    from log10(mu), which stays finite down to the smallest subnormal
+    mu, where 1/mu would overflow.
+    """
+    guard = 3 + max(0, math.ceil(-math.log10(mu)))
+    with mpmath.extradps(guard):
+        x = mpf(mu)
+        er = mpmath.ei(x) - mpmath.log(x) - mpmath.euler
+    return +er
 
 
 def _positive_moment_mp(x: mpf, r: int) -> mpf:
@@ -219,10 +220,14 @@ def _asym_coefficients(r: int, count: int) -> list[float]:
         raise DomainError(
             f"large-mu series with r={r} supports at most {_ASYM_ROW_CAP - r + 1} terms"
         )
-    have = _asym_coeffs.setdefault(r, [])
-    while len(have) < count:
-        i = len(have)
-        have.append(float(abs(_asym_table.entry(r + i, r))))
+    have = _asym_coeffs.get(r, [])
+    if len(have) < count:
+        # extend a copy and publish it in one assignment: threads racing
+        # here each store a correct row, never one with a repeated entry
+        have = have + [
+            float(abs(_asym_table.entry(r + i, r))) for i in range(len(have), count)
+        ]
+        _asym_coeffs[r] = have
     return have[:count]
 
 
@@ -248,8 +253,7 @@ def positive_poisson_inverse_moment(
     calibrated strategy applies: ascending series with M1 terms up to
     mu_star, truncated large-mu series with M2 terms beyond it.
     """
-    if mu <= 0.0:
-        raise DomainError("mu must be positive")
+    _check_mu(mu)
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     if profile is None:
@@ -306,8 +310,7 @@ def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
     forms cancel catastrophically.  a = 0 returns the positive-part
     moment.
     """
-    if mu <= 0.0:
-        raise DomainError("mu must be positive")
+    _check_mu(mu)
     if a < 0:
         raise DomainError("shift a must be a non-negative integer")
     if r < 1:
@@ -356,40 +359,41 @@ def _table_dps(mu: float, A: int) -> int:
     return 40 + lost
 
 
-def _shifted_direct_mp(x: mpf, expmx: mpf, a: int, r: int) -> mpf:
-    eps = mpf(10) ** (-(mpmath.mp.dps + 5))
-    total = expmx / mpf(a) ** r if a > 0 else mpf(0)
-    t = expmx
-    k = 0
-    while True:
-        k += 1
-        t *= x / k
-        term = t / mpf(k + a) ** r
-        total += term
-        if k > x and term < total * eps:
-            return total
-
-
 def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
     """Tabulate q(a) = E[1/(Q+a)**r] for a = 0 .. A at working precision.
 
     All entries come from the same direct summation so the table is
     internally consistent, which matters because consumers difference
     it; mixing evaluation routes across a would turn route disagreement
-    into spurious difference signal.
+    into spurious difference signal.  One walk over k serves every
+    entry: the Poisson term e**(-mu) mu**k / k! is shared, and each
+    entry divides it by its own exact integer (k+a)**r and stops at its
+    own tolerance, so it equals its stand-alone sum.
     """
-    if mu <= 0.0:
-        raise DomainError("mu must be positive")
+    _check_mu(mu)
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     if A < 0:
         raise DomainError("A must be non-negative")
     dps = _table_dps(mu, A)
     with mpmath.workdps(dps):
+        eps = mpf(10) ** (-(dps + 5))
         x = mpf(mu)
-        expmx = mpmath.exp(-x)
-        values = tuple(_shifted_direct_mp(x, expmx, a, r) for a in range(A + 1))
-    return ShiftedMomentTable(float(mu), r, values, dps)
+        t = mpmath.exp(-x)
+        totals = [mpf(0)] + [t / a**r for a in range(1, A + 1)]
+        live = range(A + 1)
+        k = 0
+        while live:
+            k += 1
+            t *= x / k
+            running = []
+            for a in live:
+                term = t / (k + a) ** r
+                totals[a] += term
+                if not (k > x and term < totals[a] * eps):
+                    running.append(a)
+            live = running
+    return ShiftedMomentTable(float(mu), r, tuple(totals), dps)
 
 
 def _forward_difference_mp(values: Sequence, n: int) -> mpf:
@@ -415,37 +419,42 @@ def forward_difference_at_zero(table: ShiftedMomentTable, n: int) -> float:
         return float(_forward_difference_mp(table.values, n))
 
 
-def _y_mp_list(mu: float, n_max: int) -> list:
-    """y(0) .. y(n_max) as mpmath floats.
+def _y_mp_list(mu: float, n_max: int) -> tuple[list, int]:
+    """y(0) .. y(n_max) as mpmath floats, with their working precision.
 
     y(n) = mu**n * e**(-mu) * Er(mu)
            + sum_{l=1..n} (l-1)! * (e**(-mu) * C(n, l) - 1) * mu**(n-l),
 
     which equals mu**n times the n-th alternating forward difference of
     a -> E[1/(Q+a)].  The subtraction of 1 inside the sum is where the
-    cancellation lives, hence the elevated precision.
+    cancellation lives, hence the elevated precision.  Below mu = 1 the
+    order-mu parts of the sum cancel down to mu**n, which costs up to
+    n_max digits per decade of mu; those come on top.  Callers combine
+    the values at the returned precision.
     """
     dps = _table_dps(mu, n_max)
+    if mu < 1.0:
+        dps += n_max * math.ceil(-math.log10(mu))
     with mpmath.workdps(dps):
         x = mpf(mu)
         expmx = mpmath.exp(-x)
-        base = expmx * _er_mp(x)
+        base = expmx * _er_from_ei(mu)
         ys = []
         for n in range(n_max + 1):
             s = x**n * base
             for l in range(1, n + 1):
-                s += mpmath.factorial(l - 1) * (expmx * mpmath.binomial(n, l) - 1) * x ** (n - l)
+                s += math.factorial(l - 1) * (expmx * math.comb(n, l) - 1) * x ** (n - l)
             ys.append(s)
-    return ys
+    return ys, dps
 
 
 def y_sequence(mu: float, n: int) -> float:
     """y(n), the scaled n-th difference of the first shifted moment."""
-    if mu <= 0.0:
-        raise DomainError("mu must be positive")
+    _check_mu(mu)
     if n < 0:
         raise DomainError("n must be non-negative")
-    return float(_y_mp_list(mu, n)[n])
+    ys, _ = _y_mp_list(mu, n)
+    return float(ys[n])
 
 
 def _largest_failing_index(err, target: float, start: int, cap: int) -> int:

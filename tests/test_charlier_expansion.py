@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invmoments.charlier_expansion import (
     CumulantSequence,
@@ -188,6 +188,22 @@ def test_first_inverse_moment_converges():
 
 def test_first_inverse_moment_degenerate_p():
     assert first_inverse_moment_binomial(10, 0.0, 3) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 3, 6)), st.floats(min_value=-300.0, max_value=-6.0))
+@example(2, -41.0)
+@example(3, -41.0)
+@example(6, -100.0)
+@example(3, -301.0)
+def test_first_inverse_moment_tiny_mu(m, log10_p):
+    # the order-mu parts of y(n) cancel down to mu**n, so the working
+    # precision has to grow as mu shrinks; the truncation error of
+    # order m >= 2 is already below 1e-12 relative for p <= 1e-6
+    p = 10.0**log10_p
+    exact = exact_inverse_moment(Binomial(10, p), 1)
+    got = first_inverse_moment_binomial(10, p, m)
+    assert abs(1.0 - got / exact) <= 1e-12, (p, m)
 
 
 def test_error_bound_formula():

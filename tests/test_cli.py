@@ -3,6 +3,11 @@ import io
 
 import pytest
 
+from invmoments.charlier_expansion import (
+    binomial_barbour_polynomial,
+    first_inverse_moment_binomial,
+    inverse_moment_estimate,
+)
 from invmoments.cli import (
     ErrorSweepReport,
     GridSpec,
@@ -13,6 +18,7 @@ from invmoments.cli import (
     write_report_csv,
 )
 from invmoments.exact_oracle import DomainError
+from invmoments.poisson_moments import build_q_table
 
 
 def test_grid_points():
@@ -67,6 +73,27 @@ def test_run_sweep_columns_and_rows():
         assert len(row) == len(report.columns)
     ps = [row[0] for row in report.rows]
     assert ps == sorted(ps)
+
+
+@pytest.mark.parametrize("N", [10, 100])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_run_sweep_charlier_columns_match_per_order_calls(N, r):
+    # the sweep evaluates all orders from one Poisson kernel per p; each
+    # column must still equal the order's own evaluation bit for bit
+    orders = (1, 2, 3, 4, 5, 6)
+    cfg = SweepConfig(N=N, r=r, orders=orders, p_grid=GridSpec(0.002, 1.0, 12),
+                      error_kind="abs")
+    report = run_sweep(cfg)
+    for row in report.rows:
+        p = row[0]
+        for m in orders:
+            if r == 1:
+                want = first_inverse_moment_binomial(N, p, m)
+            else:
+                poly = binomial_barbour_polynomial(N, N * p, m)
+                want = inverse_moment_estimate(poly, build_q_table(N * p, r, poly.max_degree))
+            got = row[report.columns.index(f"charlier_m{m}")]
+            assert got == want, (N, r, p, m)
 
 
 def test_run_sweep_competitors_need_first_moment():
@@ -151,5 +178,9 @@ def test_exit_code_domain_errors(capsys):
     assert main(["calibrate", "--r", "1", "--target", "0.5"]) == 2
     assert main(["sweep", "--N", "10", "--r", "2", "--method", "stephan",
                  "--grid", "0.5:1:2"]) == 2
+    assert main(["sweep", "--N", "10", "--method", "rempala", "--terms", "3",
+                 "--grid", "1e-300:1e-300:1"]) == 2
+    assert main(["poisson-table", "--mu", "nan"]) == 2
+    assert main(["compute", "--N", "10", "--p", "0.5", "--order", "0"]) == 2
     err = capsys.readouterr().err
     assert "domain error" in err

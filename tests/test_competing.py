@@ -57,6 +57,14 @@ def test_rempala_truncation_limit():
     assert r.terms == 10
 
 
+@pytest.mark.parametrize("M", [2, 3])
+def test_rempala_overflow_is_domain_error(M):
+    # at p = 1e-300 the ratio q/p is 1e300: for M = 3 the i = 2 term
+    # overflows, for M = 2 the final division by N p does
+    with pytest.raises(DomainError):
+        rempala(10, 1e-300, M)
+
+
 def test_rempala_error_is_not_monotone():
     # at N = 100, p = 0.5 the optimal truncation is near M = 13; pushing to
     # the full M = N makes the answer worse by sixteen orders of magnitude

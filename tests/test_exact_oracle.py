@@ -60,6 +60,21 @@ def test_binomial_pdf_large_N_stable():
     assert abs(ratio - expected) < 1e-9
 
 
+@pytest.mark.parametrize("N,p", [(301, 0.3), (1000, 0.02), (5000, 0.77)])
+@pytest.mark.parametrize("r", [1, 3])
+def test_exact_inverse_moment_large_N_matches_per_k_pdf(N, p, r):
+    # the log-space path hoists the (N, p) invariants out of the k loop;
+    # the result must equal the plain sum over binomial_pdf bit for bit
+    acc = 0.0
+    comp = 0.0
+    for k in range(1, N + 1):
+        t = binomial_pdf(N, p, k) / k**r
+        s = acc + t
+        comp += (acc - s) + t if abs(acc) >= abs(t) else (t - s) + acc
+        acc = s
+    assert exact_inverse_moment(Binomial(N, p), r) == acc + comp
+
+
 def test_exact_inverse_moment_hand_values():
     assert exact_inverse_moment(Binomial(2, 0.5), 1) == 0.625
     assert abs(exact_inverse_moment(Binomial(10, 1.0), 1) - 0.1) < 1e-15

@@ -1,8 +1,14 @@
 """Tests for the positive-support inverse moments and the crossover machinery."""
 import math
+import sys
+import threading
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mpf
+
+from invmoments import poisson_moments
 
 from invmoments.exact_oracle import (
     DomainError,
@@ -20,6 +26,7 @@ from invmoments.poisson_moments import (
     shifted_inverse_moment,
     y_sequence,
 )
+from invmoments.special_numbers import stirling_first
 
 # sum_{i>=1} 1**i / (i * i!) at 50 digits
 ER_AT_1 = 1.3179021514544039
@@ -200,3 +207,118 @@ def test_profile_is_frozen():
     prof = CrossoverProfile(1, 1e-5, 13.671, 31, 10)
     with pytest.raises(AttributeError):
         prof.M1 = 99
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mu: positive_poisson_inverse_moment(mu, 2),
+        lambda mu: poisson_inverse_moment_direct(mu, 1),
+        lambda mu: shifted_poisson_moment_direct(mu, 1, 1),
+        lambda mu: shifted_inverse_moment(mu, 1, 2),
+        lambda mu: build_q_table(mu, 2, 3),
+        lambda mu: y_sequence(mu, 2),
+        lambda mu: er_function(mu),
+    ],
+    ids=[
+        "positive_poisson_inverse_moment",
+        "poisson_inverse_moment_direct",
+        "shifted_poisson_moment_direct",
+        "shifted_inverse_moment",
+        "build_q_table",
+        "y_sequence",
+        "er_function",
+    ],
+)
+def test_non_finite_mu_is_domain_error(call, mu):
+    # NaN slips through a plain "mu <= 0" test and the series never stop
+    with pytest.raises(DomainError):
+        call(mu)
+
+
+def _er_series(x):
+    """Er(x) from its defining series, at the current working precision."""
+    eps = mpf(10) ** (-(mpmath.mp.dps + 5))
+    total = mpf(0)
+    t = mpf(1)
+    i = 0
+    while True:
+        i += 1
+        t *= x / i
+        term = t / i
+        total += term
+        if i > x and term < total * eps:
+            return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=-324.0, max_value=5.0), st.sampled_from((40, 75)))
+@example(-324.0, 40)
+@example(5.0, 40)
+def test_er_from_ei_matches_series(log10_mu, dps):
+    # the series is summed with 10 guard digits, so its own rounding
+    # stays well below one ulp at the compared precision
+    mu = max(10.0**log10_mu, 5e-324)
+    with mpmath.workdps(dps + 10):
+        want = _er_series(mpf(mu))
+    with mpmath.workdps(dps):
+        got = poisson_moments._er_from_ei(mu)
+        ulp = mpmath.ldexp(1, mpmath.mag(want) - mpmath.mp.prec)
+        assert abs(got - want) <= 10 * ulp, (mu, dps)
+
+
+def _shifted_direct_sum(x, expmx, a, r):
+    """E[1/(Q+a)**r] summed on its own, at the current working precision."""
+    eps = mpf(10) ** (-(mpmath.mp.dps + 5))
+    total = expmx / mpf(a) ** r if a > 0 else mpf(0)
+    t = expmx
+    k = 0
+    while True:
+        k += 1
+        t *= x / k
+        term = t / mpf(k + a) ** r
+        total += term
+        if k > x and term < total * eps:
+            return total
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.5, 7.3, 61.0])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_q_table_one_pass_equals_per_entry_sums(mu, r):
+    table = build_q_table(mu, r, 10)
+    with mpmath.workdps(table.dps):
+        x = mpf(mu)
+        expmx = mpmath.exp(-x)
+        want = tuple(_shifted_direct_sum(x, expmx, a, r) for a in range(11))
+    assert table.values == want
+
+
+def test_asym_coefficients_concurrent_fill(monkeypatch):
+    # threads that fill the same cached row at once must not store a
+    # coefficient twice, which would shift every later one
+    r, count, workers = 3, 60, 8
+    want = [float(abs(stirling_first(r + i, r))) for i in range(count)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(poisson_moments, "_asym_coeffs", {})
+            results = []
+            threads = [
+                threading.Thread(
+                    target=lambda: results.append(
+                        poisson_moments._asym_coefficients(r, count)
+                    )
+                )
+                for _ in range(workers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [want] * workers
+            assert poisson_moments._asym_coefficients(r, count) == want
+    finally:
+        sys.setswitchinterval(old)
