@@ -17,7 +17,7 @@ from .charlier_expansion import (
     inverse_moment_estimate,
     taylor_polynomial,
 )
-from .competing import CompetitorResult, rempala, stephan, znidaric
+from .competing import rempala, stephan, znidaric
 from .exact_oracle import (
     Binomial,
     DistributionSpec,
@@ -45,11 +45,8 @@ from .poisson_moments import (
     y_sequence,
 )
 from .special_numbers import (
-    Rational,
     StirlingTable,
     alpha,
-    binomial_coefficient,
-    harmonic,
     stirling_first,
     stirling_noncentral,
 )

@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 from mpmath import mpf
 
-from .exact_oracle import DomainError
+from .exact_oracle import DomainError, _check_mu, _poisson_terms
 from .poisson_moments import ShiftedMomentTable, _forward_difference_mp, _y_mp_list
 from .special_numbers import alpha
 
@@ -231,55 +232,29 @@ def binomial_barbour_polynomial(N: int, mu, m: int) -> ExpansionPolynomial:
     return ExpansionPolynomial(coeffs, m, "barbour")
 
 
-def _poisson_pdf_array(mu: float, k_max: int) -> list[float]:
-    if mu <= 700.0:
-        arr = [math.exp(-mu)]
-        for k in range(1, k_max + 1):
-            arr.append(arr[-1] * mu / k)
-        return arr
-    log_mu = math.log(mu)
-    arr = []
-    log_t = -mu
-    for k in range(0, k_max + 1):
-        if k > 0:
-            log_t += log_mu - math.log(k)
-        arr.append(math.exp(log_t))
-    return arr
-
-
-def _default_k_max(mu: float, degree: int) -> int:
-    # Walk past the mode until the pdf drops below 1e-22, then pad by the
-    # polynomial degree so the deepest difference column still ends on
-    # negligible mass.  Differencing amplifies the boundary value by at
-    # most 2**degree, which keeps the truncation error far below the
-    # 1e-10 mass budget downstream consumers check against.
-    k = max(1, int(mu) + 1)
-    log_t = -mu + k * math.log(mu) - math.lgamma(k + 1)
-    cut = math.log(1e-22)
-    log_mu = math.log(mu)
-    while log_t > cut:
-        k += 1
-        log_t += log_mu - math.log(k)
-    return k + degree + 4
-
-
-def expand_pdf(poly: ExpansionPolynomial, mu: float, k_max: int | None = None) -> list[float]:
+def expand_pdf(poly: ExpansionPolynomial, mu: float) -> list[float]:
     """Apply the expansion polynomial to the Poisson(mu) pdf.
 
     Returns the approximating pdf g(k) for k = 0 .. k_max.  Difference
     columns are built by repeated first differences of the previous
     column rather than from the alternating binomial formula, so no
-    large cancelling coefficients ever appear.  When ``k_max`` is None a
-    length is chosen that keeps the discarded mass negligible.
+    large cancelling coefficients ever appear.  The pdf is cut at the
+    first k past the mode where it drops to 1e-22, then padded by the
+    polynomial degree plus four, so the deepest difference column still
+    ends on negligible mass: differencing amplifies the boundary value
+    by at most 2**degree, far below the 1e-10 mass budget downstream
+    consumers check against.
     """
-    if mu <= 0.0:
-        raise DomainError("mu must be positive")
+    _check_mu(mu)
     dmax = poly.max_degree
-    if k_max is None:
-        k_max = _default_k_max(mu, dmax)
-    elif k_max < 1:
-        raise DomainError("k_max must be a positive integer")
-    col = _poisson_pdf_array(mu, k_max)
+    col = [math.exp(-mu)]
+    walk = _poisson_terms(mu)
+    for k, pi in walk:
+        col.append(pi)
+        if k > mu and pi <= 1e-22:
+            break
+    col += (pi for _, pi in islice(walk, dmax + 4))
+    k_max = len(col) - 1
     g = list(col)  # degree 0 coefficient is pinned to 1
     for d in range(1, dmax + 1):
         nxt = [col[0]]

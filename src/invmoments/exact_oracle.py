@@ -77,12 +77,12 @@ class OracleValue:
 
 
 def _neumaier(terms: Iterable[float]) -> float:
-    """Compensated sum.  Exact to a few ulp for the positive series here."""
+    """Compensated sum of non-negative terms, exact to a few ulp."""
     total = 0.0
     comp = 0.0
     for t in terms:
         s = total + t
-        if abs(total) >= abs(t):
+        if total >= t:
             comp += (total - s) + t
         else:
             comp += (t - s) + total
@@ -176,6 +176,30 @@ def _poisson_terms(mu: float) -> Iterator[tuple[int, float]]:
             yield k, math.exp(log_t)
 
 
+def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
+    """Sum of pi_mu(k) / (k+a)**r over k >= 0 (k >= 1 when a = 0).
+
+    Truncated and bounded as poisson_inverse_moment_direct describes;
+    the bound holds for any a because 1/(k+a)**r <= 1.
+    """
+    tail = math.inf
+
+    def terms() -> Iterator[float]:
+        nonlocal tail
+        if a:
+            yield (math.exp(-mu) if mu <= 700.0 else 0.0) / a**r
+        for k, pi in _poisson_terms(mu):
+            if k >= mu:
+                tail = pi * (k + 1) / (k + 1 - mu)
+                if tail < tol:
+                    return
+            if k > 100_000_000:
+                raise RuntimeError("tolerance unreachable in double precision")
+            yield pi / (k + a) ** r
+
+    return OracleValue(_neumaier(terms()), tail)
+
+
 def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> OracleValue:
     """E+[1/Q**r] for Q ~ Poisson(mu), by direct summation.
 
@@ -190,24 +214,7 @@ def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> Orac
         raise DomainError("moment order r must be a positive integer")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    total = 0.0
-    comp = 0.0
-    tail = math.inf
-    for k, pi in _poisson_terms(mu):
-        if k >= mu:
-            tail = pi * (k + 1) / (k + 1 - mu)
-            if tail < tol:
-                break
-        t = pi / k**r
-        s = total + t
-        if abs(total) >= t:
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-        if k > 100_000_000:
-            raise RuntimeError("tolerance unreachable in double precision")
-    return OracleValue(total + comp, tail)
+    return _direct_sum(mu, 0, r, tol)
 
 
 def shifted_poisson_moment_direct(
@@ -231,24 +238,7 @@ def shifted_poisson_moment_direct(
         raise DomainError("tol must be positive")
     if r == 0:
         return OracleValue(1.0, 0.0)
-    if a == 0:
-        return poisson_inverse_moment_direct(mu, r, tol)
-    total = (math.exp(-mu) if mu <= 700.0 else 0.0) / a**r
-    comp = 0.0
-    tail = math.inf
-    for k, pi in _poisson_terms(mu):
-        if k >= mu:
-            tail = pi * (k + 1) / (k + 1 - mu)
-            if tail < tol:
-                break
-        t = pi / (k + a) ** r
-        s = total + t
-        if abs(total) >= t:
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    return OracleValue(total + comp, tail)
+    return _direct_sum(mu, a, r, tol)
 
 
 def central_moment_binomial(N: int, p: float, i: int) -> float:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Sequence
 
 import mpmath
 from mpmath import mpf
@@ -27,8 +28,8 @@ from mpmath import mpf
 from .exact_oracle import (
     DomainError,
     _check_mu,
+    _neumaier,
     _poisson_terms,
-    poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
 )
 from .special_numbers import StirlingTable, _shared_table
@@ -114,8 +115,8 @@ def er_function(mu: float) -> float:
     """Sum of mu**i / (i * i!) over i >= 1.
 
     This is the entire part of the exponential integral: Ei(mu) minus
-    log(mu) minus the Euler constant.  All terms are positive, so the
-    compensated double-precision sum is accurate to a few ulp.  The
+    log(mu) minus the Euler constant, which is how it is computed, at 20
+    digits, so the rounded double is accurate to about one ulp.  The
     series value itself overflows doubles near mu = 700, hence the
     domain cut there; callers needing e**(-mu) * Er(mu) at large mu
     should work at extended precision instead.
@@ -126,22 +127,8 @@ def er_function(mu: float) -> float:
         return 0.0
     if mu > 700.0:
         raise DomainError("series overflows double precision beyond mu = 700")
-    total = 0.0
-    comp = 0.0
-    t = 1.0
-    i = 0
-    while True:
-        i += 1
-        t *= mu / i
-        term = t / i
-        s = total + term
-        if total >= term:
-            comp += (total - s) + term
-        else:
-            comp += (term - s) + total
-        total = s
-        if i > mu and term < 1e-17 * total:
-            return total + comp
+    with mpmath.workdps(20):
+        return float(_er_from_ei(mu))
 
 
 def _er_from_ei(mu: float) -> mpf:
@@ -176,6 +163,7 @@ def _positive_moment_mp(x: mpf, r: int) -> mpf:
 
 def _positive_moment_double(mu: float, r: int) -> float:
     """Ascending series summed to full double accuracy (oracle grade)."""
+    # _neumaier inlined: this loop is most of a calibration, and a generator costs it 12-15%
     total = 0.0
     comp = 0.0
     for k, pi in _poisson_terms(mu):
@@ -192,19 +180,7 @@ def _positive_moment_double(mu: float, r: int) -> float:
 
 def _ascending_partial(mu: float, r: int, m1: int) -> float:
     """First m1 terms of the ascending series."""
-    total = 0.0
-    comp = 0.0
-    for k, pi in _poisson_terms(mu):
-        if k > m1:
-            break
-        t = pi / k**r
-        s = total + t
-        if total >= t:
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    return total + comp
+    return _neumaier(pi / k**r for k, pi in islice(_poisson_terms(mu), m1))
 
 
 # The large-mu series needs |s(r+i, r)| for i = 0 .. M2-1.  Entries stay
@@ -318,7 +294,9 @@ def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
     if a == 0:
         return positive_poisson_inverse_moment(mu, r)
     if mu <= a + 5:
-        with mpmath.workdps(40 + int(mu)):
+        # the closed form divides by mu**a: a digits per decade below 1
+        dps = 40 + int(mu) + (a * math.ceil(-math.log10(mu)) if mu < 1.0 else 0)
+        with mpmath.workdps(dps):
             x = mpf(mu)
             if r == 1:
                 return float(_shifted_first_closed(x, a))
@@ -474,19 +452,11 @@ def _largest_failing_index(err, target: float, start: int, cap: int) -> int:
     return i - 1
 
 
-def calibrate_crossover(
-    r: int,
-    target_rel_error: float,
-    mu_grid: Iterable[float] | None = None,
-    *,
-    step: float = 0.05,
-    mu_cap: float = 150.0,
-    m2_cap: int = 120,
-) -> CrossoverProfile:
+def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     """Calibrate the two-branch evaluation strategy for one (r, target).
 
     The search measures relative error |1 - approx/exact| against the
-    direct oracle on a grid of spacing ``step``:
+    direct oracle on a grid of spacing 0.05:
 
     1. For each truncation length M2 of the large-mu series, find the
        largest grid point where it still misses the target.  Keep the M2
@@ -496,17 +466,19 @@ def calibrate_crossover(
     3. Place the cross-over mu_star where the two branch errors balance,
        found by bisection; to its left the ascending branch is the more
        accurate one, to its right the large-mu branch is.
-    4. Sweep the chosen strategy over (0, 2 * mu_star] (or ``mu_grid``
-       when given) and record the worst relative error seen.
+    4. Sweep the chosen strategy over the grid points in (0, 2 * mu_star]
+       and record the worst relative error seen.
 
     Raises CalibrationError when the large-mu series cannot reach the
-    target anywhere below ``mu_cap`` for any allowed M2.
+    target anywhere below mu = 150 for any M2 <= 120.
     """
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     if not 1e-14 < target_rel_error <= 1e-2:
         raise DomainError("target relative error must lie in (1e-14, 1e-2]")
-    m2_cap = min(m2_cap, _ASYM_ROW_CAP - r + 1)
+    step = 0.05  # search grid spacing
+    mu_cap = 150.0  # the large-mu branch must meet the target below this
+    m2_cap = min(120, _ASYM_ROW_CAP - r + 1)
     target = target_rel_error
 
     exact_cache: dict[float, float] = {}
@@ -550,25 +522,20 @@ def calibrate_crossover(
     mu_eval = max(step, (best_t - 1) * step)
     fx = exact(mu_eval)
     m1 = None
-    total = 0.0
-    comp = 0.0
+    plain = 0.0
     for k, pi in _poisson_terms(mu_eval):
         t = pi / k**r
-        s = total + t
-        if total >= t:
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-        if abs(1.0 - (total + comp) / fx) < target:
+        plain += t
+        err = abs(1.0 - _ascending_partial(mu_eval, r, k) / fx)
+        if err < target:
             m1 = k
             break
-        if k > mu_eval and t < 1e-18 * total:
+        if k > mu_eval and t < 1e-18 * plain:
             break
     if m1 is None:
         raise CalibrationError(
             f"ascending series cannot reach {target:g} at mu = {mu_eval:g}",
-            best_achieved=abs(1.0 - (total + comp) / fx),
+            best_achieved=err,
         )
 
     def branch_gap(mu: float) -> float:
@@ -589,13 +556,9 @@ def calibrate_crossover(
             hi = mid
     mu_star = 0.5 * (lo + hi)
 
-    if mu_grid is None:
-        count = int(2.0 * mu_star / step)
-        grid: Iterable[float] = (i * step for i in range(1, count + 1))
-    else:
-        grid = mu_grid
     worst = 0.0
-    for mu in grid:
+    for i in range(1, int(2.0 * mu_star / step) + 1):
+        mu = i * step
         if mu <= mu_star:
             approx = _ascending_partial(mu, r, m1)
         else:

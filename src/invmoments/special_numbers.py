@@ -1,33 +1,22 @@
 """Exact rational combinatorics shared by the rest of the library.
 
-Stirling numbers of the first kind (plain and shifted), the alpha
-coefficients that drive the binomial expansion polynomial, harmonic
-numbers, and binomial coefficients.  Everything in this module is
-integer or Fraction arithmetic; nothing rounds until a caller converts
-to float.
+Stirling numbers of the first kind (plain and shifted) and the alpha
+coefficients that drive the binomial expansion polynomial.  Everything
+in this module is integer or Fraction arithmetic; nothing rounds until
+a caller converts to float.
 """
 from __future__ import annotations
 
-import math
 import threading
 from fractions import Fraction
 from functools import cache
 
 __all__ = [
-    "Rational",
     "StirlingTable",
-    "DEFAULT_J_MAX",
     "stirling_first",
     "stirling_noncentral",
     "alpha",
-    "harmonic",
-    "binomial_coefficient",
 ]
-
-# Exact rational scalar used throughout the package.
-Rational = Fraction
-
-DEFAULT_J_MAX = 64
 
 
 class StirlingTable:
@@ -45,7 +34,7 @@ class StirlingTable:
     through memory.
     """
 
-    def __init__(self, shift: int = 0, j_max: int = DEFAULT_J_MAX) -> None:
+    def __init__(self, shift: int = 0, j_max: int = 64) -> None:
         if shift < 0:
             raise ValueError("shift must be non-negative")
         if j_max < 1:
@@ -55,10 +44,6 @@ class StirlingTable:
         # _rows[j][k]; row 0 is a filler so indices line up with j.
         self._rows: list[list[int]] = [[0], [0, 1]]
         self._lock = threading.Lock()
-
-    @property
-    def kind(self) -> str:
-        return "central" if self.shift == 0 else f"non-central(shift={self.shift})"
 
     def entry(self, j: int, k: int) -> int:
         """Raw integer entry; zero outside the triangle 1 <= k <= j."""
@@ -132,22 +117,3 @@ def alpha(l: int, j: int) -> Fraction:
     for k in range(l + 1):
         total += alpha(k, j - 1) / (l - k + 2)
     return total
-
-
-@cache
-def harmonic(n: int) -> Fraction:
-    """n-th harmonic number 1 + 1/2 + ... + 1/n as an exact fraction."""
-    if n < 1:
-        raise ValueError("harmonic numbers need n >= 1")
-    if n == 1:
-        return Fraction(1)
-    return harmonic(n - 1) + Fraction(1, n)
-
-
-def binomial_coefficient(n: int, k: int) -> int:
-    """C(n, k) as an exact integer, zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

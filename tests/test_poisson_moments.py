@@ -10,6 +10,7 @@ from mpmath import mpf
 
 from invmoments import poisson_moments
 
+from invmoments.charlier_expansion import binomial_barbour_polynomial, expand_pdf
 from invmoments.exact_oracle import (
     DomainError,
     poisson_inverse_moment_direct,
@@ -123,6 +124,25 @@ def test_shifted_large_mu_route_consistency():
     assert abs(got - direct) <= 1e-10 * direct
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=-300.0, max_value=0.0),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+)
+@example(-20.0, 3, 3)
+@example(-30.0, 3, 3)
+@example(-50.0, 3, 3)
+@example(-200.0, 6, 4)
+def test_shifted_tiny_mu_matches_direct(log10_mu, a, r):
+    # the closed form divides by mu**a, so its working precision has to
+    # grow by a digits per decade of mu below 1
+    mu = 10.0**log10_mu
+    want = shifted_poisson_moment_direct(mu, a, r, tol=1e-30).value
+    got = shifted_inverse_moment(mu, a, r)
+    assert abs(1.0 - got / want) <= 1e-12, (mu, a, r)
+
+
 def test_y_sequence_frozen():
     assert abs(y_sequence(1.0, 1) - Y1_AT_1) < 1e-15
 
@@ -220,6 +240,7 @@ def test_profile_is_frozen():
         lambda mu: build_q_table(mu, 2, 3),
         lambda mu: y_sequence(mu, 2),
         lambda mu: er_function(mu),
+        lambda mu: expand_pdf(binomial_barbour_polynomial(10, 5.0, 3), mu),
     ],
     ids=[
         "positive_poisson_inverse_moment",
@@ -229,6 +250,7 @@ def test_profile_is_frozen():
         "build_q_table",
         "y_sequence",
         "er_function",
+        "expand_pdf",
     ],
 )
 def test_non_finite_mu_is_domain_error(call, mu):
