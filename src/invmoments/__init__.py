@@ -45,7 +45,6 @@ from .poisson_moments import (
     y_sequence,
 )
 from .special_numbers import (
-    StirlingTable,
     alpha,
     stirling_first,
     stirling_noncentral,

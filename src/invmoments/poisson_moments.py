@@ -8,17 +8,18 @@ at a calibrated cross-over point.  ``calibrate_crossover`` finds that
 point, together with the term counts for both branches, by measuring
 relative error against the direct oracle.
 
-Shifted moments E[1/(Q+a)**r] come from closed forms built on Stirling
-numbers where those are numerically stable (small mu) and from direct
-summation elsewhere.  The closed forms cancel heavily, so they run at
-elevated precision through mpmath; the package treats that as its
-extended-precision substrate wherever plain doubles would lose the
-answer to cancellation.
+Shifted moments E[1/(Q+a)**r] come from one closed form in Stirling
+numbers, valid for every r, where that is numerically stable (small mu
+and a within the Stirling row cap) and from direct summation elsewhere.
+The closed form cancels heavily, so it runs at elevated precision
+through mpmath; the package treats that as its extended-precision
+substrate wherever plain doubles would lose the answer to cancellation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import Sequence
 
@@ -32,7 +33,7 @@ from .exact_oracle import (
     _poisson_terms,
     shifted_poisson_moment_direct,
 )
-from .special_numbers import StirlingTable, _shared_table
+from .special_numbers import _ROW_CAP, _stirling_entry, _stirling_row
 
 __all__ = [
     "CalibrationError",
@@ -146,21 +147,6 @@ def _er_from_ei(mu: float) -> mpf:
     return +er
 
 
-def _positive_moment_mp(x: mpf, r: int) -> mpf:
-    """Ascending series for E+[1/Q**r] at the current working precision."""
-    eps = mpf(10) ** (-(mpmath.mp.dps + 5))
-    total = mpf(0)
-    t = mpf(1)
-    k = 0
-    while True:
-        k += 1
-        t *= x / k
-        term = t / mpf(k) ** r
-        total += term
-        if k > x and term < total * eps:
-            return mpmath.exp(-x) * total
-
-
 def _positive_moment_double(mu: float, r: int) -> float:
     """Ascending series summed to full double accuracy (oracle grade)."""
     # _neumaier inlined: this loop is most of a calibration, and a generator costs it 12-15%
@@ -174,7 +160,8 @@ def _positive_moment_double(mu: float, r: int) -> float:
         else:
             comp += (t - s) + total
         total = s
-        if k >= mu and pi * (k + 1) / (k + 1 - mu) < 1e-17 * total:
+        # <=: once pi underflows to 0 at tiny mu, so may 1e-17 * total
+        if k >= mu and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total:
             return total + comp
 
 
@@ -187,33 +174,26 @@ def _ascending_partial(mu: float, r: int, m1: int) -> float:
 # within double range through row 168; beyond that float() would
 # overflow, so the cap is hard.
 _ASYM_ROW_CAP = 168
-_asym_table = StirlingTable(shift=0, j_max=_ASYM_ROW_CAP)
-_asym_coeffs: dict[int, list[float]] = {}
 
 
-def _asym_coefficients(r: int, count: int) -> list[float]:
-    if r + count - 1 > _ASYM_ROW_CAP:
-        raise DomainError(
-            f"large-mu series with r={r} supports at most {_ASYM_ROW_CAP - r + 1} terms"
-        )
-    have = _asym_coeffs.get(r, [])
-    if len(have) < count:
-        # extend a copy and publish it in one assignment: threads racing
-        # here each store a correct row, never one with a repeated entry
-        have = have + [
-            float(abs(_asym_table.entry(r + i, r))) for i in range(len(have), count)
-        ]
-        _asym_coeffs[r] = have
-    return have[:count]
+@cache
+def _asym_row(r: int) -> tuple[float, ...]:
+    """|s(r+i, r)| as doubles for every i the row cap allows."""
+    return tuple(
+        float(abs(_stirling_row(0, j)[r])) for j in range(r, _ASYM_ROW_CAP + 1)
+    )
 
 
 def _asymptotic_partial(mu: float, r: int, m2: int) -> float:
     """First m2 terms of the large-mu series sum_i |s(r+i, r)| / mu**(r+i)."""
-    coeffs = _asym_coefficients(r, m2)
+    if r + m2 - 1 > _ASYM_ROW_CAP:
+        raise DomainError(
+            f"large-mu series with r={r} supports at most {_ASYM_ROW_CAP - r + 1} terms"
+        )
     x = 1.0 / mu
     terms = []
     xp = x**r
-    for c in coeffs:
+    for c in _asym_row(r)[:m2]:
         terms.append(c * xp)
         xp *= x
     return math.fsum(terms)
@@ -243,48 +223,25 @@ def positive_poisson_inverse_moment(
     return _asymptotic_partial(mu, r, profile.M2)
 
 
-def _shifted_first_closed(x: mpf, a: int) -> mpf:
-    """E[1/(Q+a)] from the closed form, at the current working precision.
-
-    The bracket is written as the alternating tail
-    -sum_{k>=a} (-x)**k / k!, which keeps every retained digit
-    meaningful; the naive difference of e**(-x) against a partial sum
-    sheds digits instead.
-    """
-    eps = mpf(10) ** (-(mpmath.mp.dps + 5))
-    term = (-x) ** a / mpmath.factorial(a)
-    total = mpf(0)
-    k = a
-    floor = mpf(10) ** (-(2 * mpmath.mp.dps))
-    while True:
-        total += term
-        k += 1
-        term *= -x / k
-        if k > x and abs(term) < (abs(total) + floor) * eps:
-            break
-    sign = 1 if a % 2 == 0 else -1
-    return sign * mpmath.factorial(a - 1) / x**a * total
-
-
 def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
-    """E[1/(Q+a)**r] for r >= 2 from the Stirling closed form."""
-    central = _shared_table(0)
-    total = mpf(central.entry(a, r)) * (-mpmath.expm1(-x))
+    """E[1/(Q+a)**r] from the Stirling closed form, for 1 <= a <= 64."""
+    total = mpf(_stirling_entry(0, a, r)) * (-mpmath.expm1(-x))
     for k in range(1, r):
-        total += mpf(central.entry(a, r - k)) * _positive_moment_mp(x, k)
+        total += mpf(_stirling_entry(0, a, r - k)) * _shifted_sums_mp(x, k, 0)[0]
     for k in range(1, a):
-        total += mpf(_shared_table(k).entry(a - k, r)) * x**k
+        total += mpf(_stirling_entry(k, a - k, r)) * x**k
     return total / x**a
 
 
 def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
     """E[1/(Q+a)**r] for Q ~ Poisson(mu), choosing the stable route.
 
-    Small mu (mu <= a + 5) goes through the closed forms at extended
+    Small mu (mu <= a + 5) goes through the closed form at extended
     precision, where the direct sum would need many terms relative to
     its size; large mu falls back to direct summation, where the closed
-    forms cancel catastrophically.  a = 0 returns the positive-part
-    moment.
+    form cancels catastrophically, and so do shifts past the Stirling
+    row cap, where the direct sum is relative-accurate anyway.  a = 0
+    returns the positive-part moment.
     """
     _check_mu(mu)
     if a < 0:
@@ -293,14 +250,13 @@ def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
         raise DomainError("moment order r must be a positive integer")
     if a == 0:
         return positive_poisson_inverse_moment(mu, r)
-    if mu <= a + 5:
-        # the closed form divides by mu**a: a digits per decade below 1
+    if a <= _ROW_CAP and mu <= a + 5:
+        # the closed form divides by mu**a, a digits per decade below 1,
+        # and cancels Stirling numbers as large as a!
         dps = 40 + int(mu) + (a * math.ceil(-math.log10(mu)) if mu < 1.0 else 0)
+        dps += math.ceil(math.lgamma(a + 1) / math.log(10))
         with mpmath.workdps(dps):
-            x = mpf(mu)
-            if r == 1:
-                return float(_shifted_first_closed(x, a))
-            return float(_shifted_closed(x, a, r))
+            return float(_shifted_closed(mpf(mu), a, r))
     return shifted_poisson_moment_direct(mu, a, r, tol=1e-14).value
 
 
@@ -343,10 +299,7 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
     All entries come from the same direct summation so the table is
     internally consistent, which matters because consumers difference
     it; mixing evaluation routes across a would turn route disagreement
-    into spurious difference signal.  One walk over k serves every
-    entry: the Poisson term e**(-mu) mu**k / k! is shared, and each
-    entry divides it by its own exact integer (k+a)**r and stops at its
-    own tolerance, so it equals its stand-alone sum.
+    into spurious difference signal.
     """
     _check_mu(mu)
     if r < 1:
@@ -355,23 +308,34 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
         raise DomainError("A must be non-negative")
     dps = _table_dps(mu, A)
     with mpmath.workdps(dps):
-        eps = mpf(10) ** (-(dps + 5))
-        x = mpf(mu)
-        t = mpmath.exp(-x)
-        totals = [mpf(0)] + [t / a**r for a in range(1, A + 1)]
-        live = range(A + 1)
-        k = 0
-        while live:
-            k += 1
-            t *= x / k
-            running = []
-            for a in live:
-                term = t / (k + a) ** r
-                totals[a] += term
-                if not (k > x and term < totals[a] * eps):
-                    running.append(a)
-            live = running
+        totals = _shifted_sums_mp(mpf(mu), r, A)
     return ShiftedMomentTable(float(mu), r, tuple(totals), dps)
+
+
+def _shifted_sums_mp(x: mpf, r: int, A: int) -> list:
+    """E[1/(Q+a)**r] for a = 0 .. A at the current working precision.
+
+    The a = 0 entry is the positive-part moment E+[1/Q**r].  One walk
+    over k serves every entry: the Poisson term is shared, and each
+    entry divides it by its own exact integer (k+a)**r and stops at its
+    own tolerance, so it equals its stand-alone sum.
+    """
+    eps = mpf(10) ** (-(mpmath.mp.dps + 5))
+    t = mpmath.exp(-x)
+    totals = [mpf(0)] + [t / a**r for a in range(1, A + 1)]
+    live = range(A + 1)
+    k = 0
+    while live:
+        k += 1
+        t *= x / k
+        running = []
+        for a in live:
+            term = t / (k + a) ** r
+            totals[a] += term
+            if not (k > x and term < totals[a] * eps):
+                running.append(a)
+        live = running
+    return totals
 
 
 def _forward_difference_mp(values: Sequence, n: int) -> mpf:
@@ -481,14 +445,9 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     m2_cap = min(120, _ASYM_ROW_CAP - r + 1)
     target = target_rel_error
 
-    exact_cache: dict[float, float] = {}
-
+    @cache
     def exact(mu: float) -> float:
-        v = exact_cache.get(mu)
-        if v is None:
-            v = _positive_moment_double(mu, r)
-            exact_cache[mu] = v
-        return v
+        return _positive_moment_double(mu, r)
 
     def asym_err(mu: float, m2: int) -> float:
         return abs(1.0 - _asymptotic_partial(mu, r, m2) / exact(mu))

@@ -7,79 +7,48 @@ a caller converts to float.
 """
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import cache
 
 __all__ = [
-    "StirlingTable",
     "stirling_first",
     "stirling_noncentral",
     "alpha",
 ]
 
+# Rows past this are refused, so a runaway caller cannot chew through memory.
+_ROW_CAP = 64
 
-class StirlingTable:
-    """Memoized triangle of signed Stirling numbers of the first kind.
 
-    ``shift`` selects the non-central variant: entry ``(j, k)`` is the
-    coefficient of ``x**k`` in
+@cache
+def _stirling_row(shift: int, j: int) -> tuple[int, ...]:
+    """Row j of the signed Stirling triangle of the first kind, exactly.
+
+    Entry k is the coefficient of x**k in
 
         x * (x - (shift + 1)) * (x - (shift + 2)) * ... * (x - (shift + j - 1)),
 
     which for ``shift == 0`` reduces to the usual falling-factorial
-    coefficients.  Entries are exact Python integers.  Rows grow on
-    demand under a lock, so one table instance may be shared between
-    threads; ``j_max`` caps the growth so a runaway caller cannot chew
-    through memory.
+    coefficients; entry 0 is always zero.  Rows are memoized and built
+    from the one above.  The row cap is checked by ``_stirling_entry``,
+    not here, because the large-mu series reads rows past it.
     """
-
-    def __init__(self, shift: int = 0, j_max: int = 64) -> None:
-        if shift < 0:
-            raise ValueError("shift must be non-negative")
-        if j_max < 1:
-            raise ValueError("j_max must be at least 1")
-        self.shift = shift
-        self.j_max = j_max
-        # _rows[j][k]; row 0 is a filler so indices line up with j.
-        self._rows: list[list[int]] = [[0], [0, 1]]
-        self._lock = threading.Lock()
-
-    def entry(self, j: int, k: int) -> int:
-        """Raw integer entry; zero outside the triangle 1 <= k <= j."""
-        if j < 1:
-            raise ValueError("row index j must be positive")
-        if j > self.j_max:
-            raise ValueError(f"j={j} exceeds the table cap j_max={self.j_max}")
-        if k < 1 or k > j:
-            return 0
-        if j >= len(self._rows):
-            self._grow(j)
-        return self._rows[j][k]
-
-    def _grow(self, j_target: int) -> None:
-        with self._lock:
-            while len(self._rows) <= j_target:
-                j = len(self._rows) - 1
-                prev = self._rows[j]
-                step = j + self.shift
-                row = [0] * (j + 2)
-                for k in range(1, j + 2):
-                    above = prev[k] if k <= j else 0
-                    row[k] = prev[k - 1] - step * above
-                self._rows.append(row)
+    if j == 1:
+        return (0, 1)
+    prev = _stirling_row(shift, j - 1) + (0,)
+    step = j - 1 + shift
+    return (0,) + tuple(prev[k - 1] - step * prev[k] for k in range(1, j + 1))
 
 
-_tables: dict[int, StirlingTable] = {}
-_tables_lock = threading.Lock()
-
-
-def _shared_table(shift: int) -> StirlingTable:
-    table = _tables.get(shift)
-    if table is None:
-        with _tables_lock:
-            table = _tables.setdefault(shift, StirlingTable(shift=shift))
-    return table
+def _stirling_entry(shift: int, j: int, k: int) -> int:
+    """Capped entry (j, k) of ``_stirling_row``; zero outside 1 <= k <= j."""
+    if j < 1:
+        raise ValueError("row index j must be positive")
+    if j > _ROW_CAP:
+        raise ValueError(f"j={j} exceeds the table cap {_ROW_CAP}")
+    if k < 1 or k > j:
+        return 0
+    return _stirling_row(shift, j)[k]
 
 
 def stirling_first(j: int, k: int) -> Fraction:
@@ -88,7 +57,7 @@ def stirling_first(j: int, k: int) -> Fraction:
     Satisfies s(j+1, k) = s(j, k-1) - j*s(j, k) with s(1, 1) = 1, and is
     zero outside 1 <= k <= j.
     """
-    return Fraction(_shared_table(0).entry(j, k))
+    return Fraction(_stirling_entry(0, j, k))
 
 
 def stirling_noncentral(j: int, l: int, k: int) -> Fraction:
@@ -99,7 +68,7 @@ def stirling_noncentral(j: int, l: int, k: int) -> Fraction:
     """
     if l < 0:
         raise ValueError("shift l must be non-negative")
-    return Fraction(_shared_table(l).entry(j, k))
+    return Fraction(_stirling_entry(l, j, k))
 
 
 @cache

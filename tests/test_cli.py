@@ -163,6 +163,7 @@ def test_poisson_table(capsys):
     assert main(["poisson-table", "--r", "2", "--mu", "0.5,2,8"]) == 0
     out = capsys.readouterr().out
     assert len(out.strip().split("\n")) == 4
+    assert main(["poisson-table", "--mu", "1e-308"]) == 0
 
 
 def test_exit_code_usage_errors(capsys):

@@ -4,7 +4,8 @@ The report CSVs under tests/data fix ``_positive_moment_double``, the
 competing series and the exact binomial oracle for N <= 100.  This file
 fixes the rest of the compensated sums: the direct Poisson oracles
 (value and tail bound), the truncated ascending series, the log-space
-binomial oracle for N > 300 and the cross-over calibration.  Each value
+binomial oracle for N > 300, the cross-over calibration and the routes
+of ``shifted_inverse_moment`` (closed form and direct sum).  Each value
 is stored as ``float.hex`` in ``tests/data/pinned_routes.json``, written
 by ``compute_all()`` below; regenerate it only when a change of these
 values is intended:
@@ -24,7 +25,11 @@ from invmoments.exact_oracle import (
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
 )
-from invmoments.poisson_moments import _ascending_partial, calibrate_crossover
+from invmoments.poisson_moments import (
+    _ascending_partial,
+    calibrate_crossover,
+    shifted_inverse_moment,
+)
 
 DATA = Path(__file__).resolve().parent / "data" / "pinned_routes.json"
 
@@ -50,6 +55,15 @@ def _shifted():
                     continue
                 v = shifted_poisson_moment_direct(mu, a, r, 1e-14)
                 out[f"{mu!r} {a} {r}"] = [v.value.hex(), v.tail_bound.hex()]
+    return out
+
+
+def _shifted_routed():
+    out = {}
+    for mu in (1e-300, 1e-20, 0.37, 3.7, 10.9):
+        for a in range(1, 7):
+            for r in range(1, 5):
+                out[f"{mu!r} {a} {r}"] = [shifted_inverse_moment(mu, a, r).hex()]
     return out
 
 
@@ -86,6 +100,7 @@ def _calibration():
 ROUTES = {
     "poisson_inverse_moment_direct": _direct,
     "shifted_poisson_moment_direct": _shifted,
+    "shifted_inverse_moment": _shifted_routed,
     "_ascending_partial": _ascending,
     "exact_inverse_moment_large_N": _oracle_large_n,
     "calibrate_crossover": _calibration,

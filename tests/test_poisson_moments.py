@@ -143,6 +143,25 @@ def test_shifted_tiny_mu_matches_direct(log10_mu, a, r):
     assert abs(1.0 - got / want) <= 1e-12, (mu, a, r)
 
 
+@pytest.mark.parametrize("a", [20, 45, 60, 64, 65, 100])
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_shifted_large_shift_matches_direct(a, r):
+    # the closed form cancels Stirling numbers as large as a!, so it needs
+    # log10(a!) guard digits; past the Stirling row cap the direct sum serves
+    for mu in (1e-3, 0.5, 5.0, a + 4.0):
+        want = shifted_poisson_moment_direct(mu, a, r, tol=1e-30).value
+        got = shifted_inverse_moment(mu, a, r)
+        assert abs(1.0 - got / want) <= 1e-12, (mu, a, r)
+
+
+@pytest.mark.parametrize("mu", [1e-308, 5e-324])
+@pytest.mark.parametrize("r", [1, 2, 6])
+def test_positive_moment_tiny_mu_returns(mu, r):
+    # once the Poisson term underflows to 0 the stop test must still fire
+    assert positive_poisson_inverse_moment(mu, r) == mu
+    assert shifted_inverse_moment(mu, 0, r) == mu
+
+
 def test_y_sequence_frozen():
     assert abs(y_sequence(1.0, 1) - Y1_AT_1) < 1e-15
 
@@ -316,21 +335,21 @@ def test_q_table_one_pass_equals_per_entry_sums(mu, r):
     assert table.values == want
 
 
-def test_asym_coefficients_concurrent_fill(monkeypatch):
-    # threads that fill the same cached row at once must not store a
-    # coefficient twice, which would shift every later one
+def test_asym_coefficients_concurrent_fill():
+    # threads that fill the same cached row at once must each get the
+    # whole, correct row
     r, count, workers = 3, 60, 8
     want = [float(abs(stirling_first(r + i, r))) for i in range(count)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            monkeypatch.setattr(poisson_moments, "_asym_coeffs", {})
+            poisson_moments._asym_row.cache_clear()
             results = []
             threads = [
                 threading.Thread(
                     target=lambda: results.append(
-                        poisson_moments._asym_coefficients(r, count)
+                        list(poisson_moments._asym_row(r)[:count])
                     )
                 )
                 for _ in range(workers)
@@ -341,6 +360,6 @@ def test_asym_coefficients_concurrent_fill(monkeypatch):
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
             assert results == [want] * workers
-            assert poisson_moments._asym_coefficients(r, count) == want
+            assert list(poisson_moments._asym_row(r)[:count]) == want
     finally:
         sys.setswitchinterval(old)

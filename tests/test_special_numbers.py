@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invmoments.special_numbers import (
-    StirlingTable,
     alpha,
     stirling_first,
     stirling_noncentral,
@@ -83,10 +82,9 @@ def test_noncentral_first_column_explicit(j, l):
 
 
 def test_table_cap_enforced():
-    table = StirlingTable(j_max=10)
-    table.entry(10, 3)
+    stirling_first(64, 3)
     with pytest.raises(ValueError):
-        table.entry(11, 3)
+        stirling_first(65, 3)
 
 
 def test_table_rejects_bad_row():
