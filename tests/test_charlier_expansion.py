@@ -114,7 +114,7 @@ def test_binomial_order_three_coefficients():
 @given(
     st.integers(min_value=2, max_value=40),
     st.fractions(min_value=Fraction(1, 100), max_value=1),
-    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=8),
 )
 def test_binomial_polynomial_two_routes_agree(N, p, m):
     mu = N * p

@@ -4,9 +4,11 @@ The report CSVs under tests/data fix ``_positive_moment_double``, the
 competing series and the exact binomial oracle for N <= 100.  This file
 fixes the rest of the compensated sums: the direct Poisson oracles
 (value and tail bound), the truncated ascending series, the log-space
-binomial oracle for N > 300, the cross-over calibration and the routes
-of ``shifted_inverse_moment`` (closed form and direct sum).  Each value
-is stored as ``float.hex`` in ``tests/data/pinned_routes.json``, written
+binomial oracle for N > 300, the cross-over calibration, the routes
+of ``shifted_inverse_moment`` (closed form and direct sum) and the
+coefficients of ``barbour_polynomial``.  Each value is stored as
+``float.hex`` (exact coefficients as ``str(Fraction)``) in
+``tests/data/pinned_routes.json``, written
 by ``compute_all()`` below; regenerate it only when a change of these
 values is intended:
 
@@ -15,10 +17,16 @@ from test_pinned_routes import compute_all; \
 json.dump(compute_all(), open('tests/data/pinned_routes.json', 'w'), indent=1)"
 """
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from invmoments.charlier_expansion import (
+    CumulantSequence,
+    barbour_polynomial,
+    binomial_cumulants,
+)
 from invmoments.exact_oracle import (
     Binomial,
     exact_inverse_moment,
@@ -97,6 +105,29 @@ def _calibration():
     return out
 
 
+BARBOUR_SEQUENCES = {
+    "fraction": CumulantSequence(
+        Fraction(3, 2),
+        (Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7), Fraction(-3, 11),
+         Fraction(5, 13), Fraction(-1, 17)),
+    ),
+    "binomial": binomial_cumulants(12, Fraction(1, 3), 7),
+    "float": CumulantSequence(2.5, (0.3, -0.17, 0.061, -0.029, 0.013, -0.0071)),
+}
+
+
+def _barbour():
+    out = {}
+    for name, seq in BARBOUR_SEQUENCES.items():
+        for m in range(1, 8):
+            coeffs = barbour_polynomial(seq, m).coefficients
+            out[f"{name} {m}"] = [
+                [d, c.hex() if isinstance(c, float) else str(c)]
+                for d, c in sorted(coeffs.items())
+            ]
+    return out
+
+
 ROUTES = {
     "poisson_inverse_moment_direct": _direct,
     "shifted_poisson_moment_direct": _shifted,
@@ -104,6 +135,7 @@ ROUTES = {
     "_ascending_partial": _ascending,
     "exact_inverse_moment_large_N": _oracle_large_n,
     "calibrate_crossover": _calibration,
+    "barbour_polynomial": _barbour,
 }
 
 
