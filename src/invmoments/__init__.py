@@ -15,7 +15,6 @@ from .charlier_expansion import (
     expand_pdf,
     first_inverse_moment_binomial,
     inverse_moment_estimate,
-    taylor_polynomial,
 )
 from .competing import rempala, stephan, znidaric
 from .exact_oracle import (
@@ -40,7 +39,6 @@ from .poisson_moments import (
     er_function,
     forward_difference_at_zero,
     positive_poisson_inverse_moment,
-    reference_profile,
     shifted_inverse_moment,
     y_sequence,
 )

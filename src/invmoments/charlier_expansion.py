@@ -3,9 +3,9 @@
 A discrete distribution with factorial cumulant sequence close to a
 Poisson's can be written as a polynomial in the difference operator
 applied to the Poisson pdf.  This module builds those polynomials from
-cumulants (two truncation flavors), specializes them to the binomial
-case, applies them to pdfs, and pairs them with shifted-moment tables
-to estimate inverse moments.
+cumulants, keeping whole orders of the expansion parameter, specializes
+them to the binomial case, applies them to pdfs, and pairs them with
+shifted-moment tables to estimate inverse moments.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ __all__ = [
     "CumulantSequence",
     "ExpansionPolynomial",
     "barbour_polynomial",
-    "taylor_polynomial",
     "binomial_factorial_cumulant",
     "binomial_cumulants",
     "binomial_barbour_polynomial",
@@ -68,19 +67,14 @@ class ExpansionPolynomial:
 
     ``coefficients`` maps difference degree to coefficient.  Degree 0 is
     always 1 (the Poisson term itself) and degree 1 never appears, since
-    the mean is already matched through mu.  The ``flavor`` records the
-    truncation scheme: "barbour" keeps whole orders of the expansion
-    parameter and reaches degree 2*(order-1), "taylor" truncates the
-    operator exponential directly and stops at degree order - 1.
+    the mean is already matched through mu.  Whole orders of the
+    expansion parameter are kept, so order m reaches degree 2*(m-1).
     """
 
     coefficients: dict
     order: int
-    flavor: str
 
     def __post_init__(self) -> None:
-        if self.flavor not in ("barbour", "taylor"):
-            raise DomainError(f"unknown flavor {self.flavor!r}")
         if self.order < 1:
             raise DomainError("order must be a positive integer")
         coeffs = {d: c for d, c in self.coefficients.items() if c != 0}
@@ -101,50 +95,15 @@ class ExpansionPolynomial:
         return max(self.coefficients)
 
 
-def _poly2_mul(a: dict, b: dict, tp_max: int) -> dict:
-    """Product of polynomials in (t, nabla), truncated at t**tp_max."""
-    out: dict[int, dict[int, object]] = {}
-    for ta, pa in a.items():
-        for tb, pb in b.items():
-            tp = ta + tb
-            if tp > tp_max:
-                continue
-            bucket = out.setdefault(tp, {})
-            for da, ca in pa.items():
-                for db, cb in pb.items():
-                    d = da + db
-                    bucket[d] = bucket.get(d, 0) + ca * cb
-    return out
-
-
-def _exp_series(arg: dict, m: int) -> dict:
-    """Coefficients of exp(arg) truncated at t**(m-1), evaluated at t = 1.
-
-    ``arg`` maps t-power to {difference degree: coefficient} and must
-    have no t**0 component, so the exponential series terminates on its
-    own once powers of ``arg`` exceed the truncation order.
-    """
-    collapsed: dict[int, object] = {0: 1}
-    power = {0: {0: 1}}
-    for j in range(1, m):
-        power = _poly2_mul(power, arg, m - 1)
-        if not power:
-            break
-        fact = math.factorial(j)
-        for poly in power.values():
-            for d, c in poly.items():
-                collapsed[d] = collapsed.get(d, 0) + c / fact
-    return collapsed
-
-
 def barbour_polynomial(cumulants: CumulantSequence, m: int) -> ExpansionPolynomial:
     """Order-m expansion polynomial keeping whole orders of the size parameter.
 
-    Exponentiates sum_{k=2..m} (kappa(k)/k!) * (-nabla)**k with the
-    k-th cumulant counted at order k - 1, then truncates past order
-    m - 1.  The result reaches difference degree 2*(m-1).  A Poisson
-    cumulant sequence (no higher cumulants) returns the identity
-    polynomial at every order.
+    Exponentiates P = sum_{k=2..m} (kappa(k)/k!) * (-nabla)**k, counting
+    the k-th cumulant at order k - 1, and drops everything past order
+    m - 1.  A degree-d term of P**j has order d - j, and every factor of
+    P raises the order, so each power is truncated as it is built.  The
+    result reaches difference degree 2*(m-1); a Poisson cumulant
+    sequence (no higher cumulants) gives the identity at every order.
     """
     if m < 1:
         raise DomainError("order m must be a positive integer")
@@ -152,35 +111,26 @@ def barbour_polynomial(cumulants: CumulantSequence, m: int) -> ExpansionPolynomi
         raise DomainError(
             f"order {m} needs cumulants through {m}, have {cumulants.order}"
         )
-    arg: dict[int, dict[int, object]] = {}
+    arg: dict[int, object] = {}
     for k in range(2, m + 1):
         c = cumulants.kappa(k) * (-1) ** k
         c = c / math.factorial(k)
         if c != 0:
-            arg.setdefault(k - 1, {})[k] = c
-    return ExpansionPolynomial(_exp_series(arg, m), m, "barbour")
-
-
-def taylor_polynomial(cumulants: CumulantSequence, m: int) -> ExpansionPolynomial:
-    """Order-m expansion polynomial truncating the operator exponential directly.
-
-    Same exponential as the barbour flavor but with the k-th cumulant
-    counted at order k, so the polynomial stops at difference degree
-    m - 1.  The two flavors agree on every term they share.
-    """
-    if m < 1:
-        raise DomainError("order m must be a positive integer")
-    if m >= 3 and cumulants.order < m - 1:
-        raise DomainError(
-            f"order {m} needs cumulants through {m - 1}, have {cumulants.order}"
-        )
-    arg: dict[int, dict[int, object]] = {}
-    for k in range(2, m):
-        c = cumulants.kappa(k) * (-1) ** k
-        c = c / math.factorial(k)
-        if c != 0:
-            arg.setdefault(k, {})[k] = c
-    return ExpansionPolynomial(_exp_series(arg, m), m, "taylor")
+            arg[k] = c
+    coeffs: dict[int, object] = {0: 1}
+    power: dict[int, object] = {0: 1}
+    for j in range(1, m):
+        nxt: dict[int, object] = {}
+        for da, ca in power.items():
+            for db, cb in arg.items():
+                d = da + db
+                if d - j <= m - 1:
+                    nxt[d] = nxt.get(d, 0) + ca * cb
+        power = nxt
+        fact = math.factorial(j)
+        for d, c in power.items():
+            coeffs[d] = coeffs.get(d, 0) + c / fact
+    return ExpansionPolynomial(coeffs, m)
 
 
 def binomial_factorial_cumulant(N: int, p, j: int):
@@ -229,7 +179,7 @@ def binomial_barbour_polynomial(N: int, mu, m: int) -> ExpansionPolynomial:
             d = j + k
             c = (-1) ** j * alpha(k - j, j) / math.factorial(j)
             coeffs[d] = coeffs.get(d, 0) + c * mu**d / N**k
-    return ExpansionPolynomial(coeffs, m, "barbour")
+    return ExpansionPolynomial(coeffs, m)
 
 
 def expand_pdf(poly: ExpansionPolynomial, mu: float) -> list[float]:

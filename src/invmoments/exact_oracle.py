@@ -59,9 +59,9 @@ class ExplicitPdf:
         object.__setattr__(self, "weights", weights)
         if not weights:
             raise DomainError("weights must be non-empty")
-        if any(w < 0.0 for w in weights):
+        if any(not w >= 0.0 for w in weights):  # NaN fails both tests
             raise DomainError("weights must be non-negative")
-        if abs(math.fsum(weights) - 1.0) > 1e-12:
+        if not abs(math.fsum(weights) - 1.0) <= 1e-12:
             raise DomainError("weights must sum to 1 within 1e-12")
 
 
@@ -149,11 +149,14 @@ def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
     """
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
-    if isinstance(spec, Binomial):
-        pdf = _pdf_in_k(spec.N, spec.p)
-        return _neumaier(pdf(k) / k**r for k in range(1, spec.N + 1))
-    if isinstance(spec, ExplicitPdf):
-        return _neumaier(w / k**r for k, w in enumerate(spec.weights) if k >= 1)
+    try:
+        if isinstance(spec, Binomial):
+            pdf = _pdf_in_k(spec.N, spec.p)
+            return _neumaier(pdf(k) / k**r for k in range(1, spec.N + 1))
+        if isinstance(spec, ExplicitPdf):
+            return _neumaier(w / k**r for k, w in enumerate(spec.weights) if k >= 1)
+    except OverflowError:  # k**r past the double range
+        raise DomainError(f"r = {r} takes a term outside the double range") from None
     raise DomainError(f"unsupported distribution spec: {spec!r}")
 
 
@@ -197,7 +200,10 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
                 raise RuntimeError("tolerance unreachable in double precision")
             yield pi / (k + a) ** r
 
-    return OracleValue(_neumaier(terms()), tail)
+    try:
+        return OracleValue(_neumaier(terms()), tail)
+    except OverflowError:  # (k+a)**r past the double range
+        raise DomainError(f"r = {r} takes a term outside the double range") from None
 
 
 def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> OracleValue:

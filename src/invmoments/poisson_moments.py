@@ -46,7 +46,6 @@ __all__ = [
     "forward_difference_at_zero",
     "y_sequence",
     "calibrate_crossover",
-    "reference_profile",
 ]
 
 
@@ -79,37 +78,6 @@ class CrossoverProfile:
     M1: int
     M2: int
     validated_max_rel_error: float | None = None
-
-
-# Cross-over profiles for the two standard targets, as produced by
-# calibrate_crossover with its default grid.  Stored so production code
-# can pick a strategy without paying for a calibration run.
-_REFERENCE: dict[tuple[int, float], tuple[float, int, int]] = {
-    (1, 1e-5): (13.671, 31, 10),
-    (2, 1e-5): (17.061, 35, 15),
-    (3, 1e-5): (20.544, 39, 20),
-    (4, 1e-5): (24.775, 44, 26),
-    (5, 1e-5): (28.966, 49, 32),
-    (6, 1e-5): (32.969, 53, 38),
-    (1, 1e-10): (25.734, 63, 20),
-    (2, 1e-10): (29.206, 67, 26),
-    (3, 1e-10): (33.998, 74, 33),
-    (4, 1e-10): (37.903, 79, 39),
-    (5, 1e-10): (42.573, 85, 46),
-    (6, 1e-10): (47.068, 90, 53),
-}
-
-
-def reference_profile(r: int, target_rel_error: float) -> CrossoverProfile:
-    """Stored cross-over profile for targets 1e-5 and 1e-10, r = 1..6."""
-    try:
-        mu_star, m1, m2 = _REFERENCE[(r, target_rel_error)]
-    except KeyError:
-        raise DomainError(
-            f"no stored profile for r={r}, target={target_rel_error}; "
-            "run calibrate_crossover"
-        ) from None
-    return CrossoverProfile(r, target_rel_error, mu_star, m1, m2)
 
 
 def er_function(mu: float) -> float:
@@ -212,15 +180,18 @@ def positive_poisson_inverse_moment(
     _check_mu(mu)
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
-    if profile is None:
-        return _positive_moment_double(mu, r)
-    if profile.r != r:
+    if profile is not None and profile.r != r:
         raise DomainError(
             f"profile was calibrated for r={profile.r}, not r={r}"
         )
-    if mu <= profile.mu_star:
-        return _ascending_partial(mu, r, profile.M1)
-    return _asymptotic_partial(mu, r, profile.M2)
+    try:
+        if profile is None:
+            return _positive_moment_double(mu, r)
+        if mu <= profile.mu_star:
+            return _ascending_partial(mu, r, profile.M1)
+        return _asymptotic_partial(mu, r, profile.M2)
+    except OverflowError:  # k**r, or (1/mu)**r, past the double range
+        raise DomainError(f"r = {r} takes a term outside the double range") from None
 
 
 def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
@@ -236,12 +207,13 @@ def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
 def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
     """E[1/(Q+a)**r] for Q ~ Poisson(mu), choosing the stable route.
 
-    Small mu (mu <= a + 5) goes through the closed form at extended
-    precision, where the direct sum would need many terms relative to
-    its size; large mu falls back to direct summation, where the closed
-    form cancels catastrophically, and so do shifts past the Stirling
-    row cap, where the direct sum is relative-accurate anyway.  a = 0
-    returns the positive-part moment.
+    Small mu (2**-60 <= mu <= a + 5) goes through the closed form at
+    extended precision, where the direct sum would need many terms
+    relative to its size.  The direct sum takes large mu, where the
+    closed form cancels catastrophically, shifts past the Stirling row
+    cap, where it is relative-accurate anyway, and tiny mu, where
+    e**(-mu) rounds to 1 and two or three terms give the closed form's
+    double.  a = 0 returns the positive-part moment.
     """
     _check_mu(mu)
     if a < 0:
@@ -250,7 +222,7 @@ def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
         raise DomainError("moment order r must be a positive integer")
     if a == 0:
         return positive_poisson_inverse_moment(mu, r)
-    if a <= _ROW_CAP and mu <= a + 5:
+    if a <= _ROW_CAP and 2.0**-60 <= mu <= a + 5:
         # the closed form divides by mu**a, a digits per decade below 1,
         # and cancels Stirling numbers as large as a!
         dps = 40 + int(mu) + (a * math.ceil(-math.log10(mu)) if mu < 1.0 else 0)
@@ -447,7 +419,10 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
 
     @cache
     def exact(mu: float) -> float:
-        return _positive_moment_double(mu, r)
+        try:
+            return _positive_moment_double(mu, r)
+        except OverflowError:  # k**r past the double range
+            raise DomainError(f"r = {r} takes a term outside the double range") from None
 
     def asym_err(mu: float, m2: int) -> float:
         return abs(1.0 - _asymptotic_partial(mu, r, m2) / exact(mu))

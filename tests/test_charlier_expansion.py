@@ -16,7 +16,6 @@ from invmoments.charlier_expansion import (
     expand_pdf,
     first_inverse_moment_binomial,
     inverse_moment_estimate,
-    taylor_polynomial,
 )
 from invmoments.exact_oracle import (
     Binomial,
@@ -50,25 +49,6 @@ def test_order_three_structure():
 def test_insufficient_cumulants():
     with pytest.raises(DomainError):
         barbour_polynomial(CumulantSequence(1.0, (0.25,)), 3)
-
-
-def test_taylor_low_orders_are_identity():
-    seq = CumulantSequence(1.0, (0.5, 0.1, 0.2))
-    for m in (1, 2):
-        assert taylor_polynomial(seq, m).coefficients == {0: 1.0}
-
-
-def test_taylor_and_barbour_differ_by_next_cumulant():
-    # at matched accuracy the m=5 derivative form minus the m=3 difference
-    # form leaves kappa_4 / 24 at degree 4 and nothing below it
-    k2, k3, k4 = Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)
-    seq = CumulantSequence(Fraction(2), (k2, k3, k4))
-    t5 = taylor_polynomial(seq, 5)
-    b3 = barbour_polynomial(seq, 3)
-    diff4 = t5.coefficient(4) - b3.coefficient(4)
-    assert diff4 == k4 / 24
-    for d in (2, 3):
-        assert t5.coefficient(d) == b3.coefficient(d)
 
 
 @settings(max_examples=30, deadline=None)
@@ -124,7 +104,7 @@ def test_binomial_polynomial_two_routes_agree(N, p, m):
 
 
 def test_expand_pdf_identity_is_poisson():
-    poly = ExpansionPolynomial({0: 1.0}, 1, "barbour")
+    poly = ExpansionPolynomial({0: 1.0}, 1)
     mu = 3.0
     arr = expand_pdf(poly, mu)
     t = math.exp(-mu)
@@ -147,7 +127,7 @@ def test_expand_pdf_mass_and_accuracy():
 
 
 def test_estimate_with_identity_poly_is_table_head():
-    poly = ExpansionPolynomial({0: 1.0}, 1, "barbour")
+    poly = ExpansionPolynomial({0: 1.0}, 1)
     table = build_q_table(4.0, 1, 0)
     got = inverse_moment_estimate(poly, table)
     assert abs(got - table.value(0)) < 1e-16
@@ -215,10 +195,8 @@ def test_error_bound_formula():
 
 def test_polynomial_validation():
     with pytest.raises(DomainError):
-        ExpansionPolynomial({0: 2.0}, 1, "barbour")
+        ExpansionPolynomial({0: 2.0}, 1)
     with pytest.raises(DomainError):
-        ExpansionPolynomial({0: 1.0, 1: 0.5}, 2, "barbour")
+        ExpansionPolynomial({0: 1.0, 1: 0.5}, 2)
     with pytest.raises(DomainError):
-        ExpansionPolynomial({0: 1.0, 3: 0.4}, 2, "barbour")
-    with pytest.raises(DomainError):
-        ExpansionPolynomial({0: 1.0}, 1, "pade")
+        ExpansionPolynomial({0: 1.0, 3: 0.4}, 2)

@@ -1,5 +1,9 @@
 """End-to-end tests of the command line layer, run in process."""
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,5 +187,27 @@ def test_exit_code_domain_errors(capsys):
                  "--grid", "1e-300:1e-300:1"]) == 2
     assert main(["poisson-table", "--mu", "nan"]) == 2
     assert main(["compute", "--N", "10", "--p", "0.5", "--order", "0"]) == 2
+    # k**r past the double range at a large moment order r
+    assert main(["poisson-table", "--r", "400", "--mu", "5"]) == 2
+    assert main(["compute", "--N", "10", "--p", "0.5", "--r", "400"]) == 2
+    assert main(["sweep", "--N", "10", "--r", "400", "--grid", "0.5:0.5:1"]) == 2
+    assert main(["calibrate", "--r", "150", "--target", "1e-5"]) == 2
     err = capsys.readouterr().err
     assert "domain error" in err
+
+
+def test_python_m_invmoments_exit_codes():
+    # a separate interpreter, so console_main's exit status is what is seen
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "invmoments", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    ok = run("alpha-table", "--max", "2")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.splitlines()[0].split() == ["l\\j", "0", "1", "2", "3"]
+    bad = run("poisson-table", "--mu", "nan")
+    assert bad.returncode == 2
+    assert "domain error" in bad.stderr

@@ -103,6 +103,13 @@ def test_explicit_pdf_validation():
         ExplicitPdf((1.1, -0.1))
     with pytest.raises(DomainError):
         ExplicitPdf(())
+    # NaN compares False with everything, so the checks must fail on it
+    with pytest.raises(DomainError):
+        ExplicitPdf((0.5, math.nan))
+    with pytest.raises(DomainError):
+        ExplicitPdf((math.nan,))
+    with pytest.raises(DomainError):
+        factorial_cumulants_from_pdf((0.25, math.nan, 0.75), 2)
 
 
 def test_poisson_direct_frozen():

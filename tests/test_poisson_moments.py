@@ -12,7 +12,9 @@ from invmoments import poisson_moments
 
 from invmoments.charlier_expansion import binomial_barbour_polynomial, expand_pdf
 from invmoments.exact_oracle import (
+    Binomial,
     DomainError,
+    exact_inverse_moment,
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
 )
@@ -23,7 +25,6 @@ from invmoments.poisson_moments import (
     er_function,
     forward_difference_at_zero,
     positive_poisson_inverse_moment,
-    reference_profile,
     shifted_inverse_moment,
     y_sequence,
 )
@@ -62,7 +63,7 @@ def test_no_profile_falls_back_to_direct(mu, r):
 
 
 def test_profile_selects_series_by_side():
-    prof = reference_profile(1, 1e-5)
+    prof = CrossoverProfile(1, 1e-5, 13.671, 31, 10)
     exact = poisson_inverse_moment_direct(40.0, 1, tol=1e-16).value
     approx = positive_poisson_inverse_moment(40.0, 1, profile=prof)
     assert abs(approx - exact) <= 1e-5 * exact
@@ -72,7 +73,7 @@ def test_profile_selects_series_by_side():
 
 
 def test_profile_order_mismatch():
-    prof = reference_profile(2, 1e-5)
+    prof = CrossoverProfile(2, 1e-5, 17.061, 35, 15)
     with pytest.raises(DomainError):
         positive_poisson_inverse_moment(3.0, 1, profile=prof)
 
@@ -148,7 +149,7 @@ def test_shifted_tiny_mu_matches_direct(log10_mu, a, r):
 def test_shifted_large_shift_matches_direct(a, r):
     # the closed form cancels Stirling numbers as large as a!, so it needs
     # log10(a!) guard digits; past the Stirling row cap the direct sum serves
-    for mu in (1e-3, 0.5, 5.0, a + 4.0):
+    for mu in (1e-300, 1e-3, 0.5, 5.0, a + 4.0):
         want = shifted_poisson_moment_direct(mu, a, r, tol=1e-30).value
         got = shifted_inverse_moment(mu, a, r)
         assert abs(1.0 - got / want) <= 1e-12, (mu, a, r)
@@ -211,19 +212,6 @@ def test_forward_difference_bounds():
         forward_difference_at_zero(table, 4)
 
 
-def test_reference_profiles_frozen():
-    p = reference_profile(3, 1e-5)
-    assert (p.M1, p.M2) == (39, 20)
-    assert abs(p.mu_star - 20.544) < 5e-4
-    q = reference_profile(6, 1e-10)
-    assert (q.M1, q.M2) == (90, 53)
-    assert abs(q.mu_star - 47.068) < 5e-4
-    with pytest.raises(DomainError):
-        reference_profile(7, 1e-5)
-    with pytest.raises(DomainError):
-        reference_profile(1, 1e-7)
-
-
 def test_calibrate_quick_loose_target():
     prof = calibrate_crossover(1, 1e-2)
     assert prof.r == 1 and prof.target_rel_error == 1e-2
@@ -276,6 +264,29 @@ def test_non_finite_mu_is_domain_error(call, mu):
     # NaN slips through a plain "mu <= 0" test and the series never stop
     with pytest.raises(DomainError):
         call(mu)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: positive_poisson_inverse_moment(5.0, 400),
+        lambda: exact_inverse_moment(Binomial(10, 0.5), 400),
+        lambda: poisson_inverse_moment_direct(5.0, 400),
+        lambda: shifted_poisson_moment_direct(5.0, 2, 400),
+        lambda: calibrate_crossover(150, 1e-5),
+    ],
+    ids=[
+        "positive_poisson_inverse_moment",
+        "exact_inverse_moment",
+        "poisson_inverse_moment_direct",
+        "shifted_poisson_moment_direct",
+        "calibrate_crossover",
+    ],
+)
+def test_huge_r_overflow_is_domain_error(call):
+    # k**r exceeds the double range, so pi / k**r raises OverflowError
+    with pytest.raises(DomainError):
+        call()
 
 
 def _er_series(x):
