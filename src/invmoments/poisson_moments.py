@@ -154,6 +154,11 @@ def _asym_row(r: int) -> tuple[float, ...]:
 
 def _asymptotic_partial(mu: float, r: int, m2: int) -> float:
     """First m2 terms of the large-mu series sum_i |s(r+i, r)| / mu**(r+i)."""
+    if r > _ASYM_ROW_CAP:
+        raise DomainError(
+            f"no large-mu term exists for r={r}: the series reads Stirling rows"
+            f" only up to {_ASYM_ROW_CAP}"
+        )
     if r + m2 - 1 > _ASYM_ROW_CAP:
         raise DomainError(
             f"large-mu series with r={r} supports at most {_ASYM_ROW_CAP - r + 1} terms"

@@ -197,17 +197,19 @@ def test_exit_code_domain_errors(capsys):
 
 
 def test_python_m_invmoments_exit_codes():
-    # a separate interpreter, so console_main's exit status is what is seen
+    # a separate interpreter, so console_main's exit status is what is seen;
+    # the module path in the cli docstring must work as well as the package
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "invmoments", *args],
+    def run(module, *args):
+        return subprocess.run([sys.executable, "-m", module, *args],
                               capture_output=True, text=True, env=env, timeout=120)
 
-    ok = run("alpha-table", "--max", "2")
-    assert ok.returncode == 0, ok.stderr
-    assert ok.stdout.splitlines()[0].split() == ["l\\j", "0", "1", "2", "3"]
-    bad = run("poisson-table", "--mu", "nan")
-    assert bad.returncode == 2
-    assert "domain error" in bad.stderr
+    for module in ("invmoments", "invmoments.cli"):
+        ok = run(module, "alpha-table", "--max", "2")
+        assert ok.returncode == 0, (module, ok.stderr)
+        assert ok.stdout.splitlines()[0].split() == ["l\\j", "0", "1", "2", "3"], module
+        bad = run(module, "poisson-table", "--mu", "nan")
+        assert bad.returncode == 2, module
+        assert "domain error" in bad.stderr, module

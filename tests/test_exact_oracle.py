@@ -6,8 +6,10 @@ on them, not the other way round.
 """
 import math
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mpf
 
 from invmoments.exact_oracle import (
     Binomial,
@@ -19,6 +21,8 @@ from invmoments.exact_oracle import (
     factorial_cumulants_from_pdf,
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
+    _stirlerr,
+    _support,
 )
 
 # e**(-1) * sum_{i>=1} 1/(i * i!) at 50 digits, rounded to double
@@ -50,7 +54,7 @@ def test_binomial_pdf_sums_to_one(N, p):
 
 
 def test_binomial_pdf_large_N_stable():
-    # log-space path; compare against a mode-relative recursion
+    # saddle-point path; compare against a mode-relative recursion
     N, p = 10_000, 0.37
     mode = int(N * p)
     v = binomial_pdf(N, p, mode)
@@ -63,8 +67,9 @@ def test_binomial_pdf_large_N_stable():
 @pytest.mark.parametrize("N,p", [(301, 0.3), (1000, 0.02), (5000, 0.77)])
 @pytest.mark.parametrize("r", [1, 3])
 def test_exact_inverse_moment_large_N_matches_per_k_pdf(N, p, r):
-    # the log-space path hoists the (N, p) invariants out of the k loop;
-    # the result must equal the plain sum over binomial_pdf bit for bit
+    # the oracle sums a window around Np with the (N, p) invariants hoisted
+    # out of the k loop; the plain sum of binomial_pdf over all of 1..N
+    # differs only by the left-out mass, far below one ulp
     acc = 0.0
     comp = 0.0
     for k in range(1, N + 1):
@@ -72,7 +77,128 @@ def test_exact_inverse_moment_large_N_matches_per_k_pdf(N, p, r):
         s = acc + t
         comp += (acc - s) + t if abs(acc) >= abs(t) else (t - s) + acc
         acc = s
-    assert exact_inverse_moment(Binomial(N, p), r) == acc + comp
+    got = exact_inverse_moment(Binomial(N, p), r)
+    assert abs(got - (acc + comp)) <= 2**-53 * got
+
+
+# mpmath references for N > 300, where the oracle sums Loader's pdf over a
+# window around Np.  They share nothing with the oracle but the inputs.
+REF_DPS = 34
+
+
+def _mp_pmf(N, k, P, Q):
+    return mpmath.exp(
+        mpmath.loggamma(N + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(N - k + 1)
+        + k * mpmath.log(P) + (N - k) * mpmath.log(Q)
+    )
+
+
+def _mp_run(N, P, Q, r, k, step):
+    """sum of pmf(j) / j**r for j = k, k + step, ... inside 1..N.
+
+    The pmf is log-concave, so the ratio rho of neighbours only falls
+    along the run.  Once rho < 1 the rest of the run is below
+    pmf(j) * rho / (1 - rho), because 1/j**r <= 1, and the run stops when
+    that is 1e-32 of its own total.
+    """
+    total = mpf(0)
+    pmf = _mp_pmf(N, k, P, Q)
+    while 1 <= k <= N:
+        total += pmf / mpf(k) ** r
+        rho = (N - k) / mpf(k + 1) * P / Q if step > 0 else k / mpf(N - k + 1) * Q / P
+        if rho < 1 and pmf * rho / (1 - rho) <= mpf(10) ** -32 * total:
+            break
+        pmf *= rho
+        k += step
+    return total
+
+
+def _mp_inverse_moment(N, p, r):
+    """E+[1/K**r] for K ~ Binomial(N, p) at REF_DPS digits, from the mode out."""
+    with mpmath.workdps(REF_DPS):
+        P = mpf(p)
+        Q = 1 - P
+        mode = min(N, max(1, math.floor((N + 1) * p)))
+        total = _mp_run(N, P, Q, r, mode, 1)
+        if mode > 1:
+            total += _mp_run(N, P, Q, r, mode - 1, -1)
+        return total
+
+
+def _rel_err(got, want):
+    return float(abs(mpf(got) - want) / want)
+
+
+_log_uniform_tail = st.floats(min_value=math.log(1e-12), max_value=math.log(0.5)).map(math.exp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(min_value=math.log(301), max_value=math.log(1e5)).map(
+        lambda x: int(round(math.exp(x)))
+    ),
+    st.one_of(_log_uniform_tail, _log_uniform_tail.map(lambda x: 1.0 - x)),
+    st.sampled_from((1, 2, 3, 6)),
+)
+@example(301, 0.3, 1)
+@example(5000, 0.77, 3)
+def test_exact_inverse_moment_large_N_against_mpmath(N, p, r):
+    got = exact_inverse_moment(Binomial(N, p), r)
+    assert _rel_err(got, _mp_inverse_moment(N, p, r)) <= 1e-14, (N, p, r)
+
+
+@pytest.mark.parametrize("N,p", [(10**6, 0.5), (10**6, 0.99997), (3000, 0.99997)])
+def test_exact_inverse_moment_large_N_fixed_cases(N, p):
+    # the log-gamma sum this oracle replaced was 5.8e-10 off at (10**6, 0.5);
+    # with Np large every term is good to a few ulp
+    got = exact_inverse_moment(Binomial(N, p), 1)
+    assert _rel_err(got, _mp_inverse_moment(N, p, 1)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "N,p,r",
+    [(10**5, 0.5, 1), (20000, 0.37, 6), (20000, 0.999, 3), (1000, 1e-6, 3), (301, 0.01, 1)],
+)
+def test_exact_inverse_moment_window_neglects_under_1e_17(N, p, r):
+    window = _support(N, p, r)
+    assert window.step == 1 and 1 <= window.start and window.stop <= N + 1
+    value = exact_inverse_moment(Binomial(N, p), r)
+    with mpmath.workdps(REF_DPS):
+        P = mpf(p)
+        Q = 1 - P
+        left_out = mpf(0)
+        if window.start > 1:
+            left_out += _mp_run(N, P, Q, r, window.start - 1, -1)
+        if window.stop <= N:
+            left_out += _mp_run(N, P, Q, r, window.stop, 1)
+        assert left_out <= 1e-17 * value
+    if N == 10**5:
+        assert len(window) < N // 10  # the window does cut the work
+
+
+@pytest.mark.parametrize("N", [301, 4000])
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.5, 0.95, 0.999])
+def test_binomial_pdf_large_N_against_mpmath(N, p):
+    # k = 0 and k = N take dbinom_raw's one-sided forms, switched at 0.1.
+    # Far out in a tail the pdf is exp(-x) with x in the hundreds, and a
+    # double carries x only to a few of its ulp, about 1e-16 * x.
+    with mpmath.workdps(REF_DPS):
+        P = mpf(p)
+        Q = 1 - P
+        for k in sorted({0, 1, 2, math.floor(N * p), N - 2, N - 1, N}):
+            want = _mp_pmf(N, k, P, Q)
+            if want > 1e-300:
+                tol = 1e-15 * max(10.0, -float(mpmath.log(want)))
+                assert _rel_err(binomial_pdf(N, p, k), want) <= tol, (N, p, k)
+
+
+def test_stirlerr_against_mpmath():
+    # the table below 16 and both sides of the series' switch at 500
+    with mpmath.workdps(50):
+        for n in list(range(1, 40)) + [79, 80, 81, 499, 500, 501, 10**6]:
+            want = (mpmath.loggamma(n + 1) - (n + mpf(0.5)) * mpmath.log(n) + n
+                    - mpmath.log(mpmath.sqrt(2 * mpmath.pi)))
+            assert abs(_stirlerr(n) - want) <= 2.5e-16, n  # an absolute error in log P
 
 
 def test_exact_inverse_moment_hand_values():
@@ -173,6 +299,9 @@ def test_central_moment_binomial():
     # N = 0 degenerates to the point mass at zero
     assert central_moment_binomial(0, 0.3, 0) == 1.0
     assert central_moment_binomial(0, 0.3, 3) == 0.0
+    # N > 300 reads the saddle-point pdf: Npq and Npq(q - p)
+    assert abs(central_moment_binomial(1000, 0.3, 2) / 210.0 - 1.0) < 1e-13
+    assert abs(central_moment_binomial(1000, 0.3, 3) / 84.0 - 1.0) < 1e-11
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,8 +3,8 @@
 The report CSVs under tests/data fix ``_positive_moment_double``, the
 competing series and the exact binomial oracle for N <= 100.  This file
 fixes the rest of the compensated sums: the direct Poisson oracles
-(value and tail bound), the truncated ascending series, the log-space
-binomial oracle for N > 300, the cross-over calibration, the routes
+(value and tail bound), the truncated ascending series, the windowed
+saddle-point binomial oracle for N > 300, the cross-over calibration, the routes
 of ``shifted_inverse_moment`` (closed form and direct sum) and the
 coefficients of ``barbour_polynomial``.  Each value is stored as
 ``float.hex`` (exact coefficients as ``str(Fraction)``) in

@@ -289,6 +289,21 @@ def test_huge_r_overflow_is_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("r", [169, 400])
+def test_large_mu_series_past_row_cap_names_no_term(r):
+    # the term count left for such an r is negative, and the error says
+    # that no term exists instead of quoting it
+    prof = CrossoverProfile(r, 1e-5, 0.5, 3, 2)
+    with pytest.raises(DomainError, match=f"no large-mu term exists for r={r}"):
+        positive_poisson_inverse_moment(5.0, r, prof)
+
+
+def test_large_mu_series_at_row_cap_reports_term_count():
+    with pytest.raises(DomainError, match="r=168 supports at most 1 terms"):
+        poisson_moments._asymptotic_partial(200.0, 168, 2)
+    assert poisson_moments._asymptotic_partial(2.0, 168, 1) == 2.0**-168  # |s(168, 168)| = 1
+
+
 def _er_series(x):
     """Er(x) from its defining series, at the current working precision."""
     eps = mpf(10) ** (-(mpmath.mp.dps + 5))
