@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mpf
 
 from .exact_oracle import DomainError, _check_mu, _poisson_terms
-from .poisson_moments import ShiftedMomentTable, _forward_difference_mp, _y_mp_list
+from .poisson_moments import ShiftedMomentTable, _y_mp_list
 from .special_numbers import alpha
 
 __all__ = [
@@ -229,19 +229,20 @@ def inverse_moment_estimate(poly: ExpansionPolynomial, q_table: ShiftedMomentTab
     """E+[1/K**r] estimate: the polynomial paired with a shifted-moment table.
 
     Each difference degree d contributes coefficient(d) times the d-th
-    alternating forward difference of the table.  Accumulation happens
-    at the table's working precision because the differences shrink
-    rapidly while the cancellation inside them grows.
+    alternating forward difference of the table, which the table
+    computes once for all its readers.  Accumulation happens at the
+    table's working precision because the differences shrink rapidly
+    while the cancellation inside them grows.
     """
     if poly.max_degree > q_table.A:
         raise IndexError(
             f"polynomial degree {poly.max_degree} exceeds table range A={q_table.A}"
         )
+    nus = q_table.differences
     with mpmath.workdps(q_table.dps):
         total = mpf(0)
         for d in sorted(poly.coefficients):
-            nu = _forward_difference_mp(q_table.values, d)
-            total += _to_mpf(poly.coefficient(d)) * nu
+            total += _to_mpf(poly.coefficient(d)) * nus[d]
         return float(total)
 
 

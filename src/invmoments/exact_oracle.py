@@ -145,6 +145,15 @@ def _bd0(x: float, m: float) -> float:
     return x * math.log(x / m) + m - x
 
 
+def _bd0_tiny(x: float, m: float) -> float:
+    """_bd0 for m below 2**-1024, where x / m overflows even at x = 1.
+
+    There m is far below every x >= 1, so the closed form has no
+    cancellation to avoid, and log(x) - log(m) stays finite.
+    """
+    return x * (math.log(x) - math.log(m)) + m - x
+
+
 def _pdf_in_k(N: int, p: float) -> Callable[[int], float]:
     """k -> P(K = k) for 0 <= k <= N, with the (N, p) invariants computed once.
 
@@ -169,13 +178,14 @@ def _pdf_in_k(N: int, p: float) -> Callable[[int], float]:
         return lambda k: math.comb(N, k) * p**k * q ** (N - k)
     mean, mean_q = N * p, N * q
     head = _stirlerr(N)
+    bd0_low = _bd0 if 1.0 / mean < math.inf else _bd0_tiny
 
     def pdf(k: int) -> float:
         if k == 0:
             return math.exp(-_bd0(N, mean_q) - mean if p < 0.1 else N * math.log(q))
         if k == N:
             return math.exp(-_bd0(N, mean) - mean_q if q < 0.1 else N * math.log(p))
-        lc = head - _stirlerr(k) - _stirlerr(N - k) - _bd0(k, mean) - _bd0(N - k, mean_q)
+        lc = head - _stirlerr(k) - _stirlerr(N - k) - bd0_low(k, mean) - _bd0(N - k, mean_q)
         return math.exp(lc) / math.sqrt(math.tau * (k * (N - k)) / N)
 
     return pdf

@@ -19,12 +19,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice
-from typing import Sequence
+from typing import Iterator
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    mpf_div,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    round_nearest,
+    to_fixed,
+)
 
 from .exact_oracle import (
     DomainError,
@@ -243,7 +253,9 @@ class ShiftedMomentTable:
 
     The entries are mpmath floats carried at ``dps`` decimal digits,
     enough that A-fold forward differencing of the table still leaves a
-    full double of accuracy.  ``value`` gives the rounded double view.
+    full double of accuracy.  ``value`` gives the rounded double view;
+    ``differences`` holds the alternating forward differences at a = 0,
+    computed once, on first use, for every reader of the table.
     """
 
     mu: float
@@ -261,6 +273,24 @@ class ShiftedMomentTable:
 
     def value(self, a: int) -> float:
         return float(self.values[a])
+
+    @cached_property
+    def differences(self) -> tuple:
+        """((-Delta)**n q)(0) = sum_a C(n, a) (-1)**a q(a) for n = 0 .. A.
+
+        Each is summed at the table's precision, so the heavy cancellation
+        in the alternating sum costs guard digits rather than answer
+        digits.
+        """
+        out = []
+        with mpmath.workdps(self.dps):
+            for n in range(self.A + 1):
+                total = mpf(0)
+                for a in range(n + 1):
+                    term = mpf(math.comb(n, a)) * self.values[a]
+                    total += -term if a % 2 else term
+                out.append(total)
+        return tuple(out)
 
 
 def _table_dps(mu: float, A: int) -> int:
@@ -289,53 +319,95 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
     return ShiftedMomentTable(float(mu), r, tuple(totals), dps)
 
 
+def _fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
+    """(S, wp): the fixed-point scale 2**S and the Poisson-term precision.
+
+    The walk over k ends by k = 2*mu + prec + 22: past 2*mu each entry's
+    term at most halves the last, and halving reaches 10**-(dps+5) of
+    the entry within prec + 20 steps.  Guard bits covering that count
+    keep the summed floor and rounding errors below one unit of the
+    answer's last place.  S then puts the smallest entry at prec + guard
+    bits, with that entry bounded below by Jensen: 1/(mu+A)**r for
+    a >= 1 and P(Q >= 1)**(r+1) / mu**r for a = 0.
+    """
+    guard = (int(2.0 * mu) + prec + 22).bit_length() + 4
+    low = -r * math.log2(mu + A) if A else math.inf
+    low = min(low, (r + 1) * math.log2(-math.expm1(-mu)) - r * math.log2(mu))
+    wp = prec + guard
+    return wp - math.floor(low) + 2, wp
+
+
+def _fixed_poisson_terms(x: mpf, S: int, wp: int) -> Iterator[int]:
+    """floor(2**S * e**(-x) * x**k / k!) for k = 0, 1, 2, ...
+
+    The term itself stays a binary float at wp bits, since e**(-x) would
+    underflow any fixed scale at large x; only its copy is fixed-point.
+    """
+    xm = x._mpf_
+    t = mpf_exp(mpf_neg(xm), wp)
+    yield to_fixed(t, S)
+    k = 0
+    while True:
+        k += 1
+        t = mpf_div(mpf_mul(t, xm, wp), from_int(k), wp)
+        yield to_fixed(t, S)
+
+
+def _shifted_totals_fixed(x: mpf, r: int, A: int, S: int, wp: int) -> list[int]:
+    """2**S * E[1/(Q+a)**r] for a = 0 .. A as integers, in one walk over k.
+
+    Each entry floors the shared fixed-point Poisson term by its own
+    exact integer (k+a)**r and, once k > x, stops at its own tolerance,
+    so it equals its stand-alone walk on the same scale.
+    """
+    mu = float(x)
+    scale = 10 ** (mpmath.mp.dps + 5)
+    terms = _fixed_poisson_terms(x, S, wp)
+    t0 = next(terms)
+    totals = [0] + [t0 // a**r for a in range(1, A + 1)]
+    k = 0
+    # no entry may stop while k <= mu; zip tries the range first, so it
+    # takes no term past floor(mu) from the walk
+    for k, t in zip(range(1, math.floor(mu) + 1), terms):
+        for a in range(A + 1):
+            totals[a] += t // (k + a) ** r
+    live = list(range(A + 1))
+    for k, t in enumerate(terms, k + 1):
+        done = []
+        for a in live:
+            term = t // (k + a) ** r
+            total = totals[a] + term
+            totals[a] = total
+            if term * scale < total:
+                done.append(a)
+        if done:
+            live = [a for a in live if a not in done]
+            if not live:
+                return totals
+
+
 def _shifted_sums_mp(x: mpf, r: int, A: int) -> list:
     """E[1/(Q+a)**r] for a = 0 .. A at the current working precision.
 
-    The a = 0 entry is the positive-part moment E+[1/Q**r].  One walk
-    over k serves every entry: the Poisson term is shared, and each
-    entry divides it by its own exact integer (k+a)**r and stops at its
-    own tolerance, so it equals its stand-alone sum.
+    The a = 0 entry is the positive-part moment E+[1/Q**r].  One
+    fixed-point walk over k serves every entry (_shifted_totals_fixed);
+    each total is rounded once to the working precision.
     """
-    eps = mpf(10) ** (-(mpmath.mp.dps + 5))
-    t = mpmath.exp(-x)
-    totals = [mpf(0)] + [t / a**r for a in range(1, A + 1)]
-    live = range(A + 1)
-    k = 0
-    while live:
-        k += 1
-        t *= x / k
-        running = []
-        for a in live:
-            term = t / (k + a) ** r
-            totals[a] += term
-            if not (k > x and term < totals[a] * eps):
-                running.append(a)
-        live = running
-    return totals
-
-
-def _forward_difference_mp(values: Sequence, n: int) -> mpf:
-    """((-Delta)**n q)(0) = sum_a C(n, a) (-1)**a q(a), caller sets dps."""
-    total = mpf(0)
-    for a in range(n + 1):
-        term = mpf(math.comb(n, a)) * values[a]
-        total += -term if a % 2 else term
-    return total
+    prec = mpmath.mp.prec
+    S, wp = _fixed_scale(float(x), r, A, prec)
+    return [
+        mpmath.mp.make_mpf(from_man_exp(total, -S, prec, round_nearest))
+        for total in _shifted_totals_fixed(x, r, A, S, wp)
+    ]
 
 
 def forward_difference_at_zero(table: ShiftedMomentTable, n: int) -> float:
-    """n-th alternating forward difference of the table at a = 0.
-
-    Computed at the table's working precision, so the heavy cancellation
-    in the alternating sum costs guard digits rather than answer digits.
-    """
+    """n-th alternating forward difference of the table at a = 0."""
     if n < 0:
         raise DomainError("difference order n must be non-negative")
     if n > table.A:
         raise IndexError(f"difference order n={n} exceeds the table range A={table.A}")
-    with mpmath.workdps(table.dps):
-        return float(_forward_difference_mp(table.values, n))
+    return float(table.differences[n])
 
 
 def _y_mp_list(mu: float, n_max: int) -> tuple[list, int]:

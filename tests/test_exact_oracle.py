@@ -147,6 +147,17 @@ def test_exact_inverse_moment_large_N_against_mpmath(N, p, r):
     assert _rel_err(got, _mp_inverse_moment(N, p, r)) <= 1e-14, (N, p, r)
 
 
+@pytest.mark.parametrize(
+    "N,p,r", [(1000, 5e-324, 1), (1000, 5e-324, 3), (301, 5e-324, 1), (10**5, 1e-320, 2)]
+)
+def test_exact_inverse_moment_subnormal_mean(N, p, r):
+    # Np below 2**-1024, where k / Np overflows in the deviance: the answer
+    # is subnormal, about Np, and comes back within one subnormal step
+    got = exact_inverse_moment(Binomial(N, p), r)
+    assert got > 0.0
+    assert abs(mpf(got) - _mp_inverse_moment(N, p, r)) <= 2.0**-1074
+
+
 @pytest.mark.parametrize("N,p", [(10**6, 0.5), (10**6, 0.99997), (3000, 0.99997)])
 def test_exact_inverse_moment_large_N_fixed_cases(N, p):
     # the log-gamma sum this oracle replaced was 5.8e-10 off at (10**6, 0.5);

@@ -5,7 +5,8 @@ competing series and the exact binomial oracle for N <= 100.  This file
 fixes the rest of the compensated sums: the direct Poisson oracles
 (value and tail bound), the truncated ascending series, the windowed
 saddle-point binomial oracle for N > 300, the cross-over calibration, the routes
-of ``shifted_inverse_moment`` (closed form and direct sum) and the
+of ``shifted_inverse_moment`` (closed form and direct sum), the r >= 2
+expansion values (shifted-moment table and its differences) and the
 coefficients of ``barbour_polynomial``.  Each value is stored as
 ``float.hex`` (exact coefficients as ``str(Fraction)``) in
 ``tests/data/pinned_routes.json``, written
@@ -33,6 +34,7 @@ from invmoments.exact_oracle import (
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
 )
+from invmoments.cli import _charlier_values
 from invmoments.poisson_moments import (
     _ascending_partial,
     calibrate_crossover,
@@ -105,6 +107,22 @@ def _calibration():
     return out
 
 
+CHARLIER_PS = (
+    0.002, 0.003, 0.005, 0.008, 0.013, 0.02, 0.03, 0.05, 0.08, 0.12,
+    0.17, 0.23, 0.3, 0.38, 0.47, 0.57, 0.68, 0.8, 0.9, 1.0,
+)
+
+
+def _charlier_r23():
+    out = {}
+    for N in (10, 100):
+        for r in (2, 3):
+            for p in CHARLIER_PS:
+                values = _charlier_values(N, p, r, (1, 2, 3, 4, 5, 6))
+                out[f"{N} {p!r} {r}"] = [v.hex() for v in values]
+    return out
+
+
 BARBOUR_SEQUENCES = {
     "fraction": CumulantSequence(
         Fraction(3, 2),
@@ -136,6 +154,7 @@ ROUTES = {
     "exact_inverse_moment_large_N": _oracle_large_n,
     "calibrate_crossover": _calibration,
     "barbour_polynomial": _barbour,
+    "charlier_r23": _charlier_r23,
 }
 
 

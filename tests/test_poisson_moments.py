@@ -350,15 +350,51 @@ def _shifted_direct_sum(x, expmx, a, r):
             return total
 
 
+def _fixed_entry_walk(x, a, r, S, wp):
+    """2**S * E[1/(Q+a)**r] walked on its own, on the table's fixed-point scale."""
+    scale = 10 ** (mpmath.mp.dps + 5)
+    terms = poisson_moments._fixed_poisson_terms(x, S, wp)
+    t0 = next(terms)
+    total = t0 // a**r if a > 0 else 0
+    for k, t in enumerate(terms, 1):
+        term = t // (k + a) ** r
+        total += term
+        if k > x and term * scale < total:
+            return total
+
+
 @pytest.mark.parametrize("mu", [1e-3, 0.5, 7.3, 61.0])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_q_table_one_pass_equals_per_entry_sums(mu, r):
+    # the shared walk gives each entry exactly the integer total of its
+    # own walk on the same scale 2**S, and the table rounds those totals
     table = build_q_table(mu, r, 10)
     with mpmath.workdps(table.dps):
         x = mpf(mu)
+        S, wp = poisson_moments._fixed_scale(mu, r, 10, mpmath.mp.prec)
+        one_pass = poisson_moments._shifted_totals_fixed(x, r, 10, S, wp)
+        want = [_fixed_entry_walk(x, a, r, S, wp) for a in range(11)]
+        assert one_pass == want
+        assert table.values == tuple(mpmath.ldexp(mpf(t), -S) for t in want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_mu=st.floats(math.log(1e-300), math.log(1e4)),
+    r=st.integers(1, 6),
+    A=st.integers(0, 12),
+)
+@example(log_mu=math.log(1e-300), r=6, A=12)
+@example(log_mu=math.log(1e4), r=1, A=12)
+def test_q_table_matches_mpf_direct_sums(log_mu, r, A):
+    mu = min(math.exp(log_mu), 1e4)
+    table = build_q_table(mu, r, A)
+    with mpmath.workdps(table.dps + 20):
+        x = mpf(mu)
         expmx = mpmath.exp(-x)
-        want = tuple(_shifted_direct_sum(x, expmx, a, r) for a in range(11))
-    assert table.values == want
+        for a, got in enumerate(table.values):
+            want = _shifted_direct_sum(x, expmx, a, r)
+            assert abs(got - want) <= abs(want) * mpf(10) ** (1 - table.dps), (mu, r, a)
 
 
 def test_asym_coefficients_concurrent_fill():
