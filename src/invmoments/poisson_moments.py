@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import islice
 from typing import Iterator
 
 import mpmath
@@ -39,7 +38,6 @@ from mpmath.libmp import (
 from .exact_oracle import (
     DomainError,
     _check_mu,
-    _neumaier,
     _poisson_terms,
     shifted_poisson_moment_direct,
 )
@@ -89,6 +87,10 @@ class CrossoverProfile:
     M2: int
     validated_max_rel_error: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.M1 < 1 or self.M2 < 1:
+            raise DomainError("a profile needs at least one term in each series")
+
 
 def er_function(mu: float) -> float:
     """Sum of mu**i / (i * i!) over i >= 1.
@@ -127,10 +129,28 @@ def _er_from_ei(mu: float) -> mpf:
 
 def _positive_moment_double(mu: float, r: int) -> float:
     """Ascending series summed to full double accuracy (oracle grade)."""
-    # _neumaier inlined: this loop is most of a calibration, and a generator costs it 12-15%
-    total = 0.0
-    comp = 0.0
-    for k, pi in _poisson_terms(mu):
+    return _ascending_partial(mu, r, None)
+
+
+def _ascending_partial(mu: float, r: int, m1: int | None) -> float:
+    """First m1 >= 1 terms of the ascending series, or all of it for None.
+
+    With m1 None the walk stops once the geometric majorant of the tail,
+    pi(k) (k+1) / (k+1-mu) for k >= mu, is at most 1e-17 of the sum.
+    Up to mu = 700 the Poisson recurrence and the compensated sum are
+    written out in the loop, which is most of a calibration, so that no
+    generator runs per term.
+    """
+    walk = None if mu <= 700.0 else _poisson_terms(mu)
+    pi = math.exp(-mu)
+    total = comp = 0.0
+    k = 0
+    while True:
+        k += 1
+        if walk is None:
+            pi *= mu / k
+        else:
+            pi = next(walk)[1]
         t = pi / k**r
         s = total + t
         if total >= t:
@@ -138,14 +158,11 @@ def _positive_moment_double(mu: float, r: int) -> float:
         else:
             comp += (t - s) + total
         total = s
-        # <=: once pi underflows to 0 at tiny mu, so may 1e-17 * total
-        if k >= mu and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total:
+        if k == m1:
             return total + comp
-
-
-def _ascending_partial(mu: float, r: int, m1: int) -> float:
-    """First m1 terms of the ascending series."""
-    return _neumaier(pi / k**r for k, pi in islice(_poisson_terms(mu), m1))
+        # <=: once pi underflows to 0 at tiny mu, so may 1e-17 * total
+        if m1 is None and k >= mu and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total:
+            return total + comp
 
 
 # The large-mu series needs |s(r+i, r)| for i = 0 .. M2-1.  Entries stay
@@ -180,6 +197,80 @@ def _asymptotic_partial(mu: float, r: int, m2: int) -> float:
         terms.append(c * xp)
         xp *= x
     return math.fsum(terms)
+
+
+# Relative slack of _large_mu_bracket, 9007 units of 2**-53: the oracle
+# errs by at most 1008 units and the bracket's own rounding by at most
+# 853 (see there), so it covers both with a factor 4.8 to spare.
+_BRACKET_SLACK = 1e-12
+
+
+def _large_mu_bracket(mu: float, r: int) -> tuple[float, float] | None:
+    """(lo, hi) with lo <= _positive_moment_double(mu, r) <= hi, 1 <= mu <= 150.
+
+    From 1/k**r = sum_{n>=r} |s(n,r)| k! / (n+k)!,
+
+        E+[1/Q**r] = sum_{n>=r} c_n P(Q >= n+1),  c_n = |s(n,r)| / mu**n,
+
+    a sum of non-negative terms whose first M terms without the P factor
+    are the large-mu series.  M stops at the smallest c_n, or once c_n
+    drops below 1e-20 of the sum.  With N = floor(mu) + 2:
+
+    * lo sums c_n (1 - P(Q <= n)) for n < r+M, where
+      P(Q <= n) <= pi(n) mu / (mu - n) for n < mu;
+    * hi sums c_n for n < r+M and adds two tails.  For r+M <= n < N,
+      |s(n,r)| <= (n-1)! H_{n-1}**(r-1) / (r-1)! and the log-convexity of
+      (n-1)!/mu**n bound each term by its larger end value times
+      (1 + ln N)**(r-1) / (r-1)!.  For n >= N, P(Q >= n+1) <=
+      pi(n+1) (n+2) / (n+2-mu) and H**(r-1)/(r-1)! <= 2**(r-1) e**(H/2)
+      give 2**r sqrt(e) e**(-mu) mu (N+2) / ((N+2-mu) sqrt(N-1)).  The
+      tails are doubled to cover their rounding.
+
+    Both ends then widen by _BRACKET_SLACK of hi, which covers, in
+    units of 2**-53, the oracle's error and the bracket's rounding.  The
+    oracle errs by at most 2K + 8 for K terms: 2k + 4 roundings in term
+    k, 3 in its compensated sum and under 0.1 from its 1e-17 stop; and
+    K <= 500, since pi(500) / pi(1) <= 150**499 / 500! lies far below
+    that stop.  Each c_n carries at most 2n + 4 <= 340 roundings, each
+    lower-bound term 2n + 7 more, and each sum 170.  None when the
+    bracket would be empty or 1/mu**r could leave the normal range.
+    """
+    if not 1.0 <= mu <= 150.0 or r * math.log2(mu) > 1000.0 or r > _ASYM_ROW_CAP:
+        return None
+    row = _asym_row(r)
+    x = 1.0 / mu
+    xp = x**r
+    pi = math.exp(-mu)
+    for k in range(1, r + 1):
+        pi *= mu / k
+    upper = lower = 0.0
+    c_prev = math.inf
+    n = r
+    for s_n in row:
+        c = s_n * xp
+        if c >= c_prev or c < 1e-20 * upper:
+            break
+        upper += c
+        if n < mu:
+            b = pi * mu / (mu - n)  # bounds P(Q <= n)
+            if b < 1.0:
+                lower += c * (1.0 - b)
+        c_prev = c
+        n += 1
+        xp *= x
+        pi *= mu / n
+    big_n = math.floor(mu) + 2
+    log_mu = math.log(mu)
+    tail = 2.0**r * math.sqrt(math.e) * math.exp(-mu) * mu * (big_n + 2) / (
+        (big_n + 2 - mu) * math.sqrt(big_n - 1)
+    )
+    if n < big_n:  # the middle terms n .. N-1
+        log_end = max(math.lgamma(j) - j * log_mu for j in (n, big_n - 1))
+        log_h = (r - 1) * math.log1p(math.log(big_n)) - math.lgamma(r)
+        tail += (big_n - n) * math.exp(log_end + log_h)
+    hi = upper + 2.0 * tail
+    lo = lower - _BRACKET_SLACK * hi
+    return (lo, hi * (1.0 + _BRACKET_SLACK)) if lo > 0.0 else None
 
 
 def positive_poisson_inverse_moment(
@@ -448,19 +539,25 @@ def y_sequence(mu: float, n: int) -> float:
     return float(ys[n])
 
 
-def _largest_failing_index(err, target: float, start: int, cap: int) -> int:
-    """Largest grid index i <= cap with err(i) >= target, walking from start.
+def _largest_failing_index(fails, start: int, cap: int) -> int:
+    """Grid index where a linear walk from start meets the failure boundary.
 
-    ``err`` must be non-increasing in i over the walked range and must
-    satisfy err(cap) < target; the walk then terminates.  Returns 0 when
-    even i = 1 passes.
+    Reads only ``fails(i)``, whether the error at grid index i reaches
+    the target, so any predicate that agrees with the error may stand in
+    for it.  From a failing start the walk climbs while the next index
+    fails and returns the last failing one; from a passing start it
+    descends while the previous index passes and returns the index below
+    the last passing one (0 when even i = 1 passes).  The error need not
+    be monotone, so the result depends on start: it is the first
+    boundary the walk meets, not the largest failing index overall.
+    ``fails(cap)`` must be False; the walk then terminates.
     """
     i = min(max(start, 1), cap)
-    if err(i) >= target:
-        while i < cap and err(i + 1) >= target:
+    if fails(i):
+        while i < cap and fails(i + 1):
             i += 1
         return i
-    while i > 1 and err(i - 1) < target:
+    while i > 1 and not fails(i - 1):
         i -= 1
     return i - 1
 
@@ -471,9 +568,12 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     The search measures relative error |1 - approx/exact| against the
     direct oracle on a grid of spacing 0.05:
 
-    1. For each truncation length M2 of the large-mu series, find the
-       largest grid point where it still misses the target.  Keep the M2
-       that pushes this failure boundary lowest (smallest M2 on ties).
+    1. For each truncation length M2 of the large-mu series, walk the
+       grid from the previous M2's failure boundary (from mu = 150 for
+       the first) to where the series starts to meet the target.  Keep
+       the M2 that pushes this failure boundary lowest (smallest M2 on
+       ties).  The walk asks the oracle only at grid points where the
+       rigorous bracket of _large_mu_bracket cannot decide.
     2. One grid step inside that boundary, take M1 as the smallest
        ascending-series length that meets the target there.
     3. Place the cross-over mu_star where the two branch errors balance,
@@ -504,6 +604,29 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     def asym_err(mu: float, m2: int) -> float:
         return abs(1.0 - _asymptotic_partial(mu, r, m2) / exact(mu))
 
+    @cache
+    def bracket(mu: float) -> tuple[float, float] | None:
+        return _large_mu_bracket(mu, r)
+
+    def asym_fails(mu: float, m2: int) -> bool:
+        """asym_err(mu, m2) >= target, decided from the bracket where it can.
+
+        Rounded division and subtraction are monotone, so for every d in
+        [lo, hi] the rounded |1 - a/d| lies between its values at lo and
+        hi when a is outside (lo, hi), and below the larger one always.
+        The oracle runs only where the bracket cannot decide.
+        """
+        a = _asymptotic_partial(mu, r, m2)
+        b = bracket(mu)
+        if b is not None:
+            lo, hi = b
+            e_lo, e_hi = abs(1.0 - a / lo), abs(1.0 - a / hi)
+            if e_lo < target and e_hi < target:
+                return False
+            if e_lo >= target and e_hi >= target and not lo < a < hi:
+                return True
+        return abs(1.0 - a / exact(mu)) >= target
+
     cap_idx = int(round(mu_cap / step))
     best_t: int | None = None
     best_m2 = 0
@@ -515,7 +638,7 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
         if e_cap >= target:
             continue  # this length never reaches the target below the cap
         t_idx = _largest_failing_index(
-            lambda i: asym_err(i * step, m2), target, start, cap_idx
+            lambda i: asym_fails(i * step, m2), start, cap_idx
         )
         start = max(t_idx, 1)
         if best_t is None or t_idx < best_t:
@@ -533,11 +656,18 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     mu_eval = max(step, (best_t - 1) * step)
     fx = exact(mu_eval)
     m1 = None
-    plain = 0.0
+    plain = total = comp = 0.0
     for k, pi in _poisson_terms(mu_eval):
         t = pi / k**r
         plain += t
-        err = abs(1.0 - _ascending_partial(mu_eval, r, k) / fx)
+        # total + comp is _ascending_partial(mu_eval, r, k), one term on
+        s = total + t
+        if total >= t:
+            comp += (total - s) + t
+        else:
+            comp += (t - s) + total
+        total = s
+        err = abs(1.0 - (total + comp) / fx)
         if err < target:
             m1 = k
             break

@@ -96,7 +96,8 @@ def _oracle_large_n():
 
 def _calibration():
     out = {}
-    for r, target in ((1, 1e-5), (2, 1e-10)):
+    # the last three are the profiles a galloping M2 walk would change
+    for r, target in ((1, 1e-5), (2, 1e-10), (3, 5e-11), (4, 1e-2), (5, 1e-8)):
         prof = calibrate_crossover(r, target)
         out[f"{r} {target!r}"] = [
             prof.mu_star.hex(),

@@ -236,6 +236,13 @@ def test_profile_is_frozen():
         prof.M1 = 99
 
 
+@pytest.mark.parametrize("m1,m2", [(0, 10), (-3, 10), (31, 0)])
+def test_profile_rejects_empty_series(m1, m2):
+    # a series with no terms would evaluate to 0.0 on its side of mu_star
+    with pytest.raises(DomainError):
+        CrossoverProfile(1, 1e-5, 13.671, m1, m2)
+
+
 @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "call",
@@ -425,3 +432,61 @@ def test_asym_coefficients_concurrent_fill():
             assert list(poisson_moments._asym_row(r)[:count]) == want
     finally:
         sys.setswitchinterval(old)
+
+
+def test_calibration_calls_oracle_at_few_grid_points(monkeypatch):
+    # the M2 walk decides most grid points from the certified large-mu
+    # bracket; only undecided points, the M1 search, the bisection and
+    # the validation sweep reach the oracle
+    seen = set()
+    oracle = poisson_moments._positive_moment_double
+
+    def counting(mu, r):
+        seen.add(mu)
+        return oracle(mu, r)
+
+    monkeypatch.setattr(poisson_moments, "_positive_moment_double", counting)
+    calibrate_crossover(1, 1e-5)
+    assert len(seen) < 1000
+
+
+def _positive_moment_mp(mu: float, r: int):
+    """E+[1/Q**r] summed at 40 digits, tail below 10**-45 of the sum."""
+    with mpmath.workdps(40):
+        x = mpf(mu)
+        term = mpmath.exp(-x)
+        total = mpf(0)
+        k = 0
+        while True:
+            k += 1
+            term = term * x / k
+            total += term / mpf(k) ** r
+            if k > x and term * (k + 1) / (k + 1 - x) < total * mpf(10) ** -45:
+                return total
+
+
+def _check_bracket(mu: float, r: int) -> None:
+    bracket = poisson_moments._large_mu_bracket(mu, r)
+    if bracket is None:
+        return
+    lo, hi = bracket
+    assert lo <= poisson_moments._positive_moment_double(mu, r) <= hi, (mu, r)
+    assert lo <= _positive_moment_mp(mu, r) <= hi, (mu, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=12))
+@example(3000, 1)
+@example(600, 2)
+@example(1, 12)
+def test_large_mu_bracket_holds_on_grid(i, r):
+    _check_bracket(i * 0.05, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=math.log(0.05), max_value=math.log(150.0)),
+    st.integers(min_value=1, max_value=12),
+)
+def test_large_mu_bracket_holds_log_uniform(log_mu, r):
+    _check_bracket(min(math.exp(log_mu), 150.0), r)
