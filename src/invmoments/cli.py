@@ -286,6 +286,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     print(f"M1 (ascending)     {profile.M1}")
     print(f"M2 (large mu)      {profile.M2}")
     print(f"validated max err  {profile.validated_max_rel_error:.6e}")
+    if profile.validated_max_rel_error > profile.target_rel_error:
+        print(
+            f"warning: validated max err {profile.validated_max_rel_error:.6e}"
+            f" exceeds target {profile.target_rel_error:g}",
+            file=sys.stderr,
+        )
     return 0
 
 

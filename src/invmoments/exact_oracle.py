@@ -276,9 +276,15 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     the bound holds for any a because 1/(k+a)**r <= 1.  Up to mu = 700
     the Poisson recurrence and _neumaier are written out in the loop,
     which takes about a third off its time.
+
+    The majorant is tested only once pi < 2 tol.  That gate drops no
+    stop: for k >= mu the divisor rounds to at most k+1, so the rounded
+    majorant is at least the rounding of pi (1 - 2**-53), which is no
+    less than pi / 2, and a majorant below tol puts pi below 2 tol.
     """
     walk = None if mu <= 700.0 else _poisson_terms(mu)
     pi = math.exp(-mu)
+    gate = 2.0 * tol
     try:
         total = (pi if walk is None else 0.0) / a**r if a else 0.0
         comp = 0.0
@@ -289,7 +295,7 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
                 pi *= mu / k
             else:
                 pi = next(walk)[1]
-            if k >= mu:
+            if k >= mu and pi < gate:
                 tail = pi * (k + 1) / (k + 1 - mu)
                 if tail < tol:
                     return OracleValue(total + comp, tail)

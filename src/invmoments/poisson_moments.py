@@ -137,9 +137,11 @@ def _ascending_partial(mu: float, r: int, m1: int | None) -> float:
 
     With m1 None the walk stops once the geometric majorant of the tail,
     pi(k) (k+1) / (k+1-mu) for k >= mu, is at most 1e-17 of the sum.
-    Up to mu = 700 the Poisson recurrence and the compensated sum are
-    written out in the loop, which is most of a calibration, so that no
-    generator runs per term.
+    The rounded majorant is at least pi / 2 (see exact_oracle._direct_sum),
+    so the cheaper test of pi / 2 against that limit goes first and
+    drops no stop.  Up to mu = 700 the Poisson recurrence and the
+    compensated sum are written out in the loop, which is most of a
+    calibration, so that no generator runs per term.
     """
     walk = None if mu <= 700.0 else _poisson_terms(mu)
     pi = math.exp(-mu)
@@ -161,7 +163,12 @@ def _ascending_partial(mu: float, r: int, m1: int | None) -> float:
         if k == m1:
             return total + comp
         # <=: once pi underflows to 0 at tiny mu, so may 1e-17 * total
-        if m1 is None and k >= mu and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total:
+        if (
+            m1 is None
+            and k >= mu
+            and 0.5 * pi <= 1e-17 * total
+            and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total
+        ):
             return total + comp
 
 
@@ -270,6 +277,39 @@ def _large_mu_bracket(mu: float, r: int) -> tuple[float, float] | None:
         tail += (big_n - n) * math.exp(log_end + log_h)
     hi = upper + 2.0 * tail
     lo = lower - _BRACKET_SLACK * hi
+    return (lo, hi * (1.0 + _BRACKET_SLACK)) if lo > 0.0 else None
+
+
+def _ascending_bracket(
+    mu: float, r: int, m1: int, partial: float
+) -> tuple[float, float] | None:
+    """(lo, hi) with lo <= _positive_moment_double(mu, r) <= hi.
+
+    For 0.05 <= mu <= 150 and mu - 2 < m1 <= 500; None elsewhere, or
+    when lo would not be positive.
+
+    ``partial`` is _ascending_partial(mu, r, m1).  The terms past m1 are
+    non-negative, and for k > m1 each is at most the one before times
+    mu / (m1+2), so with m1+2 > mu the exact sum lies in [A, A + T],
+
+        T = pi(m1+1) / (m1+1)**r * (m1+2) / (m1+2-mu),
+
+    where A is the exact m1-term partial.  T is evaluated in log space,
+    whose exponent errs by far less than ln 2, and doubled.  The ends
+    widen by _BRACKET_SLACK of hi as in _large_mu_bracket: the oracle
+    errs by at most 1008 units of 2**-53 for mu <= 150, and the partial,
+    a prefix of the same walk, by at most 2 m1 + 7 <= 1007.
+    Absolute roundings of T below 2**-1074 vanish against that slack,
+    since A >= pi(1) >= 150 e**-150 there.
+    """
+    if not (0.05 <= mu <= 150.0 and mu < m1 + 2 and m1 <= 500):
+        return None
+    log_t = (
+        (m1 + 1) * math.log(mu) - mu - math.lgamma(m1 + 2)
+        - r * math.log(m1 + 1) + math.log((m1 + 2) / (m1 + 2 - mu))
+    )
+    hi = partial + 2.0 * math.exp(log_t)
+    lo = partial - _BRACKET_SLACK * hi
     return (lo, hi * (1.0 + _BRACKET_SLACK)) if lo > 0.0 else None
 
 
@@ -579,8 +619,15 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     3. Place the cross-over mu_star where the two branch errors balance,
        found by bisection; to its left the ascending branch is the more
        accurate one, to its right the large-mu branch is.
-    4. Sweep the chosen strategy over the grid points in (0, 2 * mu_star]
-       and record the worst relative error seen.
+    4. Record the worst relative error of the chosen strategy over the
+       grid points in (0, 2 * mu_star].  Each point first gets an upper
+       bound on its error from a rigorous bracket of the oracle, by
+       _ascending_bracket up to mu_star and _large_mu_bracket beyond,
+       or inf where neither applies.  The points are visited in
+       descending order of that bound, and the oracle runs only while
+       the bound exceeds the worst error so far; every point skipped
+       errs by at most the maximum already seen, so the recorded
+       maximum is the one an oracle call at every point would give.
 
     Raises CalibrationError when the large-mu series cannot reach the
     target anywhere below mu = 150 for any M2 <= 120.
@@ -607,6 +654,13 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     @cache
     def bracket(mu: float) -> tuple[float, float] | None:
         return _large_mu_bracket(mu, r)
+
+    def err_bound(approx: float, b: tuple[float, float] | None) -> float:
+        """abs(1 - approx / exact(mu)) at most, for exact(mu) in b (see asym_fails)."""
+        if b is None:
+            return math.inf
+        lo, hi = b
+        return max(abs(1.0 - approx / lo), abs(1.0 - approx / hi))
 
     def asym_fails(mu: float, m2: int) -> bool:
         """asym_err(mu, m2) >= target, decided from the bracket where it can.
@@ -697,13 +751,21 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
             hi = mid
     mu_star = 0.5 * (lo + hi)
 
-    worst = 0.0
+    sweep = []
     for i in range(1, int(2.0 * mu_star / step) + 1):
         mu = i * step
         if mu <= mu_star:
             approx = _ascending_partial(mu, r, m1)
+            b = _ascending_bracket(mu, r, m1, approx)
         else:
             approx = _asymptotic_partial(mu, r, m2)
+            b = bracket(mu)
+        sweep.append((err_bound(approx, b), mu, approx))
+    sweep.sort(key=lambda point: point[0], reverse=True)
+    worst = 0.0
+    for bound, mu, approx in sweep:
+        if bound <= worst:
+            break  # this point and all after it err by at most worst
         worst = max(worst, abs(1.0 - approx / exact(mu)))
 
     return CrossoverProfile(r, target, mu_star, m1, m2, validated_max_rel_error=worst)

@@ -151,9 +151,21 @@ def test_compute_skips_bound_at_large_p(capsys):
 
 def test_calibrate_quick(capsys):
     assert main(["calibrate", "--r", "1", "--target", "1e-2"]) == 0
-    out = capsys.readouterr().out
-    assert "mu_star" in out
-    assert "M1" in out and "M2" in out
+    captured = capsys.readouterr()
+    assert "mu_star" in captured.out
+    assert "M1" in captured.out and "M2" in captured.out
+    assert captured.err == ""  # validated below its target
+
+
+def test_calibrate_warns_when_validation_misses_target(capsys):
+    # the paper-faithful (2, 1e-10) profile validates at 1.034e-10; the
+    # report on stdout and the exit code stay as they are
+    assert main(["calibrate", "--r", "2", "--target", "1e-10"]) == 0
+    captured = capsys.readouterr()
+    assert "validated max err  1.034037e-10" in captured.out
+    assert "warning" not in captured.out
+    assert captured.err.startswith("warning: validated max err 1.034037e-10")
+    assert captured.err.rstrip().endswith("exceeds target 1e-10")
 
 
 def test_alpha_table(capsys):

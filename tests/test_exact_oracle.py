@@ -21,9 +21,11 @@ from invmoments.exact_oracle import (
     factorial_cumulants_from_pdf,
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
+    _poisson_terms,
     _stirlerr,
     _support,
 )
+from invmoments.poisson_moments import _positive_moment_double
 
 # e**(-1) * sum_{i>=1} 1/(i * i!) at 50 digits, rounded to double
 F1_AT_1 = 0.48482910699568764
@@ -295,6 +297,62 @@ def test_shifted_direct_a_zero_matches_positive_moment():
         a0 = shifted_poisson_moment_direct(mu, 0, 2, tol=1e-14)
         direct = poisson_inverse_moment_direct(mu, 2, tol=1e-14)
         assert a0.value == direct.value
+
+
+def _neumaier_step(total, comp, t):
+    s = total + t
+    if total >= t:
+        return s, comp + ((total - s) + t)
+    return s, comp + ((t - s) + total)
+
+
+def _ungated_direct(mu, a, r, tol):
+    """The direct sum with its majorant computed at every k >= mu."""
+    total = (math.exp(-mu) if mu <= 700.0 else 0.0) / a**r if a else 0.0
+    comp = 0.0
+    for k, pi in _poisson_terms(mu):
+        if k >= mu:
+            tail = pi * (k + 1) / (k + 1 - mu)
+            if tail < tol:
+                return (total + comp).hex(), tail.hex()
+        total, comp = _neumaier_step(total, comp, pi / (k + a) ** r)
+
+
+def _ungated_ascending(mu, r):
+    """The oracle-grade ascending series with its majorant at every k >= mu."""
+    total = comp = 0.0
+    for k, pi in _poisson_terms(mu):
+        total, comp = _neumaier_step(total, comp, pi / k**r)
+        if k >= mu and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total:
+            return (total + comp).hex()
+
+
+MUS_AROUND_700 = (699.0, 699.9999999999999, 700.0, 700.0000000000001, 701.0, 950.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.one_of(
+        st.floats(math.log(1e-300), math.log(1e3)).map(lambda x: min(math.exp(x), 1e3)),
+        st.sampled_from(MUS_AROUND_700),
+    ),
+    a=st.integers(0, 6),
+    r=st.integers(1, 8),
+    tol=st.sampled_from([1e-12, 1e-30]),
+)
+@example(mu=1e-300, a=0, r=1, tol=1e-30)
+@example(mu=700.0, a=3, r=8, tol=1e-12)
+@example(mu=700.0000000000001, a=0, r=2, tol=1e-30)
+def test_gated_stop_tests_equal_ungated_walks(mu, a, r, tol):
+    # the walks test pi alone before their tail majorant; that must move
+    # no stop, so value and tail bound keep every bit
+    want = _ungated_direct(mu, a, r, tol)
+    got = shifted_poisson_moment_direct(mu, a, r, tol)
+    assert (got.value.hex(), got.tail_bound.hex()) == want
+    if a == 0:
+        got = poisson_inverse_moment_direct(mu, r, tol)
+        assert (got.value.hex(), got.tail_bound.hex()) == want
+    assert _positive_moment_double(mu, r).hex() == _ungated_ascending(mu, r)
 
 
 def test_shifted_direct_r_zero():

@@ -96,8 +96,10 @@ def _oracle_large_n():
 
 def _calibration():
     out = {}
-    # the last three are the profiles a galloping M2 walk would change
-    for r, target in ((1, 1e-5), (2, 1e-10), (3, 5e-11), (4, 1e-2), (5, 1e-8)):
+    # (3, 5e-11), (4, 1e-2) and (5, 1e-8) are the profiles a galloping M2
+    # walk would change; at (1, 1e-13) no bracket decides a sweep point
+    cases = ((1, 1e-5), (2, 1e-10), (3, 5e-11), (4, 1e-2), (5, 1e-8), (1, 1e-13), (8, 1e-5))
+    for r, target in cases:
         prof = calibrate_crossover(r, target)
         out[f"{r} {target!r}"] = [
             prof.mu_star.hex(),

@@ -435,9 +435,9 @@ def test_asym_coefficients_concurrent_fill():
 
 
 def test_calibration_calls_oracle_at_few_grid_points(monkeypatch):
-    # the M2 walk decides most grid points from the certified large-mu
-    # bracket; only undecided points, the M1 search, the bisection and
-    # the validation sweep reach the oracle
+    # the M2 walk and the validation sweep decide most grid points from
+    # the certified brackets; only undecided points, the M1 search and
+    # the bisection reach the oracle
     seen = set()
     oracle = poisson_moments._positive_moment_double
 
@@ -446,8 +446,50 @@ def test_calibration_calls_oracle_at_few_grid_points(monkeypatch):
         return oracle(mu, r)
 
     monkeypatch.setattr(poisson_moments, "_positive_moment_double", counting)
-    calibrate_crossover(1, 1e-5)
-    assert len(seen) < 1000
+    for r, target, most in ((1, 1e-5, 400), (6, 1e-10, 500)):
+        seen.clear()
+        calibrate_crossover(r, target)
+        assert len(seen) < most, (r, target)
+
+
+@pytest.mark.parametrize(
+    "r, target", [(1, 1e-2), (2, 1e-10), (1, 1e-13), (8, 1e-5), (6, 1e-10)]
+)
+def test_certified_sweep_equals_oracle_at_every_point(r, target):
+    # the sweep as it ran before the certificate: the oracle at every
+    # grid point of (0, 2 mu*]; at 1e-13 no bracket decides a point
+    prof = calibrate_crossover(r, target)
+    worst = 0.0
+    for i in range(1, int(2.0 * prof.mu_star / 0.05) + 1):
+        mu = i * 0.05
+        if mu <= prof.mu_star:
+            approx = poisson_moments._ascending_partial(mu, r, prof.M1)
+        else:
+            approx = poisson_moments._asymptotic_partial(mu, r, prof.M2)
+        exact = poisson_moments._positive_moment_double(mu, r)
+        worst = max(worst, abs(1.0 - approx / exact))
+    assert prof.validated_max_rel_error == worst
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=math.log(0.05), max_value=math.log(150.0)),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=350),
+)
+@example(math.log(13.65), 1, 17)  # (1, 1e-5): M1 = 31 at the last point below mu*
+@example(math.log(150.0), 1, 350)  # more terms than the oracle takes
+@example(math.log(0.05), 12, 0)
+def test_ascending_bracket_holds(log_mu, r, extra):
+    mu = min(max(math.exp(log_mu), 0.05), 150.0)
+    m1 = max(1, math.floor(mu) - 1 + extra)  # any length with m1 + 2 > mu
+    partial = poisson_moments._ascending_partial(mu, r, m1)
+    bracket = poisson_moments._ascending_bracket(mu, r, m1, partial)
+    if bracket is None:
+        return
+    lo, hi = bracket
+    assert lo <= poisson_moments._positive_moment_double(mu, r) <= hi, (mu, r, m1)
+    assert lo <= _positive_moment_mp(mu, r) <= hi, (mu, r, m1)
 
 
 def _positive_moment_mp(mu: float, r: int):
