@@ -37,15 +37,12 @@ from .poisson_moments import (
     build_q_table,
     calibrate_crossover,
     er_function,
-    forward_difference_at_zero,
     positive_poisson_inverse_moment,
     shifted_inverse_moment,
-    y_sequence,
 )
 from .special_numbers import (
     alpha,
     stirling_first,
-    stirling_noncentral,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .exact_oracle import DomainError, _neumaier, central_moment_binomial
+from .exact_oracle import DomainError, central_moment_binomial
 
 __all__ = ["stephan", "rempala", "znidaric"]
 
@@ -57,7 +57,7 @@ def stephan(N: int, p: float, M: int) -> float:
                 )
             yield ratio / i * inner
 
-    return _neumaier(terms())
+    return math.fsum(terms())
 
 
 def rempala(N: int, p: float, M: int) -> float:

@@ -1,14 +1,15 @@
 """Ground truth by direct, cancellation-free summation.
 
 Every routine here evaluates its target quantity from the defining sum,
-with non-negative terms wherever possible, so compensated double
-precision is enough.  The faster or cleverer formulas elsewhere in the
-package are tested against these.
+with non-negative terms wherever possible, and adds the terms with
+math.fsum, which rounds their exact sum once.  The faster or cleverer
+formulas elsewhere in the package are tested against these.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterable, Iterator, Union
 
 __all__ = [
@@ -74,20 +75,6 @@ class OracleValue:
 
     value: float
     tail_bound: float
-
-
-def _neumaier(terms: Iterable[float]) -> float:
-    """Compensated sum of non-negative terms, exact to a few ulp."""
-    total = 0.0
-    comp = 0.0
-    for t in terms:
-        s = total + t
-        if total >= t:
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    return total + comp
 
 
 def _check_mu(mu: float) -> None:
@@ -233,18 +220,18 @@ def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
     """E+[1/K**r], the inverse moment restricted to the event K >= 1.
 
     A finite sum for both supported distribution kinds, so the result is
-    exact up to compensated rounding.  For a large-N binomial the sum
-    runs over the window around Np that _support derives; the terms
-    outside it weigh less than 1e-17 of the result.
+    the correctly rounded sum of the rounded terms.  For a large-N
+    binomial the sum runs over the window around Np that _support
+    derives; the terms outside it weigh less than 1e-17 of the result.
     """
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     try:
         if isinstance(spec, Binomial):
             pdf = _pdf_in_k(spec.N, spec.p)
-            return _neumaier(pdf(k) / k**r for k in _support(spec.N, spec.p, r))
+            return math.fsum(pdf(k) / k**r for k in _support(spec.N, spec.p, r))
         if isinstance(spec, ExplicitPdf):
-            return _neumaier(w / k**r for k, w in enumerate(spec.weights) if k >= 1)
+            return math.fsum(w / k**r for k, w in enumerate(spec.weights) if k >= 1)
     except OverflowError:  # k**r past the double range
         raise DomainError(f"r = {r} takes a term outside the double range") from None
     raise DomainError(f"unsupported distribution spec: {spec!r}")
@@ -273,24 +260,26 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     """Sum of pi_mu(k) / (k+a)**r over k >= 0 (k >= 1 when a = 0).
 
     Truncated and bounded as poisson_inverse_moment_direct describes;
-    the bound holds for any a because 1/(k+a)**r <= 1.  Up to mu = 700
-    the Poisson recurrence and _neumaier are written out in the loop,
-    which takes about a third off its time.
+    the bound holds for any a because 1/(k+a)**r <= 1.  The terms go
+    straight from the walk into math.fsum.  Up to mu = 700 the walk
+    runs the Poisson recurrence itself rather than drawing on
+    _poisson_terms, one generator step per term instead of two.
 
     The majorant is tested only once pi < 2 tol.  That gate drops no
     stop: for k >= mu the divisor rounds to at most k+1, so the rounded
     majorant is at least the rounding of pi (1 - 2**-53), which is no
     less than pi / 2, and a majorant below tol puts pi below 2 tol.
     """
-    walk = None if mu <= 700.0 else _poisson_terms(mu)
-    pi = math.exp(-mu)
-    gate = 2.0 * tol
-    try:
-        total = (pi if walk is None else 0.0) / a**r if a else 0.0
-        comp = 0.0
-        k = 0
-        while True:
-            k += 1
+    tail = math.inf
+
+    def terms() -> Iterator[float]:
+        nonlocal tail
+        walk = None if mu <= 700.0 else _poisson_terms(mu)
+        pi = math.exp(-mu)
+        gate = 2.0 * tol
+        if a and walk is None:  # past mu = 700 the k = 0 term, under e**-700, is left out
+            yield pi / a**r
+        for k in count(1):
             if walk is None:
                 pi *= mu / k
             else:
@@ -298,18 +287,16 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
             if k >= mu and pi < gate:
                 tail = pi * (k + 1) / (k + 1 - mu)
                 if tail < tol:
-                    return OracleValue(total + comp, tail)
+                    return
             if k > 100_000_000:
                 raise RuntimeError("tolerance unreachable in double precision")
-            t = pi / (k + a) ** r
-            s = total + t
-            if total >= t:
-                comp += (total - s) + t
-            else:
-                comp += (t - s) + total
-            total = s
+            yield pi / (k + a) ** r
+
+    try:
+        value = math.fsum(terms())
     except OverflowError:  # (k+a)**r past the double range
         raise DomainError(f"r = {r} takes a term outside the double range") from None
+    return OracleValue(value, tail)
 
 
 def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> OracleValue:

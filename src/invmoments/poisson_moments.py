@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import count
 from typing import Iterator
 
 import mpmath
@@ -51,8 +52,6 @@ __all__ = [
     "positive_poisson_inverse_moment",
     "shifted_inverse_moment",
     "build_q_table",
-    "forward_difference_at_zero",
-    "y_sequence",
     "calibrate_crossover",
 ]
 
@@ -133,43 +132,40 @@ def _positive_moment_double(mu: float, r: int) -> float:
 
 
 def _ascending_partial(mu: float, r: int, m1: int | None) -> float:
-    """First m1 >= 1 terms of the ascending series, or all of it for None.
+    """First m1 >= 1 terms of the ascending series, or all of it for None."""
+    return math.fsum(_ascending_terms(mu, r, m1))
+
+
+def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
+    """The terms pi(k) / k**r of the ascending series for k = 1 .. m1.
 
     With m1 None the walk stops once the geometric majorant of the tail,
-    pi(k) (k+1) / (k+1-mu) for k >= mu, is at most 1e-17 of the sum.
-    The rounded majorant is at least pi / 2 (see exact_oracle._direct_sum),
-    so the cheaper test of pi / 2 against that limit goes first and
-    drops no stop.  Up to mu = 700 the Poisson recurrence and the
-    compensated sum are written out in the loop, which is most of a
-    calibration, so that no generator runs per term.
+    pi(k) (k+1) / (k+1-mu) for k >= mu, is at most 1e-17 of the plain
+    running sum of the terms.  The rounded majorant is at least pi / 2
+    (see exact_oracle._direct_sum), so the cheaper test of pi / 2
+    against that limit goes first and drops no stop.  Up to mu = 700
+    the walk runs the Poisson recurrence itself, one generator step per
+    term instead of two, since these walks are most of a calibration.
     """
     walk = None if mu <= 700.0 else _poisson_terms(mu)
     pi = math.exp(-mu)
-    total = comp = 0.0
-    k = 0
-    while True:
-        k += 1
+    total = 0.0
+    for k in count(1) if m1 is None else range(1, m1 + 1):
         if walk is None:
             pi *= mu / k
         else:
             pi = next(walk)[1]
         t = pi / k**r
-        s = total + t
-        if total >= t:
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-        if k == m1:
-            return total + comp
-        # <=: once pi underflows to 0 at tiny mu, so may 1e-17 * total
-        if (
-            m1 is None
-            and k >= mu
-            and 0.5 * pi <= 1e-17 * total
-            and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total
-        ):
-            return total + comp
+        yield t
+        if m1 is None:
+            total += t
+            # <=: once pi underflows to 0 at tiny mu, so may 1e-17 * total
+            if (
+                k >= mu
+                and 0.5 * pi <= 1e-17 * total
+                and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total
+            ):
+                return
 
 
 # The large-mu series needs |s(r+i, r)| for i = 0 .. M2-1.  Entries stay
@@ -207,7 +203,7 @@ def _asymptotic_partial(mu: float, r: int, m2: int) -> float:
 
 
 # Relative slack of _large_mu_bracket, 9007 units of 2**-53: the oracle
-# errs by at most 1008 units and the bracket's own rounding by at most
+# errs by at most 1006 units and the bracket's own rounding by at most
 # 853 (see there), so it covers both with a factor 4.8 to spare.
 _BRACKET_SLACK = 1e-12
 
@@ -235,12 +231,12 @@ def _large_mu_bracket(mu: float, r: int) -> tuple[float, float] | None:
 
     Both ends then widen by _BRACKET_SLACK of hi, which covers, in
     units of 2**-53, the oracle's error and the bracket's rounding.  The
-    oracle errs by at most 2K + 8 for K terms: 2k + 4 roundings in term
-    k, 3 in its compensated sum and under 0.1 from its 1e-17 stop; and
-    K <= 500, since pi(500) / pi(1) <= 150**499 / 500! lies far below
-    that stop.  Each c_n carries at most 2n + 4 <= 340 roundings, each
-    lower-bound term 2n + 7 more, and each sum 170.  None when the
-    bracket would be empty or 1/mu**r could leave the normal range.
+    oracle errs by at most 2K + 6 for K terms: 2k + 4 roundings in term
+    k, 1 in its fsum and under 0.1 from its 1e-17 stop; and K <= 500,
+    since pi(500) / pi(1) <= 150**499 / 500! lies far below that stop.
+    Each c_n carries at most 2n + 4 <= 340 roundings, each lower-bound
+    term 2n + 7 more, and each sum 170.  None when the bracket would be
+    empty or 1/mu**r could leave the normal range.
     """
     if not 1.0 <= mu <= 150.0 or r * math.log2(mu) > 1000.0 or r > _ASYM_ROW_CAP:
         return None
@@ -297,8 +293,8 @@ def _ascending_bracket(
     where A is the exact m1-term partial.  T is evaluated in log space,
     whose exponent errs by far less than ln 2, and doubled.  The ends
     widen by _BRACKET_SLACK of hi as in _large_mu_bracket: the oracle
-    errs by at most 1008 units of 2**-53 for mu <= 150, and the partial,
-    a prefix of the same walk, by at most 2 m1 + 7 <= 1007.
+    errs by at most 1006 units of 2**-53 for mu <= 150, and the partial,
+    a prefix of the same walk, by at most 2 m1 + 5 <= 1005.
     Absolute roundings of T below 2**-1074 vanish against that slack,
     since A >= pi(1) >= 150 e**-150 there.
     """
@@ -532,15 +528,6 @@ def _shifted_sums_mp(x: mpf, r: int, A: int) -> list:
     ]
 
 
-def forward_difference_at_zero(table: ShiftedMomentTable, n: int) -> float:
-    """n-th alternating forward difference of the table at a = 0."""
-    if n < 0:
-        raise DomainError("difference order n must be non-negative")
-    if n > table.A:
-        raise IndexError(f"difference order n={n} exceeds the table range A={table.A}")
-    return float(table.differences[n])
-
-
 def _y_mp_list(mu: float, n_max: int) -> tuple[list, int]:
     """y(0) .. y(n_max) as mpmath floats, with their working precision.
 
@@ -568,15 +555,6 @@ def _y_mp_list(mu: float, n_max: int) -> tuple[list, int]:
                 s += math.factorial(l - 1) * (expmx * math.comb(n, l) - 1) * x ** (n - l)
             ys.append(s)
     return ys, dps
-
-
-def y_sequence(mu: float, n: int) -> float:
-    """y(n), the scaled n-th difference of the first shifted moment."""
-    _check_mu(mu)
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    ys, _ = _y_mp_list(mu, n)
-    return float(ys[n])
 
 
 def _largest_failing_index(fails, start: int, cap: int) -> int:
@@ -709,29 +687,14 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
 
     mu_eval = max(step, (best_t - 1) * step)
     fx = exact(mu_eval)
-    m1 = None
-    plain = total = comp = 0.0
-    for k, pi in _poisson_terms(mu_eval):
-        t = pi / k**r
-        plain += t
-        # total + comp is _ascending_partial(mu_eval, r, k), one term on
-        s = total + t
-        if total >= t:
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-        err = abs(1.0 - (total + comp) / fx)
-        if err < target:
-            m1 = k
+    # The oracle's own terms: the fsum of all of them is fx itself, so
+    # some prefix meets the target and the search cannot come up empty.
+    prefix = []
+    for t in _ascending_terms(mu_eval, r, None):
+        prefix.append(t)
+        if abs(1.0 - math.fsum(prefix) / fx) < target:
             break
-        if k > mu_eval and t < 1e-18 * plain:
-            break
-    if m1 is None:
-        raise CalibrationError(
-            f"ascending series cannot reach {target:g} at mu = {mu_eval:g}",
-            best_achieved=err,
-        )
+    m1 = len(prefix)
 
     def branch_gap(mu: float) -> float:
         asc = abs(1.0 - _ascending_partial(mu, r, m1) / exact(mu))

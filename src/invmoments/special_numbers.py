@@ -12,7 +12,6 @@ from functools import cache
 
 __all__ = [
     "stirling_first",
-    "stirling_noncentral",
     "alpha",
 ]
 
@@ -58,17 +57,6 @@ def stirling_first(j: int, k: int) -> Fraction:
     zero outside 1 <= k <= j.
     """
     return Fraction(_stirling_entry(0, j, k))
-
-
-def stirling_noncentral(j: int, l: int, k: int) -> Fraction:
-    """Shifted Stirling number of the first kind.
-
-    Coefficient of x**k in x * (x-(l+1)) * ... * (x-(l+j-1)).  For l = 0
-    this is exactly ``stirling_first``.
-    """
-    if l < 0:
-        raise ValueError("shift l must be non-negative")
-    return Fraction(_stirling_entry(l, j, k))
 
 
 @cache

@@ -208,6 +208,17 @@ def test_exit_code_domain_errors(capsys):
     assert "domain error" in err
 
 
+def test_exit_code_calibration_failure(capsys):
+    # no large-mu series length meets 1e-13 at r = 40 below mu = 150
+    assert main(["calibrate", "--r", "40", "--target", "1e-13"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "calibration failed: large-mu series cannot reach 1e-13 below mu = 150"
+        " for any M2 <= 120"
+    )
+    assert err.rstrip().endswith("(best achieved relative error: 1.000e+00)")
+
+
 def test_python_m_invmoments_exit_codes():
     # a separate interpreter, so console_main's exit status is what is seen;
     # the module path in the cli docstring must work as well as the package

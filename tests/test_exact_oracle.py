@@ -70,17 +70,11 @@ def test_binomial_pdf_large_N_stable():
 @pytest.mark.parametrize("r", [1, 3])
 def test_exact_inverse_moment_large_N_matches_per_k_pdf(N, p, r):
     # the oracle sums a window around Np with the (N, p) invariants hoisted
-    # out of the k loop; the plain sum of binomial_pdf over all of 1..N
+    # out of the k loop; the sum of binomial_pdf over all of 1..N
     # differs only by the left-out mass, far below one ulp
-    acc = 0.0
-    comp = 0.0
-    for k in range(1, N + 1):
-        t = binomial_pdf(N, p, k) / k**r
-        s = acc + t
-        comp += (acc - s) + t if abs(acc) >= abs(t) else (t - s) + acc
-        acc = s
+    want = math.fsum(binomial_pdf(N, p, k) / k**r for k in range(1, N + 1))
     got = exact_inverse_moment(Binomial(N, p), r)
-    assert abs(got - (acc + comp)) <= 2**-53 * got
+    assert abs(got - want) <= 2**-53 * got
 
 
 # mpmath references for N > 300, where the oracle sums Loader's pdf over a
@@ -230,6 +224,15 @@ def test_exact_inverse_moment_explicit_pdf():
     assert exact_inverse_moment(pdf, 2) == 0.5 + 0.25 / 4
 
 
+def test_exact_inverse_moment_rounds_the_sum_once():
+    # terms 0.5, 2**-54 and 2**-107: the exact sum lies just above the
+    # tie between 0.5 and its successor, so it rounds up; a sum that
+    # rounds the tie to even on the way and only then adds the last
+    # term ends one ulp low, at 0.5
+    pdf = ExplicitPdf((0.5, 0.5, 2**-53, 3 * 2**-107))
+    assert exact_inverse_moment(pdf, 1).hex() == "0x1.0000000000001p-1"
+
+
 def test_exact_inverse_moment_rejects_bad_order():
     with pytest.raises(DomainError):
         exact_inverse_moment(Binomial(5, 0.5), 0)
@@ -299,32 +302,26 @@ def test_shifted_direct_a_zero_matches_positive_moment():
         assert a0.value == direct.value
 
 
-def _neumaier_step(total, comp, t):
-    s = total + t
-    if total >= t:
-        return s, comp + ((total - s) + t)
-    return s, comp + ((t - s) + total)
-
-
 def _ungated_direct(mu, a, r, tol):
     """The direct sum with its majorant computed at every k >= mu."""
-    total = (math.exp(-mu) if mu <= 700.0 else 0.0) / a**r if a else 0.0
-    comp = 0.0
+    terms = [(math.exp(-mu) if mu <= 700.0 else 0.0) / a**r if a else 0.0]
     for k, pi in _poisson_terms(mu):
         if k >= mu:
             tail = pi * (k + 1) / (k + 1 - mu)
             if tail < tol:
-                return (total + comp).hex(), tail.hex()
-        total, comp = _neumaier_step(total, comp, pi / (k + a) ** r)
+                return math.fsum(terms).hex(), tail.hex()
+        terms.append(pi / (k + a) ** r)
 
 
 def _ungated_ascending(mu, r):
     """The oracle-grade ascending series with its majorant at every k >= mu."""
-    total = comp = 0.0
+    terms = []
+    total = 0.0  # the stop reads the plain running sum
     for k, pi in _poisson_terms(mu):
-        total, comp = _neumaier_step(total, comp, pi / k**r)
+        terms.append(pi / k**r)
+        total += terms[-1]
         if k >= mu and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total:
-            return (total + comp).hex()
+            return math.fsum(terms).hex()
 
 
 MUS_AROUND_700 = (699.0, 699.9999999999999, 700.0, 700.0000000000001, 701.0, 950.0)

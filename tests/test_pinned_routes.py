@@ -2,7 +2,7 @@
 
 The report CSVs under tests/data fix ``_positive_moment_double``, the
 competing series and the exact binomial oracle for N <= 100.  This file
-fixes the rest of the compensated sums: the direct Poisson oracles
+fixes the rest of the summed routes: the direct Poisson oracles
 (value and tail bound), the truncated ascending series, the windowed
 saddle-point binomial oracle for N > 300, the cross-over calibration, the routes
 of ``shifted_inverse_moment`` (closed form and direct sum), the r >= 2

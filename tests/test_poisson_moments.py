@@ -19,14 +19,14 @@ from invmoments.exact_oracle import (
     shifted_poisson_moment_direct,
 )
 from invmoments.poisson_moments import (
+    CalibrationError,
     CrossoverProfile,
+    _y_mp_list,
     build_q_table,
     calibrate_crossover,
     er_function,
-    forward_difference_at_zero,
     positive_poisson_inverse_moment,
     shifted_inverse_moment,
-    y_sequence,
 )
 from invmoments.special_numbers import stirling_first
 
@@ -163,23 +163,28 @@ def test_positive_moment_tiny_mu_returns(mu, r):
     assert shifted_inverse_moment(mu, 0, r) == mu
 
 
+def _y(mu, n):
+    ys, _ = _y_mp_list(mu, n)
+    return float(ys[n])
+
+
 def test_y_sequence_frozen():
-    assert abs(y_sequence(1.0, 1) - Y1_AT_1) < 1e-15
+    assert abs(_y(1.0, 1) - Y1_AT_1) < 1e-15
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 5.0, 20.0])
 def test_y_sequence_is_scaled_difference(mu):
     table = build_q_table(mu, 1, 10)
     for n in range(1, 11):
-        delta = forward_difference_at_zero(table, n)
+        delta = float(table.differences[n])
         want = delta * mu**n
-        got = y_sequence(mu, n)
+        got = _y(mu, n)
         assert abs(got - want) <= 1e-9 * max(abs(want), 1e-300), n
 
 
 def test_forward_difference_brute_force():
     table = build_q_table(1.0, 1, 4)
-    delta4 = forward_difference_at_zero(table, 4)
+    delta4 = float(table.differences[4])
     acc = 0.0
     for a in range(5):
         v = shifted_poisson_moment_direct(1.0, a, 1, tol=1e-16).value if a else \
@@ -206,12 +211,6 @@ def test_q_table_shape_and_values():
         assert abs(v - want) <= 1e-12 * want
 
 
-def test_forward_difference_bounds():
-    table = build_q_table(2.0, 1, 3)
-    with pytest.raises(IndexError):
-        forward_difference_at_zero(table, 4)
-
-
 def test_calibrate_quick_loose_target():
     prof = calibrate_crossover(1, 1e-2)
     assert prof.r == 1 and prof.target_rel_error == 1e-2
@@ -228,6 +227,12 @@ def test_calibrate_rejects_bad_target():
         calibrate_crossover(1, 1e-15)
     with pytest.raises(DomainError):
         calibrate_crossover(0, 1e-5)
+
+
+def test_calibrate_unreachable_target_reports_best_error():
+    with pytest.raises(CalibrationError) as info:
+        calibrate_crossover(40, 1e-13)
+    assert isinstance(info.value.best_achieved, float)
 
 
 def test_profile_is_frozen():
@@ -252,7 +257,6 @@ def test_profile_rejects_empty_series(m1, m2):
         lambda mu: shifted_poisson_moment_direct(mu, 1, 1),
         lambda mu: shifted_inverse_moment(mu, 1, 2),
         lambda mu: build_q_table(mu, 2, 3),
-        lambda mu: y_sequence(mu, 2),
         lambda mu: er_function(mu),
         lambda mu: expand_pdf(binomial_barbour_polynomial(10, 5.0, 3), mu),
     ],
@@ -262,7 +266,6 @@ def test_profile_rejects_empty_series(m1, m2):
         "shifted_poisson_moment_direct",
         "shifted_inverse_moment",
         "build_q_table",
-        "y_sequence",
         "er_function",
         "expand_pdf",
     ],

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invmoments.special_numbers import (
+    _stirling_entry,
     alpha,
     stirling_first,
-    stirling_noncentral,
 )
 
 
@@ -38,14 +38,14 @@ def test_stirling_fixed_values():
     assert stirling_first(3, 1) == 2
     assert stirling_first(3, 2) == -3
     assert stirling_first(3, 3) == 1
-    assert stirling_noncentral(2, 1, 1) == -2
-    assert stirling_noncentral(1, 5, 1) == 1
+    assert _stirling_entry(1, 2, 1) == -2
+    assert _stirling_entry(5, 1, 1) == 1
 
 
 def test_stirling_outside_triangle_is_zero():
     assert stirling_first(3, 0) == 0
     assert stirling_first(3, 4) == 0
-    assert stirling_noncentral(2, 3, 5) == 0
+    assert _stirling_entry(3, 2, 5) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -60,14 +60,14 @@ def test_stirling_generating_function(n):
 def test_noncentral_generating_function(n, l):
     coeffs = falling_coeffs(n, l)
     for k in range(1, n + 1):
-        assert stirling_noncentral(n, l, k) == coeffs[k]
+        assert _stirling_entry(l, n, k) == coeffs[k]
 
 
 @pytest.mark.parametrize("j", range(1, 13))
 @pytest.mark.parametrize("k", range(1, 13))
 def test_noncentral_shift_zero_matches_central(j, k):
     if k <= j:
-        assert stirling_noncentral(j, 0, k) == stirling_first(j, k)
+        assert _stirling_entry(0, j, k) == stirling_first(j, k)
 
 
 @given(st.integers(min_value=1, max_value=20))
@@ -78,7 +78,7 @@ def test_first_column_explicit(j):
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=8))
 def test_noncentral_first_column_explicit(j, l):
     expected = (-1) ** (j - 1) * Fraction(math.factorial(j + l - 1), math.factorial(l))
-    assert stirling_noncentral(j, l, 1) == expected
+    assert _stirling_entry(l, j, 1) == expected
 
 
 def test_table_cap_enforced():
