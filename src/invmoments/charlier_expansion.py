@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 import mpmath
-from mpmath import mpf
 
 from .exact_oracle import DomainError, _check_mu, _poisson_terms
 from .poisson_moments import ShiftedMomentTable, _y_mp_list
@@ -219,20 +217,14 @@ def expand_pdf(poly: ExpansionPolynomial, mu: float) -> list[float]:
     return g
 
 
-def _to_mpf(c) -> mpf:
-    if isinstance(c, Fraction):
-        return mpf(c.numerator) / mpf(c.denominator)
-    return mpf(c)
-
-
 def inverse_moment_estimate(poly: ExpansionPolynomial, q_table: ShiftedMomentTable) -> float:
     """E+[1/K**r] estimate: the polynomial paired with a shifted-moment table.
 
     Each difference degree d contributes coefficient(d) times the d-th
     alternating forward difference of the table, which the table
-    computes once for all its readers.  Accumulation happens at the
-    table's working precision because the differences shrink rapidly
-    while the cancellation inside them grows.
+    computes once for all its readers.  The pairing is one mpmath.fdot:
+    exact products (a Fraction coefficient is first rounded to the
+    table's precision), one rounding of their sum, then one to double.
     """
     if poly.max_degree > q_table.A:
         raise IndexError(
@@ -240,10 +232,7 @@ def inverse_moment_estimate(poly: ExpansionPolynomial, q_table: ShiftedMomentTab
         )
     nus = q_table.differences
     with mpmath.workdps(q_table.dps):
-        total = mpf(0)
-        for d in sorted(poly.coefficients):
-            total += _to_mpf(poly.coefficient(d)) * nus[d]
-        return float(total)
+        return float(mpmath.fdot((c, nus[d]) for d, c in poly.coefficients.items()))
 
 
 def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:
@@ -267,9 +256,10 @@ def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:
 def _first_inverse_moments(N: int, p: float, orders) -> list[float]:
     """first_inverse_moment_binomial for every order in ``orders`` at once.
 
-    Order m is the running sum over k < m of one series, so a single y
-    list, built for the largest order, serves them all.  Arguments are
-    the caller's to validate.
+    Order m is the mpmath.fsum of the first m parts of one series, part
+    k >= 1 one mpmath.fdot over j of (-1)**j alpha(k-j, j) / j! times
+    y(j+k), over N**k.  So a single y list, built for the largest order,
+    serves them all.  Arguments are the caller's to validate.
     """
     p = float(p)
     if p == 0.0:
@@ -277,18 +267,12 @@ def _first_inverse_moments(N: int, p: float, orders) -> list[float]:
     top = max(orders)
     ys, dps = _y_mp_list(N * p, 2 * (top - 1))
     with mpmath.workdps(dps):
-        total = ys[0]
-        by_order = [float(total)]
-        for k in range(1, top):
-            inner = mpf(0)
-            for j in range(1, k + 1):
-                a = alpha(k - j, j)
-                c = mpf(a.numerator) / mpf(a.denominator) / math.factorial(j)
-                term = c * ys[j + k]
-                inner += -term if j % 2 else term
-            total += inner / mpf(N) ** k
-            by_order.append(float(total))
-    return [by_order[m - 1] for m in orders]
+        parts = [ys[0]] + [
+            mpmath.fdot([alpha(k - j, j) / ((-1) ** j * math.factorial(j))
+                         for j in range(1, k + 1)], ys[k + 1:]) / N**k
+            for k in range(1, top)
+        ]
+        return [float(mpmath.fsum(parts[:m])) for m in orders]
 
 
 def barbour_error_bound(N: int, p: float, m: int) -> float:

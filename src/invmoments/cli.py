@@ -272,8 +272,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.out is None or args.out == "-":
         write_report_csv(report, sys.stdout)
     else:
-        with open(args.out, "w", newline="") as fh:
-            write_report_csv(report, fh)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                write_report_csv(report, fh)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from None
         print(f"wrote {len(report.rows)} rows to {args.out}", file=sys.stderr)
     return 0
 

@@ -83,6 +83,15 @@ def _check_mu(mu: float) -> None:
         raise DomainError("mu must be positive and finite")
 
 
+_WALK_MU_CAP = 1e8  # a walk from k = 1 to the Poisson tail takes a minute here
+
+
+def _check_walk_mu(mu: float) -> None:
+    """Refuse a walk to the tail past _WALK_MU_CAP; below it every walk ends."""
+    if mu > _WALK_MU_CAP:
+        raise DomainError(f"the Poisson walk takes mu <= {_WALK_MU_CAP:g}, not {mu:g}")
+
+
 _COMB_LIMIT = 300
 
 # stirlerr(n) for n = 0..15, rounded from 50-digit mpmath values.  Past
@@ -270,6 +279,7 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     majorant is at least the rounding of pi (1 - 2**-53), which is no
     less than pi / 2, and a majorant below tol puts pi below 2 tol.
     """
+    _check_walk_mu(mu)
     tail = math.inf
 
     def terms() -> Iterator[float]:
@@ -288,8 +298,6 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
                 tail = pi * (k + 1) / (k + 1 - mu)
                 if tail < tol:
                     return
-            if k > 100_000_000:
-                raise RuntimeError("tolerance unreachable in double precision")
             yield pi / (k + a) ** r
 
     try:
@@ -306,12 +314,12 @@ def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> Orac
     first k >= mu where the geometric tail majorant
     pi_mu(k) * (k+1) / (k+1-mu) drops below ``tol``.  The majorant also
     covers the weighted tail because 1/k**r <= 1, and it is returned as
-    the ``tail_bound``.
+    the ``tail_bound``.  mu above 1e8 is refused (_WALK_MU_CAP).
     """
     _check_mu(mu)
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
-    if tol <= 0.0:
+    if not tol > 0.0:  # a NaN tol would never stop the walk
         raise DomainError("tol must be positive")
     return _direct_sum(mu, 0, r, tol)
 
@@ -333,7 +341,7 @@ def shifted_poisson_moment_direct(
         raise DomainError("moment order r must be non-negative")
     if a == 0 and r == 0:
         raise DomainError("a = 0 with r = 0 is not a defined moment here")
-    if tol <= 0.0:
+    if not tol > 0.0:  # a NaN tol would never stop the walk
         raise DomainError("tol must be positive")
     if r == 0:
         return OracleValue(1.0, 0.0)

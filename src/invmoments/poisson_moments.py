@@ -14,6 +14,8 @@ and a within the Stirling row cap) and from direct summation elsewhere.
 The closed form cancels heavily, so it runs at elevated precision
 through mpmath; the package treats that as its extended-precision
 substrate wherever plain doubles would lose the answer to cancellation.
+Each mpmath sum is one mpmath.fdot or fsum, rounded once; the precision
+covers the rounded inputs, whose error the alternating sums amplify.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ from mpmath.libmp import (
 from .exact_oracle import (
     DomainError,
     _check_mu,
+    _check_walk_mu,
     _poisson_terms,
     shifted_poisson_moment_direct,
 )
@@ -143,10 +146,13 @@ def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
     pi(k) (k+1) / (k+1-mu) for k >= mu, is at most 1e-17 of the plain
     running sum of the terms.  The rounded majorant is at least pi / 2
     (see exact_oracle._direct_sum), so the cheaper test of pi / 2
-    against that limit goes first and drops no stop.  Up to mu = 700
-    the walk runs the Poisson recurrence itself, one generator step per
-    term instead of two, since these walks are most of a calibration.
+    against that limit goes first and drops no stop; that walk refuses
+    mu above 1e8.  Up to mu = 700 the walk runs the Poisson recurrence
+    itself, one generator step per term instead of two, since these
+    walks are most of a calibration.
     """
+    if m1 is None:
+        _check_walk_mu(mu)
     walk = None if mu <= 700.0 else _poisson_terms(mu)
     pi = math.exp(-mu)
     total = 0.0
@@ -337,13 +343,14 @@ def positive_poisson_inverse_moment(
 
 
 def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
-    """E[1/(Q+a)**r] from the Stirling closed form, for 1 <= a <= 64."""
-    total = mpf(_stirling_entry(0, a, r)) * (-mpmath.expm1(-x))
-    for k in range(1, r):
-        total += mpf(_stirling_entry(0, a, r - k)) * _shifted_sums_mp(x, k, 0)[0]
-    for k in range(1, a):
-        total += mpf(_stirling_entry(k, a - k, r)) * x**k
-    return total / x**a
+    """E[1/(Q+a)**r] from the Stirling closed form, for 1 <= a <= 64.
+
+    One mpmath.fdot pairs the exact Stirling integers with their factors.
+    """
+    pairs = [(_stirling_entry(0, a, r), -mpmath.expm1(-x))]
+    pairs += [(_stirling_entry(0, a, r - k), _shifted_sums_mp(x, k, 0)[0]) for k in range(1, r)]
+    pairs += [(_stirling_entry(k, a - k, r), x**k) for k in range(1, a)]
+    return mpmath.fdot(pairs) / x**a
 
 
 def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
@@ -405,19 +412,16 @@ class ShiftedMomentTable:
     def differences(self) -> tuple:
         """((-Delta)**n q)(0) = sum_a C(n, a) (-1)**a q(a) for n = 0 .. A.
 
-        Each is summed at the table's precision, so the heavy cancellation
-        in the alternating sum costs guard digits rather than answer
-        digits.
+        Each is one mpmath.fdot of the exact signed binomials with the
+        entries, rounded once.  The heavy cancellation amplifies the
+        entries' own rounding, which costs guard digits rather than
+        answer digits.
         """
-        out = []
         with mpmath.workdps(self.dps):
-            for n in range(self.A + 1):
-                total = mpf(0)
-                for a in range(n + 1):
-                    term = mpf(math.comb(n, a)) * self.values[a]
-                    total += -term if a % 2 else term
-                out.append(total)
-        return tuple(out)
+            return tuple(  # fdot zips, so entry n reads values[0 .. n]
+                mpmath.fdot([(-1) ** a * math.comb(n, a) for a in range(n + 1)], self.values)
+                for n in range(self.A + 1)
+            )
 
 
 def _table_dps(mu: float, A: int) -> int:
@@ -535,11 +539,12 @@ def _y_mp_list(mu: float, n_max: int) -> tuple[list, int]:
            + sum_{l=1..n} (l-1)! * (e**(-mu) * C(n, l) - 1) * mu**(n-l),
 
     which equals mu**n times the n-th alternating forward difference of
-    a -> E[1/(Q+a)].  The subtraction of 1 inside the sum is where the
-    cancellation lives, hence the elevated precision.  Below mu = 1 the
-    order-mu parts of the sum cancel down to mu**n, which costs up to
-    n_max digits per decade of mu; those come on top.  Callers combine
-    the values at the returned precision.
+    a -> E[1/(Q+a)].  Each y(n) is one mpmath.fsum of its terms, rounded
+    once; the terms' own rounding, mostly of e**(-mu) C(n, l) - 1, is
+    what the sum's cancellation amplifies, hence the elevated precision.
+    Below mu = 1 the order-mu parts of the sum cancel down to mu**n,
+    which costs up to n_max digits per decade of mu; those come on top.
+    Callers combine the values at the returned precision.
     """
     dps = _table_dps(mu, n_max)
     if mu < 1.0:
@@ -548,12 +553,13 @@ def _y_mp_list(mu: float, n_max: int) -> tuple[list, int]:
         x = mpf(mu)
         expmx = mpmath.exp(-x)
         base = expmx * _er_from_ei(mu)
-        ys = []
-        for n in range(n_max + 1):
-            s = x**n * base
-            for l in range(1, n + 1):
-                s += math.factorial(l - 1) * (expmx * math.comb(n, l) - 1) * x ** (n - l)
-            ys.append(s)
+        ys = [
+            mpmath.fsum([x**n * base] + [
+                math.factorial(l - 1) * (expmx * math.comb(n, l) - 1) * x ** (n - l)
+                for l in range(1, n + 1)
+            ])
+            for n in range(n_max + 1)
+        ]
     return ys, dps
 
 

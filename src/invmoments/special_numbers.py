@@ -70,7 +70,4 @@ def alpha(l: int, j: int) -> Fraction:
         raise ValueError("alpha indices must be non-negative")
     if j == 0:
         return Fraction(1) if l == 0 else Fraction(0)
-    total = Fraction(0)
-    for k in range(l + 1):
-        total += alpha(k, j - 1) / (l - k + 2)
-    return total
+    return sum(alpha(k, j - 1) / (l - k + 2) for k in range(l + 1))

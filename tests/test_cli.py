@@ -127,6 +127,14 @@ def test_sweep_is_deterministic(tmp_path):
     assert out1.read_bytes().startswith(b"p,exact,charlier_m1,")
 
 
+def test_sweep_out_to_unwritable_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.csv"
+    assert main(["sweep", "--N", "10", "--grid", "0.1:0.2:2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {out}: ")
+    assert "Traceback" not in err
+
+
 def test_sweep_to_stdout(capsys):
     assert main(["sweep", "--N", "5", "--orders", "2", "--grid", "0.5:1:3",
                  "--error-kind", "rel"]) == 0
@@ -198,6 +206,7 @@ def test_exit_code_domain_errors(capsys):
     assert main(["sweep", "--N", "10", "--method", "rempala", "--terms", "3",
                  "--grid", "1e-300:1e-300:1"]) == 2
     assert main(["poisson-table", "--mu", "nan"]) == 2
+    assert main(["poisson-table", "--mu", "1e300"]) == 2  # past the walk cap
     assert main(["compute", "--N", "10", "--p", "0.5", "--order", "0"]) == 2
     # k**r past the double range at a large moment order r
     assert main(["poisson-table", "--r", "400", "--mu", "5"]) == 2

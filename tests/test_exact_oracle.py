@@ -5,6 +5,7 @@ the defining series before the module existed; the module has to land
 on them, not the other way round.
 """
 import math
+import time
 
 import mpmath
 import pytest
@@ -25,7 +26,10 @@ from invmoments.exact_oracle import (
     _stirlerr,
     _support,
 )
-from invmoments.poisson_moments import _positive_moment_double
+from invmoments.poisson_moments import (
+    _positive_moment_double,
+    positive_poisson_inverse_moment,
+)
 
 # e**(-1) * sum_{i>=1} 1/(i * i!) at 50 digits, rounded to double
 F1_AT_1 = 0.48482910699568764
@@ -286,6 +290,27 @@ def test_poisson_direct_domain():
         poisson_inverse_moment_direct(2.0, 0)
     with pytest.raises(DomainError):
         poisson_inverse_moment_direct(2.0, 1, tol=0.0)
+    with pytest.raises(DomainError):  # a NaN tol would never stop the walk
+        poisson_inverse_moment_direct(2.0, 1, tol=math.nan)
+    with pytest.raises(DomainError):
+        shifted_poisson_moment_direct(2.0, 1, 1, tol=math.nan)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: poisson_inverse_moment_direct(2e8, 1),
+        lambda: shifted_poisson_moment_direct(1e9, 1, 1),
+        lambda: positive_poisson_inverse_moment(1e300, 1),
+    ],
+    ids=["direct", "shifted_direct", "ascending"],
+)
+def test_unbounded_walks_refuse_huge_mu(call):
+    # a walk from k = 1 past mu takes a minute at mu = 1e8, and at 1e300 never ends
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_shifted_direct_values():
