@@ -5,13 +5,11 @@ around the Poisson distribution with calibrated evaluation strategies,
 three historical competing series, and CLI tooling for error sweeps.
 """
 from .charlier_expansion import (
-    CumulantSequence,
     ExpansionPolynomial,
     barbour_error_bound,
     barbour_polynomial,
     binomial_barbour_polynomial,
     binomial_cumulants,
-    binomial_factorial_cumulant,
     expand_pdf,
     first_inverse_moment_binomial,
     inverse_moment_estimate,

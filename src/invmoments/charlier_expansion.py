@@ -15,15 +15,13 @@ from itertools import islice
 
 import mpmath
 
-from .exact_oracle import DomainError, _check_mu, _poisson_terms
+from .exact_oracle import DomainError, _check_mu, _check_walk_mu, _poisson_terms
 from .poisson_moments import ShiftedMomentTable, _y_mp_list
 from .special_numbers import alpha
 
 __all__ = [
-    "CumulantSequence",
     "ExpansionPolynomial",
     "barbour_polynomial",
-    "binomial_factorial_cumulant",
     "binomial_cumulants",
     "binomial_barbour_polynomial",
     "expand_pdf",
@@ -31,32 +29,6 @@ __all__ = [
     "first_inverse_moment_binomial",
     "barbour_error_bound",
 ]
-
-
-@dataclass(frozen=True)
-class CumulantSequence:
-    """Factorial cumulants of a discrete variate.
-
-    ``mu`` is the first cumulant (the mean) and ``higher[i]`` holds
-    cumulant i + 2, so a Poisson variate has an empty ``higher``.
-    Entries may be floats or Fractions; Fractions propagate exactly
-    through polynomial construction.
-    """
-
-    mu: object
-    higher: tuple = ()
-
-    @property
-    def order(self) -> int:
-        """Highest cumulant index available."""
-        return 1 + len(self.higher)
-
-    def kappa(self, j: int) -> object:
-        if j == 1:
-            return self.mu
-        if 2 <= j <= self.order:
-            return self.higher[j - 2]
-        raise DomainError(f"cumulant {j} not available (have 1..{self.order})")
 
 
 @dataclass(frozen=True)
@@ -93,25 +65,27 @@ class ExpansionPolynomial:
         return max(self.coefficients)
 
 
-def barbour_polynomial(cumulants: CumulantSequence, m: int) -> ExpansionPolynomial:
+def barbour_polynomial(cumulants, m: int) -> ExpansionPolynomial:
     """Order-m expansion polynomial keeping whole orders of the size parameter.
 
+    ``cumulants`` is any sequence of factorial cumulants kappa(1) ..
+    kappa(m), floats or Fractions (which propagate exactly).
     Exponentiates P = sum_{k=2..m} (kappa(k)/k!) * (-nabla)**k, counting
     the k-th cumulant at order k - 1, and drops everything past order
     m - 1.  A degree-d term of P**j has order d - j, and every factor of
     P raises the order, so each power is truncated as it is built.  The
-    result reaches difference degree 2*(m-1); a Poisson cumulant
-    sequence (no higher cumulants) gives the identity at every order.
+    result reaches difference degree 2*(m-1); a Poisson's cumulants give
+    the identity at every order.
     """
     if m < 1:
         raise DomainError("order m must be a positive integer")
-    if cumulants.order < m:
+    if len(cumulants) < m:
         raise DomainError(
-            f"order {m} needs cumulants through {m}, have {cumulants.order}"
+            f"order {m} needs cumulants through {m}, have {len(cumulants)}"
         )
     arg: dict[int, object] = {}
     for k in range(2, m + 1):
-        c = cumulants.kappa(k) * (-1) ** k
+        c = cumulants[k - 1] * (-1) ** k
         c = c / math.factorial(k)
         if c != 0:
             arg[k] = c
@@ -131,29 +105,19 @@ def barbour_polynomial(cumulants: CumulantSequence, m: int) -> ExpansionPolynomi
     return ExpansionPolynomial(coeffs, m)
 
 
-def binomial_factorial_cumulant(N: int, p, j: int):
-    """j-th factorial cumulant of Binomial(N, p): -N * (j-1)! * (-p)**j.
+def binomial_cumulants(N: int, p, max_j: int) -> tuple:
+    """Factorial cumulants -N * (j-1)! * (-p)**j of Binomial(N, p), j = 1..max_j.
 
-    Returns a Fraction when p is one, keeping polynomial construction
-    exact for rational p.
+    Entries are Fractions when p is a Fraction, keeping polynomial
+    construction exact for rational p.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
-    if j < 1:
-        raise DomainError("cumulant index j must be a positive integer")
-    if not 0 <= p <= 1:
-        raise DomainError("p must lie in [0, 1]")
-    return -N * math.factorial(j - 1) * (-p) ** j
-
-
-def binomial_cumulants(N: int, p, max_j: int) -> CumulantSequence:
-    """Cumulant sequence of Binomial(N, p) through index max_j."""
     if max_j < 1:
         raise DomainError("max_j must be a positive integer")
-    return CumulantSequence(
-        mu=N * p,
-        higher=tuple(binomial_factorial_cumulant(N, p, j) for j in range(2, max_j + 1)),
-    )
+    if not 0 <= p <= 1:
+        raise DomainError("p must lie in [0, 1]")
+    return tuple(-N * math.factorial(j - 1) * (-p) ** j for j in range(1, max_j + 1))
 
 
 def binomial_barbour_polynomial(N: int, mu, m: int) -> ExpansionPolynomial:
@@ -194,6 +158,7 @@ def expand_pdf(poly: ExpansionPolynomial, mu: float) -> list[float]:
     consumers check against.
     """
     _check_mu(mu)
+    _check_walk_mu(mu)
     dmax = poly.max_degree
     col = [math.exp(-mu)]
     walk = _poisson_terms(mu)

@@ -195,13 +195,17 @@ _WINDOW_REL_MASS = 1e-17
 def _support(N: int, p: float, r: int) -> range:
     """The k >= 1 that exact_inverse_moment sums for Binomial(N, p).
 
-    All of 1..N where the comb path runs or p is 0 or 1.  For large N,
-    [max(1, Np - t), min(N, Np + t)]: Bernstein's inequality bounds each
+    Nothing for p = 0, only N for p = 1, all of 1..N on the comb path.
+    For large N, [max(1, Np - t), min(N, Np + t)]: Bernstein bounds each
     tail beyond it by exp(-t**2 / (2*(Npq + t/3))), 1/k**r <= 1 there,
     and the moment is at least Jensen's L = P(K >= 1)**(r+1) / (Np)**r.
     t makes each tail bound _WINDOW_REL_MASS * L / 2.
     """
-    if N <= _COMB_LIMIT or p in (0.0, 1.0):
+    if p == 0.0:
+        return range(0)
+    if p == 1.0:
+        return range(N, N + 1)
+    if N <= _COMB_LIMIT:
         return range(1, N + 1)
     mean = N * p
     log_l = (r + 1) * math.log(-math.expm1(N * math.log1p(-p))) - r * math.log(mean)

@@ -440,6 +440,7 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
     into spurious difference signal.
     """
     _check_mu(mu)
+    _check_walk_mu(mu)
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     if A < 0:
@@ -639,30 +640,28 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     def bracket(mu: float) -> tuple[float, float] | None:
         return _large_mu_bracket(mu, r)
 
-    def err_bound(approx: float, b: tuple[float, float] | None) -> float:
-        """abs(1 - approx / exact(mu)) at most, for exact(mu) in b (see asym_fails)."""
-        if b is None:
-            return math.inf
-        lo, hi = b
-        return max(abs(1.0 - approx / lo), abs(1.0 - approx / hi))
-
-    def asym_fails(mu: float, m2: int) -> bool:
-        """asym_err(mu, m2) >= target, decided from the bracket where it can.
+    def err_range(approx: float, b: tuple[float, float] | None) -> tuple[float, float]:
+        """(low, high) around the rounded abs(1 - approx/exact(mu)), exact(mu) in b.
 
         Rounded division and subtraction are monotone, so for every d in
-        [lo, hi] the rounded |1 - a/d| lies between its values at lo and
-        hi when a is outside (lo, hi), and below the larger one always.
-        The oracle runs only where the bracket cannot decide.
+        [lo, hi] the rounded |1 - approx/d| lies between its values at lo
+        and hi when approx is outside (lo, hi), and below the larger one
+        always.
         """
+        if b is None:
+            return 0.0, math.inf
+        lo, hi = b
+        e_lo, e_hi = abs(1.0 - approx / lo), abs(1.0 - approx / hi)
+        return (0.0 if lo < approx < hi else min(e_lo, e_hi)), max(e_lo, e_hi)
+
+    def asym_fails(mu: float, m2: int) -> bool:
+        """asym_err(mu, m2) >= target; the oracle runs only where the bracket cannot decide."""
         a = _asymptotic_partial(mu, r, m2)
-        b = bracket(mu)
-        if b is not None:
-            lo, hi = b
-            e_lo, e_hi = abs(1.0 - a / lo), abs(1.0 - a / hi)
-            if e_lo < target and e_hi < target:
-                return False
-            if e_lo >= target and e_hi >= target and not lo < a < hi:
-                return True
+        low, high = err_range(a, bracket(mu))
+        if high < target:
+            return False
+        if low >= target:
+            return True
         return abs(1.0 - a / exact(mu)) >= target
 
     cap_idx = int(round(mu_cap / step))
@@ -729,7 +728,7 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
         else:
             approx = _asymptotic_partial(mu, r, m2)
             b = bracket(mu)
-        sweep.append((err_bound(approx, b), mu, approx))
+        sweep.append((err_range(approx, b)[1], mu, approx))
     sweep.sort(key=lambda point: point[0], reverse=True)
     worst = 0.0
     for bound, mu, approx in sweep:

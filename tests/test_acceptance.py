@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from invmoments.charlier_expansion import (
-    CumulantSequence,
     barbour_error_bound,
     barbour_polynomial,
     binomial_barbour_polynomial,
@@ -206,8 +205,7 @@ def test_criterion_07_poisson_fixed_point():
         for r in (1, 2, 3):
             want = positive_poisson_inverse_moment(mu, r)
             for m in range(1, 7):
-                seq = CumulantSequence(mu, (0.0,) * (m - 1))
-                poly = barbour_polynomial(seq, m)
+                poly = barbour_polynomial((mu,) + (0.0,) * (m - 1), m)
                 table = build_q_table(mu, r, poly.max_degree)
                 got = inverse_moment_estimate(poly, table)
                 worst = max(worst, abs(1.0 - got / want))

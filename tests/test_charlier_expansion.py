@@ -6,13 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from invmoments.charlier_expansion import (
-    CumulantSequence,
     ExpansionPolynomial,
     barbour_error_bound,
     barbour_polynomial,
     binomial_barbour_polynomial,
     binomial_cumulants,
-    binomial_factorial_cumulant,
     expand_pdf,
     first_inverse_moment_binomial,
     inverse_moment_estimate,
@@ -20,23 +18,24 @@ from invmoments.charlier_expansion import (
 from invmoments.exact_oracle import (
     Binomial,
     DomainError,
+    ExplicitPdf,
     binomial_pdf,
     exact_inverse_moment,
+    factorial_cumulants_from_pdf,
     poisson_inverse_moment_direct,
 )
 from invmoments.poisson_moments import build_q_table, positive_poisson_inverse_moment
 
 
 def test_order_one_is_identity():
-    poly = barbour_polynomial(CumulantSequence(2.0), 1)
+    poly = barbour_polynomial((2.0,), 1)
     assert poly.coefficients == {0: 1.0}
     assert poly.max_degree == 0
 
 
 def test_order_three_structure():
     k2, k3 = Fraction(3, 7), Fraction(-2, 5)
-    seq = CumulantSequence(Fraction(1), (k2, k3))
-    poly = barbour_polynomial(seq, 3)
+    poly = barbour_polynomial((Fraction(1), k2, k3), 3)
     want = {
         0: Fraction(1),
         2: k2 / 2,
@@ -48,15 +47,14 @@ def test_order_three_structure():
 
 def test_insufficient_cumulants():
     with pytest.raises(DomainError):
-        barbour_polynomial(CumulantSequence(1.0, (0.25,)), 3)
+        barbour_polynomial((1.0, 0.25), 3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=8))
 def test_degree_bound(m):
     higher = tuple(Fraction(1, 2 + i) for i in range(max(0, 2 * m - 3)))
-    seq = CumulantSequence(Fraction(1), higher)
-    poly = barbour_polynomial(seq, m)
+    poly = barbour_polynomial((Fraction(1),) + higher, m)
     assert poly.max_degree <= 2 * (m - 1)
     assert poly.coefficient(0) == 1
     assert poly.coefficient(1) == 0
@@ -66,19 +64,17 @@ def test_poisson_cumulants_collapse_to_identity():
     # with every higher factorial cumulant zero, every order is the identity
     for m in range(1, 7):
         need = max(0, 2 * m - 3)
-        seq = CumulantSequence(5.0, (0.0,) * need)
-        poly = barbour_polynomial(seq, m)
+        poly = barbour_polynomial((5.0,) + (0.0,) * need, m)
         assert set(poly.coefficients) == {0}
 
 
-def test_binomial_factorial_cumulants():
+def test_binomial_cumulants_values():
     # kappa_j = -N (j-1)! (-p)**j: alternating, exact in Fraction arithmetic
     p = Fraction(2, 5)
-    assert binomial_factorial_cumulant(10, p, 1) == 10 * p
-    assert binomial_factorial_cumulant(10, p, 2) == -10 * p * p
-    assert binomial_factorial_cumulant(10, p, 3) == 20 * p**3
-    ks = binomial_cumulants(10, p, 4)
-    assert ks.kappa(1) == 10 * p and ks.kappa(4) == -60 * p**4
+    assert binomial_cumulants(10, p, 4) == (10 * p, -10 * p * p, 20 * p**3, -60 * p**4)
+    for bad in ((0, p, 4), (10, p, 0), (10, Fraction(3, 2), 1), (10, -0.1, 1)):
+        with pytest.raises(DomainError):
+            binomial_cumulants(*bad)
 
 
 def test_binomial_order_three_coefficients():
@@ -88,6 +84,34 @@ def test_binomial_order_three_coefficients():
     assert poly.coefficient(2) == -(mu**2) / (2 * N)
     assert poly.coefficient(3) == -(mu**3) / (3 * N**2)
     assert poly.coefficient(4) == mu**4 / (8 * N**2)
+
+
+def _general_method_rel_errors(weights, r):
+    """Relative error of the order m = 1..6 estimate built from the pdf alone."""
+    exact = exact_inverse_moment(ExplicitPdf(weights), r)
+    errs = []
+    for m in range(1, 7):
+        kappas = factorial_cumulants_from_pdf(weights, m)
+        poly = barbour_polynomial(kappas, m)
+        table = build_q_table(kappas[0], r, 2 * (m - 1))
+        errs.append(abs(1.0 - inverse_moment_estimate(poly, table) / exact))
+    return errs
+
+
+def test_general_method_from_pdf_end_to_end():
+    # pdf -> factorial cumulants -> polynomial -> q table -> estimate
+    binomial = tuple(binomial_pdf(20, 0.3, k) for k in range(21))
+    errs = _general_method_rel_errors(binomial, 1)  # 6.5e-2 down to 1.4e-7
+    assert all(b < a for a, b in zip(errs, errs[1:])), errs
+    assert errs[-1] < 1e-6
+    raw = [math.comb(k + 4, k) * 0.6**5 * 0.4**k for k in range(200)]
+    total = math.fsum(raw)
+    negative_binomial = tuple(w / total for w in raw)
+    errs = _general_method_rel_errors(negative_binomial, 1)
+    # not monotone here: m = 2 (2.9e-2) is worse than m = 1 (1.3e-2)
+    # before the higher orders take over, down to 5.3e-5 at m = 6
+    assert errs[5] < errs[0]
+    assert errs[5] < 1e-4
 
 
 @settings(max_examples=25, deadline=None)

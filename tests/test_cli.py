@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,18 @@ def test_exit_code_domain_errors(capsys):
     assert main(["calibrate", "--r", "150", "--target", "1e-5"]) == 2
     err = capsys.readouterr().err
     assert "domain error" in err
+
+
+def test_huge_n_at_degenerate_p_answers_or_refuses_at_once(capsys):
+    # the binomial oracle sums only the atom at N; the q table refuses mu = 1e9
+    start = time.perf_counter()
+    assert main(["compute", "--N", "1000000000", "--p", "1", "--r", "1"]) == 0
+    assert float(capsys.readouterr().out.split("\n")[1].split()[1]) == 1e-9
+    assert main(["compute", "--N", "1000000000", "--p", "1", "--r", "2"]) == 2
+    assert main(["sweep", "--N", "1000000000", "--r", "2", "--orders", "2",
+                 "--grid", "1:1:1"]) == 2
+    assert "the Poisson walk takes mu <= 1e+08" in capsys.readouterr().err
+    assert time.perf_counter() - start < 2.0
 
 
 def test_exit_code_calibration_failure(capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
+from invmoments.charlier_expansion import ExpansionPolynomial, expand_pdf
 from invmoments.exact_oracle import (
     Binomial,
     DomainError,
@@ -28,6 +29,7 @@ from invmoments.exact_oracle import (
 )
 from invmoments.poisson_moments import (
     _positive_moment_double,
+    build_q_table,
     positive_poisson_inverse_moment,
 )
 
@@ -187,6 +189,16 @@ def test_exact_inverse_moment_window_neglects_under_1e_17(N, p, r):
         assert len(window) < N // 10  # the window does cut the work
 
 
+def test_degenerate_binomial_sums_only_its_atom():
+    # p = 0 puts all mass at 0 and p = 1 at N, so no walk over 1..N is needed
+    assert len(_support(10**9, 1.0, 2)) == 1
+    assert len(_support(10**9, 0.0, 2)) == 0
+    start = time.perf_counter()
+    assert exact_inverse_moment(Binomial(10**9, 1.0), 2) == 1e-18
+    assert exact_inverse_moment(Binomial(10**9, 0.0), 2) == 0.0
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("N", [301, 4000])
 @pytest.mark.parametrize("p", [1e-3, 0.05, 0.5, 0.95, 0.999])
 def test_binomial_pdf_large_N_against_mpmath(N, p):
@@ -302,8 +314,10 @@ def test_poisson_direct_domain():
         lambda: poisson_inverse_moment_direct(2e8, 1),
         lambda: shifted_poisson_moment_direct(1e9, 1, 1),
         lambda: positive_poisson_inverse_moment(1e300, 1),
+        lambda: build_q_table(1e9, 2, 2),
+        lambda: expand_pdf(ExpansionPolynomial({0: 1}, 1), 1e9),
     ],
-    ids=["direct", "shifted_direct", "ascending"],
+    ids=["direct", "shifted_direct", "ascending", "q_table", "expand_pdf"],
 )
 def test_unbounded_walks_refuse_huge_mu(call):
     # a walk from k = 1 past mu takes a minute at mu = 1e8, and at 1e300 never ends

@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from invmoments.charlier_expansion import (
-    CumulantSequence,
     barbour_polynomial,
     binomial_cumulants,
 )
@@ -127,13 +126,12 @@ def _charlier_r23():
 
 
 BARBOUR_SEQUENCES = {
-    "fraction": CumulantSequence(
-        Fraction(3, 2),
-        (Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7), Fraction(-3, 11),
-         Fraction(5, 13), Fraction(-1, 17)),
+    "fraction": (
+        Fraction(3, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7),
+        Fraction(-3, 11), Fraction(5, 13), Fraction(-1, 17),
     ),
     "binomial": binomial_cumulants(12, Fraction(1, 3), 7),
-    "float": CumulantSequence(2.5, (0.3, -0.17, 0.061, -0.029, 0.013, -0.0071)),
+    "float": (2.5, 0.3, -0.17, 0.061, -0.029, 0.013, -0.0071),
 }
 
 
