@@ -24,7 +24,7 @@ from .charlier_expansion import (
     first_inverse_moment_binomial,  # unused here, but perfbench/spans.py wraps cli's binding
     inverse_moment_estimate,
 )
-from .competing import rempala, stephan, znidaric
+from .competing import _rempala_partial_sums, _stephan_partial_sums, _znidaric_partial_sums
 from .exact_oracle import Binomial, DomainError, exact_inverse_moment
 from .poisson_moments import (
     CalibrationError,
@@ -138,11 +138,17 @@ def _charlier_values(N: int, p: float, r: int, orders: tuple[int, ...]) -> list[
     return [inverse_moment_estimate(poly, table) for poly in polys]
 
 
-_COMPETITORS = {"stephan": stephan, "rempala": rempala, "znidaric": znidaric}
+# each maps (N, p, term counts) to the series' value at every count, from one walk
+_COMPETITORS = {
+    "stephan": _stephan_partial_sums,
+    "rempala": _rempala_partial_sums,
+    "znidaric": _znidaric_partial_sums,
+}
 
 
 def run_sweep(config: SweepConfig) -> ErrorSweepReport:
     """Evaluate the configured methods over the p grid against the oracle."""
+    terms = config.competitor_terms()
     series: list[tuple[str, str, int]] = []  # (column label, method, count)
     for name in config.methods:
         if name == "charlier":
@@ -151,7 +157,7 @@ def run_sweep(config: SweepConfig) -> ErrorSweepReport:
         else:
             if config.r != 1:
                 raise DomainError(f"method {name!r} approximates the r = 1 moment only")
-            for M in config.competitor_terms():
+            for M in terms:
                 series.append((f"{name}_M{M}", name, M))
 
     columns: list[str] = ["p", "exact"]
@@ -165,15 +171,16 @@ def run_sweep(config: SweepConfig) -> ErrorSweepReport:
     rows: list[tuple[float, ...]] = []
     for p in config.p_grid.points():
         exact = exact_inverse_moment(Binomial(config.N, p), config.r)
+        values: dict[str, dict[int, float]] = {}  # method -> count -> value
         if "charlier" in config.methods:
-            charlier = dict(zip(config.orders, _charlier_values(
+            values["charlier"] = dict(zip(config.orders, _charlier_values(
                 config.N, p, config.r, config.orders)))
+        for name in config.methods:
+            if name != "charlier":
+                values[name] = dict(zip(terms, _COMPETITORS[name](config.N, p, terms)))
         row = [p, exact]
         for _, name, count in series:
-            if name == "charlier":
-                value = charlier[count]
-            else:
-                value = _COMPETITORS[name](config.N, p, count)
+            value = values[name][count]
             row.append(value)
             if config.error_kind in ("abs", "both"):
                 row.append(abs(value - exact))

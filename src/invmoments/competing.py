@@ -9,13 +9,41 @@ from __future__ import annotations
 
 import math
 
-from .exact_oracle import DomainError, central_moment_binomial
+from .exact_oracle import DomainError, _central_moments_binomial
 
 __all__ = ["stephan", "rempala", "znidaric"]
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _log_factorials(n: int) -> list[float]:
+    """log(j!) for j = 0..n, each math.lgamma(j + 1)."""
+    return [math.lgamma(j + 1) for j in range(n + 1)]
+
+
+def _check_args(N: int, p: float) -> None:
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    if not 0.0 < p <= 1.0:
+        raise DomainError("p must lie in (0, 1]")
+
+
+def _check_count(M: int) -> None:
+    if M < 1:
+        raise DomainError("term count M must be a positive integer")
+
+
+def _walk_length(counts, most: float = math.inf) -> int:
+    """How many terms to walk: the largest count ahead of the first invalid one.
+
+    The partial sums are then read off in the order given, each count
+    checked first, so the first failing count raises as a call per count
+    would, and no term past the last valid count is computed.
+    """
+    top = 0
+    for M in counts:
+        if not 1 <= M <= most:
+            break
+        top = max(top, M)
+    return top
 
 
 def stephan(N: int, p: float, M: int) -> float:
@@ -31,62 +59,94 @@ def stephan(N: int, p: float, M: int) -> float:
     sum taken in log space.  Every quantity is then positive, partial
     sums increase monotonically, and M in the tens of thousands is fine.
 
-    Runtime is O(M * N).
+    Runtime is O(M * N) exp calls and O(N + M) lgamma calls.
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
-    if not 0.0 < p <= 1.0:
-        raise DomainError("p must lie in (0, 1]")
-    if M < 1:
-        raise DomainError("term count M must be a positive integer")
-    q = 1.0 - p
-    if q > 0.0:
-        log_p = math.log(p)
-        log_q = math.log(q)
+    return _stephan_partial_sums(N, p, (M,))[0]
 
-    def terms():
+
+def _stephan_partial_sums(N: int, p: float, counts) -> list[float]:
+    """stephan(N, p, M) for every M in ``counts``, from one walk of the terms.
+
+    Each value is math.fsum of the first M terms, the doubles a call per
+    M sums, so it is that call's value bit for bit.
+    """
+    _check_args(N, p)
+    top = _walk_length(counts)
+    q = 1.0 - p
+    terms = []
+    if top:
+        log_fact = _log_factorials(N + top)
+        if q > 0.0:
+            # per l = 1..N: log((N-l)!), l log p, (N-l) log q
+            log_p = math.log(p)
+            log_q = math.log(q)
+            tail = log_fact[N - 1::-1]
+            lp = [l * log_p for l in range(1, N + 1)]
+            lq = [(N - l) * log_q for l in range(1, N + 1)]
         ratio = 1.0  # i! N! / (N+i)!, built as prod_{j<=i} j / (N+j)
-        for i in range(1, M + 1):
+        for i in range(1, top + 1):
             ratio *= i / (N + i)
             if q == 0.0:
                 inner = 1.0  # only the l = N term survives at p = 1
             else:
+                # log C(N+i, i+l) + l log p + (N-l) log q, summed left to right
+                head = log_fact[N + i]
                 inner = math.fsum(
-                    math.exp(_log_comb(N + i, i + l) + l * log_p + (N - l) * log_q)
-                    for l in range(1, N + 1)
+                    math.exp(head - a - b + c + d)
+                    for a, b, c, d in zip(log_fact[i + 1:], tail, lp, lq)
                 )
-            yield ratio / i * inner
-
-    return math.fsum(terms())
+            terms.append(ratio / i * inner)
+    values = []
+    for M in counts:
+        _check_count(M)
+        values.append(math.fsum(terms[:M]))
+    return values
 
 
 def rempala(N: int, p: float, M: int) -> float:
     """M-term series E+[1/K] ~ (Np)**-1 * sum_{i<M} (q/p)**i / C(N-1, i)."""
-    if N < 1:
-        raise DomainError("N must be a positive integer")
-    if not 0.0 < p <= 1.0:
-        raise DomainError("p must lie in (0, 1]")
-    if M < 1:
-        raise DomainError("term count M must be a positive integer")
-    if M > N:
-        raise DomainError(
-            f"M={M} exceeds N={N}: C(N-1, i) is zero for i >= N and the "
-            "series has no further terms"
-        )
+    return _rempala_partial_sums(N, p, (M,))[0]
+
+
+def _rempala_partial_sums(N: int, p: float, counts) -> list[float]:
+    """rempala(N, p, M) for every M in ``counts``, from one walk of the terms.
+
+    A term that overflows ends the walk; every count that reaches it
+    raises, as does a count whose fsum overflows.
+    """
+    _check_args(N, p)
+    top = _walk_length(counts, N)
     q = 1.0 - p
-    if q == 0.0:
-        return 1.0 / N
-    log_ratio = math.log(q) - math.log(p)
-    try:
-        total = math.fsum(
-            math.exp(i * log_ratio - _log_comb(N - 1, i)) for i in range(M)
-        )
-    except OverflowError:  # a term, or fsum's running total
-        total = math.inf
-    value = total / (N * p)
-    if value == math.inf:
-        raise DomainError(f"the M={M} series overflows double precision at p={p:g}")
-    return value
+    terms = []
+    if top and q > 0.0:
+        log_ratio = math.log(q) - math.log(p)
+        log_fact = _log_factorials(N - 1)
+        try:
+            for i in range(top):
+                log_comb = log_fact[N - 1] - log_fact[i] - log_fact[N - 1 - i]
+                terms.append(math.exp(i * log_ratio - log_comb))
+        except OverflowError:  # the counts past this term raise below
+            pass
+    values = []
+    for M in counts:
+        _check_count(M)
+        if M > N:
+            raise DomainError(
+                f"M={M} exceeds N={N}: C(N-1, i) is zero for i >= N and the "
+                "series has no further terms"
+            )
+        if q == 0.0:
+            values.append(1.0 / N)
+            continue
+        try:
+            total = math.fsum(terms[:M]) if M <= len(terms) else math.inf
+        except OverflowError:  # fsum's running total
+            total = math.inf
+        value = total / (N * p)
+        if value == math.inf:
+            raise DomainError(f"the M={M} series overflows double precision at p={p:g}")
+        values.append(value)
+    return values
 
 
 def znidaric(N: int, p: float, M: int) -> float:
@@ -97,17 +157,25 @@ def znidaric(N: int, p: float, M: int) -> float:
     through fsum.  Consecutive term counts can coincide: m_1 = 0 makes
     M = 2 equal M = 1.
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
-    if not 0.0 < p <= 1.0:
-        raise DomainError("p must lie in (0, 1]")
-    if M < 1:
-        raise DomainError("term count M must be a positive integer")
+    return _znidaric_partial_sums(N, p, (M,))[0]
+
+
+def _znidaric_partial_sums(N: int, p: float, counts) -> list[float]:
+    """znidaric(N, p, M) for every M in ``counts``, from one column of moments.
+
+    m_0 .. m_{M-1} for the largest M come from one pmf column, and each
+    value sums the first M terms with fsum, as a call per M does.
+    """
+    _check_args(N, p)
+    top = _walk_length(counts)
     q = 1.0 - p
     b = N * p + q
     terms = []
-    for i in range(M):
-        m_i = central_moment_binomial(N - 1, p, i)
+    for i, m_i in enumerate(_central_moments_binomial(N - 1, p, range(top))):
         t = (i + 1) * m_i / b**i
         terms.append(-t if i % 2 else t)
-    return N * p / b**2 * math.fsum(terms)
+    values = []
+    for M in counts:
+        _check_count(M)
+        values.append(N * p / b**2 * math.fsum(terms[:M]))
+    return values

@@ -364,13 +364,24 @@ def central_moment_binomial(N: int, p: float, i: int) -> float:
         raise DomainError("p must lie in [0, 1]")
     if i < 0:
         raise DomainError("moment index i must be non-negative")
+    return _central_moments_binomial(N, p, (i,))[0]
+
+
+def _central_moments_binomial(N: int, p: float, indices) -> list[float]:
+    """central_moment_binomial for every index in ``indices`` at once.
+
+    One pmf column serves every index.  Each moment is math.fsum of the
+    same products a single call takes, so the values are the same
+    doubles.  Arguments are the caller's to validate.
+    """
     if N == 0:
-        return 1.0 if i == 0 else 0.0
-    if i == 1:
-        return 0.0
+        return [1.0 if i == 0 else 0.0 for i in indices]
+    if all(i == 1 for i in indices):
+        return [0.0] * len(indices)
     mu = N * p
     pdf = _pdf_in_k(N, p)
-    return math.fsum(pdf(k) * (k - mu) ** i for k in range(N + 1))
+    column = [(pdf(k), k - mu) for k in range(N + 1)]
+    return [0.0 if i == 1 else math.fsum(w * d**i for w, d in column) for i in indices]
 
 
 def factorial_cumulants_from_pdf(weights: Iterable[float], max_j: int) -> list[float]:

@@ -554,9 +554,10 @@ def _y_mp_list(mu: float, n_max: int) -> tuple[list, int]:
         x = mpf(mu)
         expmx = mpmath.exp(-x)
         base = expmx * _er_from_ei(mu)
+        xp = [x**j for j in range(n_max + 1)]
         ys = [
-            mpmath.fsum([x**n * base] + [
-                math.factorial(l - 1) * (expmx * math.comb(n, l) - 1) * x ** (n - l)
+            mpmath.fsum([xp[n] * base] + [
+                math.factorial(l - 1) * (expmx * math.comb(n, l) - 1) * xp[n - l]
                 for l in range(1, n + 1)
             ])
             for n in range(n_max + 1)

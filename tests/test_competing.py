@@ -1,8 +1,25 @@
 """Tests for the three classical series the expansion is benchmarked against."""
-import pytest
+import math
 
-from invmoments.competing import rempala, stephan, znidaric
-from invmoments.exact_oracle import Binomial, DomainError, exact_inverse_moment
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from invmoments.competing import (
+    _rempala_partial_sums,
+    _stephan_partial_sums,
+    _znidaric_partial_sums,
+    rempala,
+    stephan,
+    znidaric,
+)
+from invmoments.exact_oracle import (
+    Binomial,
+    DomainError,
+    _central_moments_binomial,
+    _pdf_in_k,
+    central_moment_binomial,
+    exact_inverse_moment,
+)
 
 
 def test_stephan_converges_to_exact():
@@ -109,3 +126,169 @@ def test_znidaric_domain():
         znidaric(10, 0.0, 3)
     with pytest.raises(DomainError):
         znidaric(10, 0.5, 0)
+
+
+# Reference copies of the per-M series as they stood before the sweep read
+# every term count from one walk.  The multi-count functions must return
+# the same doubles and raise the same errors.
+
+def _ref_log_comb(n, k):
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _ref_stephan(N, p, M):
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    if not 0.0 < p <= 1.0:
+        raise DomainError("p must lie in (0, 1]")
+    if M < 1:
+        raise DomainError("term count M must be a positive integer")
+    q = 1.0 - p
+    if q > 0.0:
+        log_p = math.log(p)
+        log_q = math.log(q)
+
+    def terms():
+        ratio = 1.0
+        for i in range(1, M + 1):
+            ratio *= i / (N + i)
+            if q == 0.0:
+                inner = 1.0
+            else:
+                inner = math.fsum(
+                    math.exp(_ref_log_comb(N + i, i + l) + l * log_p + (N - l) * log_q)
+                    for l in range(1, N + 1)
+                )
+            yield ratio / i * inner
+
+    return math.fsum(terms())
+
+
+def _ref_rempala(N, p, M):
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    if not 0.0 < p <= 1.0:
+        raise DomainError("p must lie in (0, 1]")
+    if M < 1:
+        raise DomainError("term count M must be a positive integer")
+    if M > N:
+        raise DomainError(
+            f"M={M} exceeds N={N}: C(N-1, i) is zero for i >= N and the "
+            "series has no further terms"
+        )
+    q = 1.0 - p
+    if q == 0.0:
+        return 1.0 / N
+    log_ratio = math.log(q) - math.log(p)
+    try:
+        total = math.fsum(
+            math.exp(i * log_ratio - _ref_log_comb(N - 1, i)) for i in range(M)
+        )
+    except OverflowError:
+        total = math.inf
+    value = total / (N * p)
+    if value == math.inf:
+        raise DomainError(f"the M={M} series overflows double precision at p={p:g}")
+    return value
+
+
+def _ref_central_moment_binomial(N, p, i):
+    if N < 0:
+        raise DomainError("N must be non-negative")
+    if not 0.0 <= p <= 1.0:
+        raise DomainError("p must lie in [0, 1]")
+    if i < 0:
+        raise DomainError("moment index i must be non-negative")
+    if N == 0:
+        return 1.0 if i == 0 else 0.0
+    if i == 1:
+        return 0.0
+    mu = N * p
+    pdf = _pdf_in_k(N, p)
+    return math.fsum(pdf(k) * (k - mu) ** i for k in range(N + 1))
+
+
+def _ref_znidaric(N, p, M):
+    if N < 1:
+        raise DomainError("N must be a positive integer")
+    if not 0.0 < p <= 1.0:
+        raise DomainError("p must lie in (0, 1]")
+    if M < 1:
+        raise DomainError("term count M must be a positive integer")
+    q = 1.0 - p
+    b = N * p + q
+    terms = []
+    for i in range(M):
+        m_i = _ref_central_moment_binomial(N - 1, p, i)
+        t = (i + 1) * m_i / b**i
+        terms.append(-t if i % 2 else t)
+    return N * p / b**2 * math.fsum(terms)
+
+
+def _outcome(fn):
+    """The values fn returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except (DomainError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_SERIES = [
+    (stephan, _stephan_partial_sums, _ref_stephan),
+    (rempala, _rempala_partial_sums, _ref_rempala),
+    (znidaric, _znidaric_partial_sums, _ref_znidaric),
+]
+# N - 1 > 300 takes the Loader pmf in the znidaric moments
+_N = st.integers(min_value=1, max_value=400)
+_P = st.one_of(
+    st.sampled_from([1.0, 1e-300, 5e-324]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+# unsorted, with duplicates; rempala refuses counts above N
+_COUNTS = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("public, multi, ref", _SERIES,
+                         ids=[ref.__name__[5:] for _, _, ref in _SERIES])
+@settings(max_examples=60, deadline=None)
+@given(N=_N, p=_P, counts=_COUNTS)
+@example(N=10, p=0.5, counts=[3, 11, 2])  # rempala: M > N
+@example(N=10, p=1e-300, counts=[1, 3, 2])  # rempala: M = 3 overflows a term
+@example(N=10, p=1e-300, counts=[2, 1])  # rempala: M = 2 overflows the division
+@example(N=10, p=1e-300, counts=[1, 12, 3])  # rempala: M > N before the overflow
+@example(N=400, p=0.3, counts=[6, 1, 6, 4])
+@example(N=1, p=5e-324, counts=[1, 1])
+def test_partial_sums_equal_a_call_per_count(public, multi, ref, N, p, counts):
+    def per_count():
+        return [ref(N, p, M) for M in counts]
+
+    expected = _outcome(per_count)
+    assert _outcome(lambda: multi(N, p, counts)) == expected
+    assert _outcome(lambda: [public(N, p, M) for M in counts]) == expected
+
+
+@pytest.mark.parametrize("public, multi, ref", _SERIES,
+                         ids=[ref.__name__[5:] for _, _, ref in _SERIES])
+@pytest.mark.parametrize("N, p, counts", [
+    (0, 0.5, [1]),
+    (10, 0.0, [1]),
+    (10, 0.5, [2, 0, 3]),
+    (10, 0.5, [-1, 2]),
+    (3, 0.5, [2, 4, 0]),
+])
+def test_partial_sums_raise_as_a_call_per_count(public, multi, ref, N, p, counts):
+    expected = _outcome(lambda: [ref(N, p, M) for M in counts])
+    assert isinstance(expected, tuple) and expected[0] is DomainError
+    assert _outcome(lambda: multi(N, p, counts)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(min_value=0, max_value=400), p=st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-300, 5e-324]), st.floats(min_value=0.0, max_value=1.0)),
+    indices=st.lists(st.integers(min_value=0, max_value=8), max_size=6))
+@example(N=0, p=0.3, indices=[0, 3, 1])
+@example(N=350, p=0.2, indices=[1, 1])
+def test_central_moments_equal_a_call_per_index(N, p, indices):
+    expected = [_ref_central_moment_binomial(N, p, i) for i in indices]
+    assert _central_moments_binomial(N, p, indices) == expected
+    assert [central_moment_binomial(N, p, i) for i in indices] == expected
