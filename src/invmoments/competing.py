@@ -59,7 +59,8 @@ def stephan(N: int, p: float, M: int) -> float:
     sum taken in log space.  Every quantity is then positive, partial
     sums increase monotonically, and M in the tens of thousands is fine.
 
-    Runtime is O(M * N) exp calls and O(N + M) lgamma calls.
+    Runtime is O(M * N) exp calls and O(N + M) lgamma calls, kept in one
+    list of N + M + 1 floats; at p = 1 it is O(M), with no table.
     """
     return _stephan_partial_sums(N, p, (M,))[0]
 
@@ -74,28 +75,23 @@ def _stephan_partial_sums(N: int, p: float, counts) -> list[float]:
     top = _walk_length(counts)
     q = 1.0 - p
     terms = []
-    if top:
+    if top and q > 0.0:
         log_fact = _log_factorials(N + top)
-        if q > 0.0:
-            # per l = 1..N: log((N-l)!), l log p, (N-l) log q
-            log_p = math.log(p)
-            log_q = math.log(q)
-            tail = log_fact[N - 1::-1]
-            lp = [l * log_p for l in range(1, N + 1)]
-            lq = [(N - l) * log_q for l in range(1, N + 1)]
-        ratio = 1.0  # i! N! / (N+i)!, built as prod_{j<=i} j / (N+j)
-        for i in range(1, top + 1):
-            ratio *= i / (N + i)
-            if q == 0.0:
-                inner = 1.0  # only the l = N term survives at p = 1
-            else:
-                # log C(N+i, i+l) + l log p + (N-l) log q, summed left to right
-                head = log_fact[N + i]
-                inner = math.fsum(
-                    math.exp(head - a - b + c + d)
-                    for a, b, c, d in zip(log_fact[i + 1:], tail, lp, lq)
-                )
-            terms.append(ratio / i * inner)
+        log_p = math.log(p)
+        log_q = math.log(q)
+    ratio = 1.0  # i! N! / (N+i)!, built as prod_{j<=i} j / (N+j)
+    for i in range(1, top + 1):
+        ratio *= i / (N + i)
+        if q == 0.0:
+            inner = 1.0  # only the l = N term survives at p = 1
+        else:
+            # log C(N+i, i+l) + l log p + (N-l) log q, summed left to right
+            head = log_fact[N + i]
+            inner = math.fsum(
+                math.exp(head - log_fact[i + l] - log_fact[N - l] + l * log_p + (N - l) * log_q)
+                for l in range(1, N + 1)
+            )
+        terms.append(ratio / i * inner)
     values = []
     for M in counts:
         _check_count(M)

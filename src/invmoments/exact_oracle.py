@@ -8,6 +8,7 @@ formulas elsewhere in the package are tested against these.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterable, Iterator, Union
@@ -370,18 +371,22 @@ def central_moment_binomial(N: int, p: float, i: int) -> float:
 def _central_moments_binomial(N: int, p: float, indices) -> list[float]:
     """central_moment_binomial for every index in ``indices`` at once.
 
-    One pmf column serves every index.  Each moment is math.fsum of the
-    same products a single call takes, so the values are the same
-    doubles.  Arguments are the caller's to validate.
+    Each moment is math.fsum of the same products a single call takes,
+    so the values are the same doubles.  When more than one index needs
+    a sum, the pmf is computed once into an array of N + 1 doubles;
+    a single sum streams it, in O(1) memory.  Arguments are the
+    caller's to validate.
     """
     if N == 0:
         return [1.0 if i == 0 else 0.0 for i in indices]
-    if all(i == 1 for i in indices):
-        return [0.0] * len(indices)
     mu = N * p
     pdf = _pdf_in_k(N, p)
-    column = [(pdf(k), k - mu) for k in range(N + 1)]
-    return [0.0 if i == 1 else math.fsum(w * d**i for w, d in column) for i in indices]
+    if len({i for i in indices if i != 1}) > 1:
+        pdf = array("d", map(pdf, range(N + 1))).__getitem__
+    return [
+        0.0 if i == 1 else math.fsum(pdf(k) * (k - mu) ** i for k in range(N + 1))
+        for i in indices
+    ]
 
 
 def factorial_cumulants_from_pdf(weights: Iterable[float], max_j: int) -> list[float]:

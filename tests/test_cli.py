@@ -227,6 +227,10 @@ def test_huge_n_at_degenerate_p_answers_or_refuses_at_once(capsys):
     assert main(["sweep", "--N", "1000000000", "--r", "2", "--orders", "2",
                  "--grid", "1:1:1"]) == 2
     assert "the Poisson walk takes mu <= 1e+08" in capsys.readouterr().err
+    # stephan at p = 1 sums ratio terms only, with no log-factorial table
+    assert main(["sweep", "--N", "1000000000", "--method", "stephan", "--grid", "1:1:1"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[1]) == 1e-9 and abs(float(row[-3]) / 1e-9 - 1.0) < 1e-15
     assert time.perf_counter() - start < 2.0
 
 

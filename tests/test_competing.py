@@ -1,5 +1,6 @@
 """Tests for the three classical series the expansion is benchmarked against."""
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -292,3 +293,20 @@ def test_central_moments_equal_a_call_per_index(N, p, indices):
     expected = [_ref_central_moment_binomial(N, p, i) for i in indices]
     assert _central_moments_binomial(N, p, indices) == expected
     assert [central_moment_binomial(N, p, i) for i in indices] == expected
+
+
+def test_central_moments_memory_stays_off_the_pmf_for_one_index():
+    # one sum streams the pmf; several sums share one array of N + 1 doubles
+    N = 20_000
+
+    def peak(indices):
+        tracemalloc.start()
+        try:
+            _central_moments_binomial(N, 0.3, indices)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak((4,)) < N
+    assert peak((1, 4, 1)) < N
+    assert 8 * N < peak(range(6)) < 12 * N
