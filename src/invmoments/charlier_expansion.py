@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 
 import mpmath
+from mpmath.libmp import to_fixed
 
-from .exact_oracle import DomainError, _check_mu, _check_walk_mu, _poisson_terms
-from .poisson_moments import ShiftedMomentTable, _y_mp_list
+from .exact_oracle import DomainError, _check_mu, _check_walk_mu, _log2_jensen, _poisson_terms
+from .poisson_moments import ShiftedMomentTable, _er_from_ei, _y_integers
 from .special_numbers import alpha
 
 __all__ = [
@@ -207,7 +209,12 @@ def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:
     the closed form y(n) / mu**n; only those y values and the alpha
     coefficients are needed, no table construction.  p = 0 returns 0 by
     continuity (the variate is then 0 with probability one and the
-    positive part carries no mass).
+    positive part carries no mass).  The result is the truncated series
+    correctly rounded: the series is (U G + V E0 - W) / D with exact
+    integers U, V, W, D, G = e**(-mu) Er(mu) and E0 = e**(-mu) are taken
+    to within 2 units of 2**-T, which bounds the error before rounding
+    by 2 (|U| + |V|) 2**-T / D, and while that bound leaves the rounding
+    undecided, T doubles.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
@@ -218,26 +225,72 @@ def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:
     return _first_inverse_moments(N, p, (m,))[0]
 
 
+@cache
+def _part_coefficients(top: int) -> tuple[int, tuple]:
+    """(F, c) with c[k-1][j-1] = F (-1)**j alpha(k-j, j) / j! exactly, 1 <= j <= k < top."""
+    rows = [[(-1) ** j * alpha(k - j, j) / math.factorial(j) for j in range(1, k + 1)]
+            for k in range(1, top)]
+    F = math.lcm(1, *(c.denominator for row in rows for c in row))
+    return F, tuple(tuple(c.numerator * (F // c.denominator) for c in row) for row in rows)
+
+
 def _first_inverse_moments(N: int, p: float, orders) -> list[float]:
     """first_inverse_moment_binomial for every order in ``orders`` at once.
 
-    Order m is the mpmath.fsum of the first m parts of one series, part
-    k >= 1 one mpmath.fdot over j of (-1)**j alpha(k-j, j) / j! times
-    y(j+k), over N**k.  So a single y list, built for the largest order,
-    serves them all.  Arguments are the caller's to validate.
+    Order m sums parts k = 0 .. m-1 of one series: part 0 is y(0) and
+    part k >= 1 is the sum over j = 1..k of (-1)**j alpha(k-j, j) / j!
+    y(j+k), over N**k.  With y(n) from poisson_moments._y_integers,
+    order m is (U G + V E0 - W) / D for exact integers U, V, W, D,
+    prefix sums over k of the parts for the largest order.  Each order
+    is rounded by _rounded_orders from G and E0 at T bits.  The first T
+    is 77 bits (the double's 53 and 24 to spare) past the cancellation
+    from (|U| + |V|) / D down to the Jensen bound of E+[1/Q] at mu = N p;
+    while any order's rounding is undecided, T doubles (Ziv's scheme).
+    Arguments are the caller's to validate.
     """
     p = float(p)
     if p == 0.0:
         return [0.0] * len(orders)
-    top = max(orders)
-    ys, dps = _y_mp_list(N * p, 2 * (top - 1))
-    with mpmath.workdps(dps):
-        parts = [ys[0]] + [
-            mpmath.fdot([alpha(k - j, j) / ((-1) ** j * math.factorial(j))
-                         for j in range(1, k + 1)], ys[k + 1:]) / N**k
-            for k in range(1, top)
-        ]
-        return [float(mpmath.fsum(parts[:m])) for m in orders]
+    mu, top = N * p, max(orders)
+    F, coefs = _part_coefficients(top)
+    ys = _y_integers(mu, 2 * (top - 1))
+    den = F * N ** (top - 1) * ys[0][0]
+    sums = [(den, 0, 0)]
+    for k in range(1, top):
+        part = [sum(c * y[i] for c, y in zip(coefs[k - 1], ys[k + 1:])) for i in range(3)]
+        sums.append(tuple(s + N ** (top - 1 - k) * x for s, x in zip(sums[-1], part)))
+    rows = [sums[m - 1] for m in orders]
+    big = max(abs(U) + abs(V) for U, V, _ in rows)
+    T = big.bit_length() - den.bit_length() + 77 - math.floor(_log2_jensen(mu, 1, 0))
+    while (values := _rounded_orders(rows, den, mu, T)) is None:
+        T *= 2
+    return values
+
+
+def _rounded_orders(rows, den: int, mu: float, T: int) -> list[float] | None:
+    """(U G + V E0 - W) / den rounded once for each row, None if undecided.
+
+    G = e**(-mu) Er(mu) and E0 = e**(-mu) lie in (0, 1), so at T + 8
+    bits mpmath's few-ulp error is far below 2**-T, and their floors on
+    the scale 2**T are within 2 units each.  A row's exact numerator on
+    that scale is then within err = 2 (|U| + |V|) of the computed one.
+    Integer true division rounds correctly and monotonically, so when
+    both ends of that interval round to the same double, so does the
+    exact value.
+    """
+    with mpmath.workprec(T + 8):
+        e0 = mpmath.exp(-mpmath.mpf(mu))
+        g = e0 * _er_from_ei(mu)
+    g, e0 = to_fixed(g._mpf_, T), to_fixed(e0._mpf_, T)
+    den <<= T
+    values = []
+    for U, V, W in rows:
+        num, err = U * g + V * e0 - (W << T), 2 * (abs(U) + abs(V))
+        value = (num - err) / den
+        if value != (num + err) / den:
+            return None
+        values.append(value)
+    return values
 
 
 def barbour_error_bound(N: int, p: float, m: int) -> float:

@@ -125,8 +125,10 @@ class ErrorSweepReport:
 def _charlier_values(N: int, p: float, r: int, orders: tuple[int, ...]) -> list[float]:
     """Expansion values for each order in ``orders`` from one Poisson kernel.
 
-    Every order reads the same kernel at mu = N p: the y list for r = 1,
-    the shifted-moment table sized for the highest degree for r >= 2.
+    Every order reads the same kernel at mu = N p: for r = 1 one set of
+    exact y(n) integers and one pair of fixed-point constants
+    (charlier_expansion._first_inverse_moments), for r >= 2 the
+    shifted-moment table sized for the highest degree.
     """
     if r == 1:
         return _first_inverse_moments(N, p, orders)

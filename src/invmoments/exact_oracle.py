@@ -270,6 +270,18 @@ def _poisson_terms(mu: float) -> Iterator[tuple[int, float]]:
             yield k, math.exp(log_t)
 
 
+def _log2_jensen(mu: float, r: int, a: int) -> float:
+    """log2 of a Jensen lower bound on E[1/(Q+a)**r], Q ~ Poisson(mu).
+
+    P(Q >= 1)**(r+1) / mu**r for a = 0, the positive-part moment, and
+    (mu + a)**-r for a >= 1.  Taken in log space, so it stays finite
+    where the bound itself underflows.
+    """
+    if a:
+        return -r * math.log2(mu + a)
+    return (r + 1) * math.log2(-math.expm1(-mu)) - r * math.log2(mu)
+
+
 def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     """Sum of pi_mu(k) / (k+a)**r over k >= 0 (k >= 1 when a = 0).
 
@@ -279,19 +291,24 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     runs the Poisson recurrence itself rather than drawing on
     _poisson_terms, one generator step per term instead of two.
 
-    The majorant is tested only once pi < 2 tol.  That gate drops no
-    stop: for k >= mu the divisor rounds to at most k+1, so the rounded
-    majorant is at least the rounding of pi (1 - 2**-53), which is no
-    less than pi / 2, and a majorant below tol puts pi below 2 tol.
+    The stop compares the majorant with tol * L, L the Jensen bound of
+    _log2_jensen, taken once per call.  The majorant is tested only
+    once pi <= 2 tol L.  That gate drops no stop: for k >= mu the
+    divisor rounds to at most k+1, so the rounded majorant is at least
+    the rounding of pi (1 - 2**-53), which is no less than pi / 2, and
+    a majorant at most tol L puts pi at most 2 tol L.  Both tests allow
+    equality, so where tol L underflows to 0 the walk still ends once
+    pi does.
     """
     _check_walk_mu(mu)
+    limit = tol * 2.0 ** _log2_jensen(mu, r, a)
     tail = math.inf
 
     def terms() -> Iterator[float]:
         nonlocal tail
         walk = None if mu <= 700.0 else _poisson_terms(mu)
         pi = math.exp(-mu)
-        gate = 2.0 * tol
+        gate = 2.0 * limit
         if a and walk is None:  # past mu = 700 the k = 0 term, under e**-700, is left out
             yield pi / a**r
         for k in count(1):
@@ -299,9 +316,9 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
                 pi *= mu / k
             else:
                 pi = next(walk)[1]
-            if k >= mu and pi < gate:
+            if k >= mu and pi <= gate:
                 tail = pi * (k + 1) / (k + 1 - mu)
-                if tail < tol:
+                if tail <= limit:
                     return
             yield pi / (k + a) ** r
 
@@ -317,9 +334,11 @@ def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> Orac
 
     Sums e**(-mu) * mu**k / (k! * k**r) over k >= 1 and truncates at the
     first k >= mu where the geometric tail majorant
-    pi_mu(k) * (k+1) / (k+1-mu) drops below ``tol``.  The majorant also
-    covers the weighted tail because 1/k**r <= 1, and it is returned as
-    the ``tail_bound``.  mu above 1e8 is refused (_WALK_MU_CAP).
+    pi_mu(k) * (k+1) / (k+1-mu) is at most ``tol`` times the Jensen
+    lower bound P(Q >= 1)**(r+1) / mu**r of the result, so ``tol`` is
+    relative.  The majorant also covers the weighted tail because
+    1/k**r <= 1, and it is returned as the ``tail_bound``.  mu above
+    1e8 is refused (_WALK_MU_CAP).
     """
     _check_mu(mu)
     if r < 1:
@@ -338,6 +357,9 @@ def shifted_poisson_moment_direct(
     conditioned) expectation.  For a = 0 the sum starts at k = 1 and the
     result is the positive-part moment; a = 0 with r = 0 is rejected
     because that expectation has no finite defining sum to truncate.
+    The walk stops as poisson_inverse_moment_direct's does, with the
+    Jensen bound (mu + a)**-r for a >= 1, so ``tol`` is relative here
+    too.
     """
     _check_mu(mu)
     if a < 0:

@@ -16,6 +16,9 @@ through mpmath; the package treats that as its extended-precision
 substrate wherever plain doubles would lose the answer to cancellation.
 Each mpmath sum is one mpmath.fdot or fsum, rounded once; the precision
 covers the rounded inputs, whose error the alternating sums amplify.
+The r = 1 kernel needs no mpmath sum: y(n), mu**n times the n-th
+alternating forward difference of a -> E[1/(Q+a)], is exact integers
+times e**(-mu) Er(mu) and e**(-mu) (_y_integers).
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ from .exact_oracle import (
     DomainError,
     _check_mu,
     _check_walk_mu,
+    _log2_jensen,
     _poisson_terms,
     shifted_poisson_moment_direct,
 )
@@ -463,8 +467,7 @@ def _fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
     a >= 1 and P(Q >= 1)**(r+1) / mu**r for a = 0.
     """
     guard = (int(2.0 * mu) + prec + 22).bit_length() + 4
-    low = -r * math.log2(mu + A) if A else math.inf
-    low = min(low, (r + 1) * math.log2(-math.expm1(-mu)) - r * math.log2(mu))
+    low = min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A))
     wp = prec + guard
     return wp - math.floor(low) + 2, wp
 
@@ -533,36 +536,23 @@ def _shifted_sums_mp(x: mpf, r: int, A: int) -> list:
     ]
 
 
-def _y_mp_list(mu: float, n_max: int) -> tuple[list, int]:
-    """y(0) .. y(n_max) as mpmath floats, with their working precision.
+def _y_integers(mu: float, n_max: int) -> list[tuple[int, int, int]]:
+    """(u, v, w) per n = 0 .. n_max with y(n) = (u G + v E0 - w) / u(0).
 
-    y(n) = mu**n * e**(-mu) * Er(mu)
-           + sum_{l=1..n} (l-1)! * (e**(-mu) * C(n, l) - 1) * mu**(n-l),
-
-    which equals mu**n times the n-th alternating forward difference of
-    a -> E[1/(Q+a)].  Each y(n) is one mpmath.fsum of its terms, rounded
-    once; the terms' own rounding, mostly of e**(-mu) C(n, l) - 1, is
-    what the sum's cancellation amplifies, hence the elevated precision.
-    Below mu = 1 the order-mu parts of the sum cancel down to mu**n,
-    which costs up to n_max digits per decade of mu; those come on top.
-    Callers combine the values at the returned precision.
+    y(n) = mu**n G + E0 P_n(mu) - R_n(mu), G = e**(-mu) Er(mu),
+    E0 = e**(-mu), P_n = sum_{l=1..n} (l-1)! C(n, l) mu**(n-l) and
+    R_n = sum_{l=1..n} (l-1)! mu**(n-l), is mu**n times the n-th
+    alternating forward difference of a -> E[1/(Q+a)].  The double mu
+    is exactly a / 2**s, so on the common scale u(0) = 2**(s n_max)
+    every coefficient is an exact integer; only G and E0 are not.
     """
-    dps = _table_dps(mu, n_max)
-    if mu < 1.0:
-        dps += n_max * math.ceil(-math.log10(mu))
-    with mpmath.workdps(dps):
-        x = mpf(mu)
-        expmx = mpmath.exp(-x)
-        base = expmx * _er_from_ei(mu)
-        xp = [x**j for j in range(n_max + 1)]
-        ys = [
-            mpmath.fsum([xp[n] * base] + [
-                math.factorial(l - 1) * (expmx * math.comb(n, l) - 1) * xp[n - l]
-                for l in range(1, n + 1)
-            ])
-            for n in range(n_max + 1)
-        ]
-    return ys, dps
+    a, b = mu.as_integer_ratio()
+    t = [a**i * b ** (n_max - i) for i in range(n_max + 1)]  # mu**i u(0)
+    ys = []
+    for n in range(n_max + 1):
+        terms = [math.factorial(l - 1) * t[n - l] for l in range(1, n + 1)]
+        ys.append((t[n], sum(math.comb(n, l) * x for l, x in enumerate(terms, 1)), sum(terms)))
+    return ys
 
 
 def _largest_failing_index(fails, start: int, cap: int) -> int:

@@ -23,6 +23,7 @@ from invmoments.exact_oracle import (
     factorial_cumulants_from_pdf,
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
+    _log2_jensen,
     _poisson_terms,
     _stirlerr,
     _support,
@@ -285,6 +286,34 @@ def test_poisson_direct_small_mu_leading_behaviour():
     assert abs(ov.value / (mu * math.exp(-mu)) - 1.0) < 1e-7
 
 
+def test_poisson_direct_tol_is_relative():
+    # the stop scales tol by a Jensen lower bound of the result, so a value
+    # far below tol keeps its digits instead of being cut to nothing
+    assert poisson_inverse_moment_direct(1e-300, 1).value == 1e-300
+    for mu in (1e-5, 0.37, 150.0):
+        for r in (1, 2, 4):
+            loose = poisson_inverse_moment_direct(mu, r).value
+            tight = poisson_inverse_moment_direct(mu, r, tol=1e-30).value
+            assert abs(1.0 - loose / tight) <= 1e-12, (mu, r)
+    for a in (1, 3):
+        loose = shifted_poisson_moment_direct(150.0, a, 4).value
+        tight = shifted_poisson_moment_direct(150.0, a, 4, tol=1e-30).value
+        assert abs(1.0 - loose / tight) <= 1e-12, a
+
+
+@pytest.mark.parametrize("mu", [1e-308, 5e-324])
+@pytest.mark.parametrize("r", [1, 2, 6])
+def test_direct_walks_end_once_pi_underflows(mu, r):
+    # at 5e-324, tol times the bound (about mu) is 0; the walk must still
+    # stop once the Poisson term underflows to 0
+    if mu == 5e-324:
+        assert 1e-12 * 2.0 ** _log2_jensen(mu, r, 0) == 0.0
+    for tol in (1e-12, 1e-30):
+        assert poisson_inverse_moment_direct(mu, r, tol).value == mu
+        assert shifted_poisson_moment_direct(mu, 0, r, tol).value == mu
+        assert shifted_poisson_moment_direct(mu, 2, r, tol).value == 2.0**-r
+
+
 def test_poisson_direct_tail_respects_tol():
     loose = poisson_inverse_moment_direct(7.0, 1, tol=1e-6)
     tight = poisson_inverse_moment_direct(7.0, 1, tol=1e-15)
@@ -343,11 +372,12 @@ def test_shifted_direct_a_zero_matches_positive_moment():
 
 def _ungated_direct(mu, a, r, tol):
     """The direct sum with its majorant computed at every k >= mu."""
+    limit = tol * 2.0 ** _log2_jensen(mu, r, a)
     terms = [(math.exp(-mu) if mu <= 700.0 else 0.0) / a**r if a else 0.0]
     for k, pi in _poisson_terms(mu):
         if k >= mu:
             tail = pi * (k + 1) / (k + 1 - mu)
-            if tail < tol:
+            if tail <= limit:
                 return math.fsum(terms).hex(), tail.hex()
         terms.append(pi / (k + a) ** r)
 

@@ -10,7 +10,7 @@ from mpmath import mpf
 
 from invmoments import poisson_moments
 
-from invmoments.charlier_expansion import binomial_barbour_polynomial, expand_pdf
+from invmoments.charlier_expansion import _rounded_orders, binomial_barbour_polynomial, expand_pdf
 from invmoments.exact_oracle import (
     Binomial,
     DomainError,
@@ -21,7 +21,7 @@ from invmoments.exact_oracle import (
 from invmoments.poisson_moments import (
     CalibrationError,
     CrossoverProfile,
-    _y_mp_list,
+    _y_integers,
     build_q_table,
     calibrate_crossover,
     er_function,
@@ -164,8 +164,10 @@ def test_positive_moment_tiny_mu_returns(mu, r):
 
 
 def _y(mu, n):
-    ys, _ = _y_mp_list(mu, n)
-    return float(ys[n])
+    # y(n) = mu**n G + E0 P_n - R_n as the r = 1 kernel forms it: exact
+    # integers over u(0), G and E0 at 200 bits, rounded once
+    ys = _y_integers(mu, n)
+    return _rounded_orders([ys[n]], ys[0][0], mu, 200)[0]
 
 
 def test_y_sequence_frozen():
