@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import islice
 
@@ -18,7 +19,7 @@ import mpmath
 from mpmath.libmp import to_fixed
 
 from .exact_oracle import DomainError, _check_mu, _check_walk_mu, _log2_jensen, _poisson_terms
-from .poisson_moments import ShiftedMomentTable, _er_from_ei, _y_integers
+from .poisson_moments import ShiftedMomentTable, _er_from_ei, _q_table, _y_integers
 from .special_numbers import alpha
 
 __all__ = [
@@ -50,6 +51,8 @@ class ExpansionPolynomial:
         if self.order < 1:
             raise DomainError("order must be a positive integer")
         coeffs = {d: c for d, c in self.coefficients.items() if c != 0}
+        if any(isinstance(c, float) and not math.isfinite(c) for c in coeffs.values()):
+            raise DomainError("coefficients must be finite")
         if coeffs.get(0) != 1:
             raise DomainError("the degree 0 coefficient must be exactly 1")
         if 1 in coeffs:
@@ -125,25 +128,30 @@ def binomial_cumulants(N: int, p, max_j: int) -> tuple:
 def binomial_barbour_polynomial(N: int, mu, m: int) -> ExpansionPolynomial:
     """Binomial expansion polynomial straight from the alpha coefficients.
 
-    coefficient(j + k) accumulates (-1)**j / j! * alpha(k-j, j)
-    * mu**(j+k) / N**k over 1 <= j <= k <= m - 1.  Equal, coefficient by
-    coefficient, to barbour_polynomial fed the binomial cumulants with
-    p = mu / N; the two constructions share no code, which is what makes
-    comparing them a real check.
+    coefficient(d) = mu**d sum_{j+k=d} (-1)**j / j! * alpha(k-j, j)
+    / N**k over 1 <= j <= k <= m - 1: the sum per degree first, in
+    integers over the common denominator of _part_coefficients, then
+    one product with mu**d.  Every coefficient is an exact Fraction,
+    since a float mu is taken as Fraction(mu), which is exact too.
+    Equal, coefficient by coefficient, to barbour_polynomial fed the
+    binomial cumulants with p = mu / N; the two constructions share no
+    code, which is what makes comparing them a real check.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
     if m < 1:
         raise DomainError("order m must be a positive integer")
-    if mu < 0:
-        raise DomainError("mu must be non-negative")
-    coeffs: dict[int, object] = {0: 1}
-    for k in range(1, m):
-        for j in range(1, k + 1):
-            d = j + k
-            c = (-1) ** j * alpha(k - j, j) / math.factorial(j)
-            coeffs[d] = coeffs.get(d, 0) + c * mu**d / N**k
-    return ExpansionPolynomial(coeffs, m)
+    if not 0 <= mu < math.inf:
+        raise DomainError("mu must be non-negative and finite")
+    a, b = Fraction(mu).as_integer_ratio()
+    F, parts = _part_coefficients(m)
+    sums: dict[int, int] = {}  # per degree, over F N**(m-1)
+    for k, row in enumerate(parts, 1):
+        for j, c in enumerate(row, 1):
+            sums[j + k] = sums.get(j + k, 0) + c * N ** (m - 1 - k)
+    den = F * N ** (m - 1)
+    coeffs = {d: Fraction(c * a**d, den * b**d) for d, c in sums.items()}
+    return ExpansionPolynomial({0: 1} | coeffs, m)
 
 
 def expand_pdf(poly: ExpansionPolynomial, mu: float) -> list[float]:
@@ -189,17 +197,31 @@ def inverse_moment_estimate(poly: ExpansionPolynomial, q_table: ShiftedMomentTab
 
     Each difference degree d contributes coefficient(d) times the d-th
     alternating forward difference of the table, which the table
-    computes once for all its readers.  The pairing is one mpmath.fdot:
-    exact products (a Fraction coefficient is first rounded to the
-    table's precision), one rounding of their sum, then one to double.
+    computes once for all its readers.  Every coefficient is taken as an
+    exact Fraction (a float is one), so the estimate is one integer
+    numerator over L 2**S, L the coefficients' common denominator, and
+    errs by at most the sum of |coefficient(d)| L times the d-th
+    difference's bound.  The result is the truncated series correctly
+    rounded: when both ends of that interval round to one double, that
+    double is returned; while they do not, the table is rebuilt at twice
+    its precision (Ziv's scheme).
     """
     if poly.max_degree > q_table.A:
         raise IndexError(
             f"polynomial degree {poly.max_degree} exceeds table range A={q_table.A}"
         )
-    nus = q_table.differences
-    with mpmath.workdps(q_table.dps):
-        return float(mpmath.fdot((c, nus[d]) for d, c in poly.coefficients.items()))
+    coeffs = [(d, Fraction(c)) for d, c in poly.coefficients.items()]
+    L = math.lcm(*(c.denominator for _, c in coeffs))
+    coeffs = [(d, c.numerator * (L // c.denominator)) for d, c in coeffs]
+    table = q_table
+    while True:
+        nus = table.differences
+        num = sum(c * nus[d][0] for d, c in coeffs)
+        err = sum(abs(c) * nus[d][1] for d, c in coeffs)
+        den = L << table.S
+        if (value := (num - err) / den) == (num + err) / den:
+            return value
+        table = _q_table(table.mu, table.r, table.A, 2 * table.prec)
 
 
 def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:

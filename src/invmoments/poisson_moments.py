@@ -12,13 +12,13 @@ Shifted moments E[1/(Q+a)**r] come from one closed form in Stirling
 numbers, valid for every r, where that is numerically stable (small mu
 and a within the Stirling row cap) and from direct summation elsewhere.
 The closed form cancels heavily, so it runs at elevated precision
-through mpmath; the package treats that as its extended-precision
-substrate wherever plain doubles would lose the answer to cancellation.
-Each mpmath sum is one mpmath.fdot or fsum, rounded once; the precision
-covers the rounded inputs, whose error the alternating sums amplify.
-The r = 1 kernel needs no mpmath sum: y(n), mu**n times the n-th
-alternating forward difference of a -> E[1/(Q+a)], is exact integers
-times e**(-mu) Er(mu) and e**(-mu) (_y_integers).
+through mpmath, as one mpmath.fdot rounded once.  The expansion's
+inputs need no mpmath sum.  The q table holds each E[1/(Q+a)**r] as an
+exact integer on one scale 2**S with its own error bound, so its
+alternating differences are exact integer sums (build_q_table).  At
+r = 1, y(n), mu**n times the n-th alternating forward difference of
+a -> E[1/(Q+a)], is exact integers times e**(-mu) Er(mu) and e**(-mu)
+(_y_integers).
 """
 from __future__ import annotations
 
@@ -31,14 +31,15 @@ from typing import Iterator
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import (
+    from_float,
     from_int,
-    from_man_exp,
     mpf_div,
     mpf_exp,
     mpf_mul,
     mpf_neg,
-    round_nearest,
+    mpf_shift,
     to_fixed,
+    to_float,
 )
 
 from .exact_oracle import (
@@ -350,9 +351,13 @@ def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
     """E[1/(Q+a)**r] from the Stirling closed form, for 1 <= a <= 64.
 
     One mpmath.fdot pairs the exact Stirling integers with their factors.
+    Each E+[1/Q**k] among them is the one entry of an integer table at
+    the working precision, rounded once.
     """
     pairs = [(_stirling_entry(0, a, r), -mpmath.expm1(-x))]
-    pairs += [(_stirling_entry(0, a, r - k), _shifted_sums_mp(x, k, 0)[0]) for k in range(1, r)]
+    for k in range(1, r):
+        t = _q_table(float(x), k, 0, mpmath.mp.prec)
+        pairs.append((_stirling_entry(0, a, r - k), mpmath.ldexp(t.totals[0], -t.S)))
     pairs += [(_stirling_entry(k, a - k, r), x**k) for k in range(1, a)]
     return mpmath.fdot(pairs) / x**a
 
@@ -389,59 +394,54 @@ def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
 class ShiftedMomentTable:
     """Shifted moments q(a) = E[1/(Q+a)**r] for a = 0 .. A, one mu and r.
 
-    The entries are mpmath floats carried at ``dps`` decimal digits,
-    enough that A-fold forward differencing of the table still leaves a
-    full double of accuracy.  ``value`` gives the rounded double view;
+    Entry a is the integer ``totals[a]``, within ``errs[a]`` of
+    2**S q(a) (the bound is _q_table's).  ``prec`` is the precision in
+    bits the table was built for, which a reader doubles when it needs
+    a finer table.  ``value`` gives totals[a] / 2**S rounded once;
     ``differences`` holds the alternating forward differences at a = 0,
     computed once, on first use, for every reader of the table.
     """
 
     mu: float
     r: int
-    values: tuple
-    dps: int
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 1:
-            raise DomainError("table must hold at least the a = 0 entry")
+    totals: tuple[int, ...]
+    errs: tuple[int, ...]
+    S: int
+    prec: int
 
     @property
     def A(self) -> int:
-        return len(self.values) - 1
+        return len(self.totals) - 1
 
     def value(self, a: int) -> float:
-        return float(self.values[a])
+        return self.totals[a] / (1 << self.S)
 
     @cached_property
-    def differences(self) -> tuple:
-        """((-Delta)**n q)(0) = sum_a C(n, a) (-1)**a q(a) for n = 0 .. A.
-
-        Each is one mpmath.fdot of the exact signed binomials with the
-        entries, rounded once.  The heavy cancellation amplifies the
-        entries' own rounding, which costs guard digits rather than
-        answer digits.
+    def differences(self) -> tuple[tuple[int, int], ...]:
+        """(nu, err) per n = 0 .. A: nu = sum_a C(n, a) (-1)**a totals[a],
+        exact, by n rounds of first differences, within err = sum_a
+        C(n, a) errs[a] of 2**S ((-Delta)**n q)(0).
         """
-        with mpmath.workdps(self.dps):
-            return tuple(  # fdot zips, so entry n reads values[0 .. n]
-                mpmath.fdot([(-1) ** a * math.comb(n, a) for a in range(n + 1)], self.values)
-                for n in range(self.A + 1)
-            )
-
-
-def _table_dps(mu: float, A: int) -> int:
-    # An A-fold difference loses about A * log10(2 * mu) digits against
-    # the raw entries, a bit fewer for small mu.
-    lost = max(0, math.ceil(A * math.log10(2.0 * max(mu, 1.0))))
-    return 40 + lost
+        out = []
+        nus, errs = list(self.totals), list(self.errs)
+        while nus:
+            out.append((nus[0], errs[0]))
+            nus = [u - v for u, v in zip(nus, nus[1:])]
+            errs = [u + v for u, v in zip(errs, errs[1:])]
+        return tuple(out)
 
 
 def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
-    """Tabulate q(a) = E[1/(Q+a)**r] for a = 0 .. A at working precision.
+    """Tabulate q(a) = E[1/(Q+a)**r] for a = 0 .. A as exact integers.
 
-    All entries come from the same direct summation so the table is
-    internally consistent, which matters because consumers difference
-    it; mixing evaluation routes across a would turn route disagreement
-    into spurious difference signal.
+    All entries come from the same fixed-point walk over k, so the
+    table is internally consistent, which matters because consumers
+    difference it; mixing evaluation routes across a would turn route
+    disagreement into spurious difference signal.  The precision is
+    sized so that an A-fold difference, which loses about
+    A (1 + log2(mu) / 2) bits against the entries, still leaves a
+    double's worth; a reader whose rounding it leaves undecided builds
+    a finer table itself (inverse_moment_estimate).
     """
     _check_mu(mu)
     _check_walk_mu(mu)
@@ -449,91 +449,66 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
         raise DomainError("moment order r must be a positive integer")
     if A < 0:
         raise DomainError("A must be non-negative")
-    dps = _table_dps(mu, A)
-    with mpmath.workdps(dps):
-        totals = _shifted_sums_mp(mpf(mu), r, A)
-    return ShiftedMomentTable(float(mu), r, tuple(totals), dps)
+    mu = float(mu)
+    return _q_table(mu, r, A, 80 + A * (1 + max(0, math.ceil(math.log2(mu) / 2))))
+
+
+def _q_table(mu: float, r: int, A: int, prec: int) -> ShiftedMomentTable:
+    """The table of build_q_table at ``prec`` bits, arguments unchecked.
+
+    With K the walk's last step, entry a errs by at most errs[a] =
+    F + ((2K + 1) (totals[a] + F) >> (wp - 3)) + 1 units of 2**-S,
+    F = 2 (K + 1) + 2: two floors per term for K + 1 terms, at most 2
+    for the tail past K, and the Poisson term's rounding.  By step k
+    that term carries 2k + 1 roundings of one ulp at wp bits, so it is
+    within (2k + 1) 2**(2-wp) of its own value, and the sum within
+    (2K + 1) 2**(2-wp) 2**S q(a); the guard bits keep that below half
+    of 2**S q(a), which is thus at most twice totals[a] + F.
+    """
+    S, wp = _fixed_scale(mu, r, A, prec)
+    totals, K = _shifted_totals_fixed(mu, r, A, S, wp)
+    F = 2 * (K + 1) + 2
+    errs = tuple(F + ((2 * K + 1) * (t + F) >> (wp - 3)) + 1 for t in totals)
+    return ShiftedMomentTable(mu, r, tuple(totals), errs, S, prec)
 
 
 def _fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
     """(S, wp): the fixed-point scale 2**S and the Poisson-term precision.
 
-    The walk over k ends by k = 2*mu + prec + 22: past 2*mu each entry's
-    term at most halves the last, and halving reaches 10**-(dps+5) of
-    the entry within prec + 20 steps.  Guard bits covering that count
-    keep the summed floor and rounding errors below one unit of the
-    answer's last place.  S then puts the smallest entry at prec + guard
-    bits, with that entry bounded below by Jensen: 1/(mu+A)**r for
-    a >= 1 and P(Q >= 1)**(r+1) / mu**r for a = 0.
+    S puts the smallest entry at wp + 2 bits or more, by Jensen's lower
+    bound: 1/(mu+A)**r for a >= 1, P(Q >= 1)**(r+1) / mu**r for a = 0.
+    With wp = prec + guard, the guard covering the count 2K + 1, each
+    entry's bound (_q_table) is then 2**-prec of it or less.  Past 2 mu
+    each term at most halves the last, so the walk ends by
+    K = 2 mu + S + 2, which the guard covers with 64 bits to spare.
     """
-    guard = (int(2.0 * mu) + prec + 22).bit_length() + 4
     low = min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A))
+    guard = (int(2.0 * mu) + prec - math.floor(low) + 68).bit_length() + 4
     wp = prec + guard
     return wp - math.floor(low) + 2, wp
 
 
-def _fixed_poisson_terms(x: mpf, S: int, wp: int) -> Iterator[int]:
-    """floor(2**S * e**(-x) * x**k / k!) for k = 0, 1, 2, ...
+def _shifted_totals_fixed(mu: float, r: int, A: int, S: int, wp: int) -> tuple[list[int], int]:
+    """(totals, K): 2**S * E[1/(Q+a)**r] for a = 0 .. A in one walk over k.
 
-    The term itself stays a binary float at wp bits, since e**(-x) would
-    underflow any fixed scale at large x; only its copy is fixed-point.
+    The Poisson term stays a binary float at wp bits, since e**(-mu)
+    would underflow any fixed scale at large mu; each entry adds its
+    fixed-point copy floored by the exact integer (k+a)**r.  The walk
+    stops at the first K > mu where the majorant t (K+1) / (K+1-mu) of
+    the terms from K on, t the term on the scale 2**S, is below one
+    unit; the integer copy of t is 0 by then, which is tested first.
     """
-    xm = x._mpf_
-    t = mpf_exp(mpf_neg(xm), wp)
-    yield to_fixed(t, S)
-    k = 0
-    while True:
-        k += 1
-        t = mpf_div(mpf_mul(t, xm, wp), from_int(k), wp)
-        yield to_fixed(t, S)
-
-
-def _shifted_totals_fixed(x: mpf, r: int, A: int, S: int, wp: int) -> list[int]:
-    """2**S * E[1/(Q+a)**r] for a = 0 .. A as integers, in one walk over k.
-
-    Each entry floors the shared fixed-point Poisson term by its own
-    exact integer (k+a)**r and, once k > x, stops at its own tolerance,
-    so it equals its stand-alone walk on the same scale.
-    """
-    mu = float(x)
-    scale = 10 ** (mpmath.mp.dps + 5)
-    terms = _fixed_poisson_terms(x, S, wp)
-    t0 = next(terms)
-    totals = [0] + [t0 // a**r for a in range(1, A + 1)]
-    k = 0
-    # no entry may stop while k <= mu; zip tries the range first, so it
-    # takes no term past floor(mu) from the walk
-    for k, t in zip(range(1, math.floor(mu) + 1), terms):
-        for a in range(A + 1):
-            totals[a] += t // (k + a) ** r
-    live = list(range(A + 1))
-    for k, t in enumerate(terms, k + 1):
-        done = []
-        for a in live:
-            term = t // (k + a) ** r
-            total = totals[a] + term
-            totals[a] = total
-            if term * scale < total:
-                done.append(a)
-        if done:
-            live = [a for a in live if a not in done]
-            if not live:
-                return totals
-
-
-def _shifted_sums_mp(x: mpf, r: int, A: int) -> list:
-    """E[1/(Q+a)**r] for a = 0 .. A at the current working precision.
-
-    The a = 0 entry is the positive-part moment E+[1/Q**r].  One
-    fixed-point walk over k serves every entry (_shifted_totals_fixed);
-    each total is rounded once to the working precision.
-    """
-    prec = mpmath.mp.prec
-    S, wp = _fixed_scale(float(x), r, A, prec)
-    return [
-        mpmath.mp.make_mpf(from_man_exp(total, -S, prec, round_nearest))
-        for total in _shifted_totals_fixed(x, r, A, S, wp)
-    ]
+    x = from_float(mu)
+    t = mpf_exp(mpf_neg(x), wp)
+    fixed = to_fixed(t, S)
+    totals = [0] + [fixed // a**r for a in range(1, A + 1)]
+    for k in count(1):
+        t = mpf_div(mpf_mul(t, x, wp), from_int(k), wp)
+        fixed = to_fixed(t, S)
+        if fixed:
+            totals = [s + fixed // (k + a) ** r for a, s in enumerate(totals)]
+        elif k > mu and to_float(mpf_shift(t, S)) * (k + 1) < k + 1 - mu:
+            return totals, k
 
 
 def _y_integers(mu: float, n_max: int) -> list[tuple[int, int, int]]:

@@ -217,6 +217,18 @@ def test_error_bound_formula():
         assert abs(barbour_error_bound(100, 0.01, m) - direct) <= 1e-15 * direct
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_to_the_polynomial_layer_is_domain_error(bad):
+    # a NaN or infinite coefficient would reach inverse_moment_estimate
+    # and come out as a NaN or infinite estimate
+    with pytest.raises(DomainError):
+        binomial_barbour_polynomial(10, bad, 3)
+    with pytest.raises(DomainError):
+        barbour_polynomial((2.0, bad), 2)
+    with pytest.raises(DomainError):
+        ExpansionPolynomial({0: 1, 2: bad}, 2)
+
+
 def test_polynomial_validation():
     with pytest.raises(DomainError):
         ExpansionPolynomial({0: 2.0}, 1)

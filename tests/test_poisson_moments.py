@@ -2,11 +2,14 @@
 import math
 import sys
 import threading
+from fractions import Fraction
+from itertools import count
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_float, from_int, mpf_div, mpf_exp, mpf_mul, mpf_neg, to_fixed
 
 from invmoments import poisson_moments
 
@@ -176,17 +179,19 @@ def test_y_sequence_frozen():
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 5.0, 20.0])
 def test_y_sequence_is_scaled_difference(mu):
+    # the exact y(n) lies within mu**n (nu -+ err) / 2**S of the table's
+    # integer difference, and the kernel's y(n) is its rounded double
     table = build_q_table(mu, 1, 10)
     for n in range(1, 11):
-        delta = float(table.differences[n])
-        want = delta * mu**n
+        nu, err = table.differences[n]
+        scale = Fraction(mu) ** n / (1 << table.S)
         got = _y(mu, n)
-        assert abs(got - want) <= 1e-9 * max(abs(want), 1e-300), n
+        assert (nu - err) * scale - math.ulp(got) <= got <= (nu + err) * scale + math.ulp(got), n
 
 
 def test_forward_difference_brute_force():
     table = build_q_table(1.0, 1, 4)
-    delta4 = float(table.differences[4])
+    delta4 = table.differences[4][0] / (1 << table.S)
     acc = 0.0
     for a in range(5):
         v = shifted_poisson_moment_direct(1.0, a, 1, tol=1e-16).value if a else \
@@ -347,47 +352,47 @@ def test_er_from_ei_matches_series(log10_mu, dps):
         assert abs(got - want) <= 10 * ulp, (mu, dps)
 
 
-def _shifted_direct_sum(x, expmx, a, r):
-    """E[1/(Q+a)**r] summed on its own, at the current working precision."""
+def _shifted_direct_sums(x, r, A):
+    """E[1/(Q+a)**r] for a = 0 .. A summed directly, at the current working precision.
+
+    One walk over k; it stops once past x the term falls below 1e-(dps+5)
+    of every sum, a bound on the tail since 1/(k+a)**r <= 1.
+    """
     eps = mpf(10) ** (-(mpmath.mp.dps + 5))
-    total = expmx / mpf(a) ** r if a > 0 else mpf(0)
-    t = expmx
-    k = 0
-    while True:
-        k += 1
-        t *= x / k
-        term = t / mpf(k + a) ** r
-        total += term
-        if k > x and term < total * eps:
-            return total
+    t = mpmath.exp(-x)
+    totals = [mpf(0)] + [t / a**r for a in range(1, A + 1)]
+    for k in count(1):
+        t = t * x / k
+        totals = [s + t / (k + a) ** r for a, s in enumerate(totals)]
+        if k > x and t * (k + 1) < min(totals) * eps * (k + 1 - x):
+            return totals
 
 
-def _fixed_entry_walk(x, a, r, S, wp):
-    """2**S * E[1/(Q+a)**r] walked on its own, on the table's fixed-point scale."""
-    scale = 10 ** (mpmath.mp.dps + 5)
-    terms = poisson_moments._fixed_poisson_terms(x, S, wp)
-    t0 = next(terms)
-    total = t0 // a**r if a > 0 else 0
-    for k, t in enumerate(terms, 1):
-        term = t // (k + a) ** r
-        total += term
-        if k > x and term * scale < total:
-            return total
+def _fixed_entry_walk(mu, a, r, S, wp):
+    """(2**S * E[1/(Q+a)**r], K) walked on its own, on the table's scale and to its stop."""
+    x = from_float(mu)
+    t = mpf_exp(mpf_neg(x), wp)
+    total = to_fixed(t, S) // a**r if a > 0 else 0
+    for k in count(1):
+        t = mpf_div(mpf_mul(t, x, wp), from_int(k), wp)
+        total += to_fixed(t, S) // (k + a) ** r
+        sign, man, exp, _ = t
+        # the majorant t (k+1) / (k+1-mu) on the scale 2**S, below one unit
+        if k > mu and Fraction(man) * Fraction(2) ** (exp + S) * (k + 1) < k + 1 - Fraction(mu):
+            return total, k
 
 
 @pytest.mark.parametrize("mu", [1e-3, 0.5, 7.3, 61.0])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_q_table_one_pass_equals_per_entry_sums(mu, r):
     # the shared walk gives each entry exactly the integer total of its
-    # own walk on the same scale 2**S, and the table rounds those totals
+    # own walk on the same scale 2**S, with the same last step
     table = build_q_table(mu, r, 10)
-    with mpmath.workdps(table.dps):
-        x = mpf(mu)
-        S, wp = poisson_moments._fixed_scale(mu, r, 10, mpmath.mp.prec)
-        one_pass = poisson_moments._shifted_totals_fixed(x, r, 10, S, wp)
-        want = [_fixed_entry_walk(x, a, r, S, wp) for a in range(11)]
-        assert one_pass == want
-        assert table.values == tuple(mpmath.ldexp(mpf(t), -S) for t in want)
+    S, wp = poisson_moments._fixed_scale(mu, r, 10, table.prec)
+    want = [_fixed_entry_walk(mu, a, r, S, wp) for a in range(11)]
+    one_pass, K = poisson_moments._shifted_totals_fixed(mu, r, 10, S, wp)
+    assert want == [(total, K) for total in one_pass]
+    assert table.S == S and table.totals == tuple(one_pass)
 
 
 @settings(max_examples=40, deadline=None)
@@ -398,15 +403,19 @@ def test_q_table_one_pass_equals_per_entry_sums(mu, r):
 )
 @example(log_mu=math.log(1e-300), r=6, A=12)
 @example(log_mu=math.log(1e4), r=1, A=12)
-def test_q_table_matches_mpf_direct_sums(log_mu, r, A):
+@example(log_mu=math.log(1e4), r=6, A=12)
+def test_q_table_entries_within_their_bounds(log_mu, r, A):
+    # |totals[a] - 2**S q(a)| <= errs[a], q(a) summed directly at 100
+    # digits, whose own error stays below 1e-90 of it; and each bound is
+    # within 2**-(prec-2) of its entry, so it says something
     mu = min(math.exp(log_mu), 1e4)
     table = build_q_table(mu, r, A)
-    with mpmath.workdps(table.dps + 20):
-        x = mpf(mu)
-        expmx = mpmath.exp(-x)
-        for a, got in enumerate(table.values):
-            want = _shifted_direct_sum(x, expmx, a, r)
-            assert abs(got - want) <= abs(want) * mpf(10) ** (1 - table.dps), (mu, r, a)
+    with mpmath.workdps(100):
+        wants = _shifted_direct_sums(mpf(mu), r, A)
+        for a, (total, err) in enumerate(zip(table.totals, table.errs)):
+            want = mpmath.ldexp(wants[a], table.S)
+            assert abs(total - want) <= err + want * mpf(10) ** -90, (mu, r, a)
+            assert err <= total >> (table.prec - 2), (mu, r, a)
 
 
 def test_asym_coefficients_concurrent_fill():

@@ -1,0 +1,122 @@
+"""The expansion through the integer q table: every double against an independent reference.
+
+``inverse_moment_estimate`` pairs exact Fraction coefficients with the
+table's exact integer differences and rounds once, so every value is
+the truncated series correctly rounded.  ``_series_reference``
+evaluates the same series from its definition: q(a) = E[1/(Q+a)**r] as
+direct mpmath sums at 100 digits or more, their alternating forward
+differences, the binomial coefficients (-1)**j alpha(k-j, j) / j!
+mu**(j+k) / N**k as exact Fractions, and one rounding to double.
+"""
+import math
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mpf
+
+from invmoments import charlier_expansion, poisson_moments
+from invmoments.charlier_expansion import (
+    binomial_barbour_polynomial,
+    first_inverse_moment_binomial,
+    inverse_moment_estimate,
+)
+from invmoments.cli import GridSpec, _charlier_values
+from invmoments.poisson_moments import build_q_table
+from invmoments.special_numbers import alpha
+
+GRID = tuple(GridSpec().points())  # the reports' 500-point p grid
+
+
+def _series_reference(N: int, p: float, r: int, orders) -> list[float]:
+    """Orders ``orders`` of the expansion of E+[1/K**r], K ~ Binomial(N, p), rounded once.
+
+    The differences cancel about n_max log10(2 mu + 2) digits and the
+    entries are as small as (mu + n_max + 1)**-r, so both come on top
+    of the 100 digits carried; the Poisson terms run until past mu
+    they fall below 10**-(dps+10).
+    """
+    n_max = 2 * (max(orders) - 1)
+    mu_f = N * p
+    dps = 100 + math.ceil(n_max * math.log10(2 * mu_f + 2))
+    dps += math.ceil(r * math.log10(mu_f + n_max + 1))
+    with mpmath.workdps(dps):
+        mu = mpf(mu_f)
+        eps = mpf(10) ** -(dps + 10)
+        pis = [mpmath.exp(-mu)]
+        while len(pis) <= mu or pis[-1] > eps:
+            pis.append(pis[-1] * mu / len(pis))
+        q = [mpmath.fsum(pi / mpf(k + a) ** r for k, pi in enumerate(pis) if k + a)
+             for a in range(n_max + 1)]
+        nu = [mpmath.fsum((-1) ** a * math.comb(n, a) * q[a] for a in range(n + 1))
+              for n in range(n_max + 1)]
+        parts = [nu[0]]
+        for k in range(1, max(orders)):
+            part = mpf(0)
+            for j in range(1, k + 1):
+                c = (-1) ** j * alpha(k - j, j) / math.factorial(j)
+                c *= Fraction(mu_f) ** (j + k) / N**k
+                part += mpf(c.numerator) / c.denominator * nu[j + k]
+            parts.append(part)
+        return [float(mpmath.fsum(parts[:m])) for m in orders]
+
+
+_ps = st.one_of(
+    st.integers(1, 10**6).map(lambda i: i / 10**6),  # decimal p: 1 - p is inexact
+    st.sampled_from(GRID),
+    st.just(1.0),
+    st.floats(math.log(1e-12), 0.0).map(lambda x: min(math.exp(x), 1.0)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    N=st.integers(1, 1000),
+    p=_ps,
+    r=st.integers(2, 6),
+    orders=st.sets(st.integers(1, 8), min_size=1).map(sorted),
+)
+# order 2 near its zero crossing, where a float-coefficient route errs most
+@example(N=10, p=0.68, r=3, orders=[1, 2, 3, 4, 5, 6])
+@example(N=1000, p=1.0, r=6, orders=[8])
+@example(N=1, p=1e-12, r=2, orders=[1, 8])
+def test_r2_values_are_the_series_correctly_rounded(N, p, r, orders):
+    assert _charlier_values(N, p, r, tuple(orders)) == _series_reference(N, p, r, orders)
+
+
+R1_PS = (
+    GRID[1::33]  # 16 report-grid p
+    + (0.001, 0.01, 0.05, 0.1, 0.123, 0.2, 0.25, 0.3, 0.37, 0.4, 0.45, 0.5, 0.6, 0.7, 0.9, 0.999)
+    + tuple(10.0 ** -(i / 2) for i in range(1, 16))  # down to 10**-7.5
+    + (1.0,)
+)
+
+
+@pytest.mark.parametrize("N", [1, 2, 10, 100, 1000])
+def test_r1_table_route_equals_the_integer_kernel(N):
+    # both routes give the truncated series correctly rounded, so they
+    # give one double
+    for p in R1_PS:
+        for m in range(1, 9):
+            poly = binomial_barbour_polynomial(N, N * p, m)
+            via_table = inverse_moment_estimate(poly, build_q_table(N * p, 1, 2 * m - 2))
+            assert via_table == first_inverse_moment_binomial(N, p, m), (p, m)
+
+
+def test_undecided_rounding_rebuilds_the_table_finer(monkeypatch):
+    N, p, r = 10, 0.68, 3
+    mu = N * p
+    poly = binomial_barbour_polynomial(N, mu, 6)
+    want = inverse_moment_estimate(poly, build_q_table(mu, r, 10))
+    coarse = poisson_moments._q_table(mu, r, 10, 8)
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return poisson_moments._q_table(*args)
+
+    monkeypatch.setattr(charlier_expansion, "_q_table", recording)
+    # 8 bits leave the rounding undecided; each rebuild doubles them
+    assert inverse_moment_estimate(poly, coarse) == want
+    assert seen and seen == [(mu, r, 10, 8 << i) for i in range(1, len(seen) + 1)]

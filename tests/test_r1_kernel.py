@@ -16,8 +16,15 @@ from mpmath import mpf
 
 from invmoments import charlier_expansion
 from invmoments.charlier_expansion import _first_inverse_moments, _rounded_orders
-from invmoments.poisson_moments import _er_from_ei, _table_dps
+from invmoments.poisson_moments import _er_from_ei
 from invmoments.special_numbers import alpha
+
+
+def _table_dps(mu: float, A: int) -> int:
+    # the parent's q-table digit estimate, which its y list reused: an
+    # A-fold difference loses about A * log10(2 * mu) digits
+    lost = max(0, math.ceil(A * math.log10(2.0 * max(mu, 1.0))))
+    return 40 + lost
 
 
 def _parent_y_mp_list(mu: float, n_max: int) -> tuple[list, int]:
