@@ -1,9 +1,12 @@
 """Ground truth by direct, cancellation-free summation.
 
 Every routine here evaluates its target quantity from the defining sum,
-with non-negative terms wherever possible, and adds the terms with
-math.fsum, which rounds their exact sum once.  The faster or cleverer
-formulas elsewhere in the package are tested against these.
+with non-negative terms wherever possible, and rounds the exact sum of
+its terms once: math.fsum adds rounded terms, and the binomial inverse
+moment for N > 300 sums exact-integer ratio terms in fixed point under
+an error bound, so it is the moment itself, correctly rounded.  The
+faster or cleverer formulas elsewhere in the package are tested against
+these.
 """
 from __future__ import annotations
 
@@ -12,6 +15,9 @@ from array import array
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterable, Iterator, Union
+
+import mpmath
+from mpmath.libmp import to_fixed
 
 __all__ = [
     "DomainError",
@@ -193,14 +199,20 @@ def _pdf_in_k(N: int, p: float) -> Callable[[int], float]:
 _WINDOW_REL_MASS = 1e-17
 
 
-def _support(N: int, p: float, r: int) -> range:
+def _log_jensen_binomial(N: int, p: float, r: int) -> float:
+    """log of Jensen's lower bound P(K >= 1)**(r+1) / (Np)**r on E+[1/K**r]."""
+    return (r + 1) * math.log(-math.expm1(N * math.log1p(-p))) - r * math.log(N * p)
+
+
+def _support(N: int, p: float, r: int, rel_mass: float = _WINDOW_REL_MASS) -> range:
     """The k >= 1 that exact_inverse_moment sums for Binomial(N, p).
 
     Nothing for p = 0, only N for p = 1, all of 1..N on the comb path.
     For large N, [max(1, Np - t), min(N, Np + t)]: Bernstein bounds each
     tail beyond it by exp(-t**2 / (2*(Npq + t/3))), 1/k**r <= 1 there,
-    and the moment is at least Jensen's L = P(K >= 1)**(r+1) / (Np)**r.
-    t makes each tail bound _WINDOW_REL_MASS * L / 2.
+    and the moment is at least Jensen's L (_log_jensen_binomial).  t
+    makes each tail bound rel_mass * L / 2, so the terms left out weigh
+    at most rel_mass * L in all.
     """
     if p == 0.0:
         return range(0)
@@ -209,8 +221,7 @@ def _support(N: int, p: float, r: int) -> range:
     if N <= _COMB_LIMIT:
         return range(1, N + 1)
     mean = N * p
-    log_l = (r + 1) * math.log(-math.expm1(N * math.log1p(-p))) - r * math.log(mean)
-    lam = math.log(2.0 / _WINDOW_REL_MASS) - log_l
+    lam = math.log(2.0 / rel_mass) - _log_jensen_binomial(N, p, r)
     t = lam / 3.0 + math.sqrt(lam * lam / 9.0 + 2.0 * lam * mean * (1.0 - p))
     return range(max(1, math.ceil(mean - t)), min(N, math.floor(mean + t)) + 1)
 
@@ -233,22 +244,116 @@ def binomial_pdf(N: int, p: float, k: int) -> float:
 def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
     """E+[1/K**r], the inverse moment restricted to the event K >= 1.
 
-    A finite sum for both supported distribution kinds, so the result is
-    the correctly rounded sum of the rounded terms.  For a large-N
-    binomial the sum runs over the window around Np that _support
-    derives; the terms outside it weigh less than 1e-17 of the result.
+    A finite sum for both supported distribution kinds.  An explicit pdf
+    and a binomial with N <= 300 give the correctly rounded sum of the
+    rounded terms.  A binomial with N > 300 and 0 < p < 1 gives the
+    moment of the binomial with that exact double p, correctly rounded
+    (_binomial_inverse_moment); its window around Np leaves out terms
+    weighing less than 1e-17 of the result, and the rounding accounts
+    for them.
     """
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     try:
         if isinstance(spec, Binomial):
-            pdf = _pdf_in_k(spec.N, spec.p)
-            return math.fsum(pdf(k) / k**r for k in _support(spec.N, spec.p, r))
+            N, p = spec.N, spec.p
+            if N > _COMB_LIMIT and 0.0 < p < 1.0:
+                return _binomial_inverse_moment(N, p, r)
+            pdf = _pdf_in_k(N, p)
+            return math.fsum(pdf(k) / k**r for k in _support(N, p, r))
         if isinstance(spec, ExplicitPdf):
             return math.fsum(w / k**r for k, w in enumerate(spec.weights) if k >= 1)
     except OverflowError:  # k**r past the double range
         raise DomainError(f"r = {r} takes a term outside the double range") from None
     raise DomainError(f"unsupported distribution spec: {spec!r}")
+
+
+def _binomial_inverse_moment(N: int, p: float, r: int) -> float:
+    """E+[1/K**r] for N > 300 and 0 < p < 1, correctly rounded.
+
+    _binomial_walk sums the window of _support in fixed point, first at
+    64 bits past the result.  While its rounding is undecided, the bits
+    double and the window's left-out mass shrinks by 2**-bits (Ziv's
+    scheme).  Arguments are the caller's to validate.
+    """
+    bits, rel_mass = 64, _WINDOW_REL_MASS
+    while (value := _binomial_walk(N, p, r, bits, rel_mass)) is None:
+        bits, rel_mass = 2 * bits, rel_mass * 2.0**-bits
+    return value
+
+
+def _binomial_walk(N: int, p: float, r: int, bits: int, rel_mass: float) -> float | None:
+    """sum of pmf(k) / k**r over _support(N, p, r, rel_mass), rounded once.
+
+    None if the rounding is undecided.  The double p is exactly a / 2**s,
+    so q = b / 2**s with b = 2**s - a is exact too.  The walk starts at
+    the mode k0 = floor((N+1)p), which the window holds (its t exceeds
+    26) unless k0 = 0, taken as 1 then.  It keeps T(k) ~ 2**W pmf(k) as
+    an integer, stepping up by the floor of T (N-k) a / ((k+1) b) and
+    down by the floor of T (k+1) b / ((N-k) a).  Every such ratio away
+    from the mode is at most 1, so a floor never grows an earlier one:
+    T(k) is within |k - k0| + 1 units (the anchor's floor included) and
+    the floor of T(k) / k**r within |k - k0| + 2 units of the exact term
+    times the anchor's relative error.  Terms stop where they provably
+    floor to 0: upward once one does (T falls and k**r rises), downward
+    once T is 0, and never for k**r at or above 2**(W+1) > T.  So no
+    float and no huge k**r is formed, whatever r.
+
+    Error budget.  The anchor pmf(k0) is one mpmath evaluation of
+    exp(log C(N, k0) + k0 log p + (N-k0) log q) at max(bits, 64) + g
+    bits, where 2**g is 2**8 M and M = (N+1) (3 log(N+1) + |log p| +
+    |log q|) bounds the log-gamma and log terms that cancel; 8 bits
+    cover mpmath's few-ulp errors in its eight operations.  So the
+    anchor is within a relative 2**-bits, and p is exact in it.  W is
+    bits past both the summed per-term bounds E_f and the larger of
+    Jensen's L and 2**-1080, so a subnormal result keeps bits to spare.
+    With acc the sum of the floored terms, 2**W times the window sum
+    lies in [acc (1 - 2**-bits), (acc + E_f) (1 + 2**(1-bits))], and
+    the moment above that by at most each left-out tail's rel_mass L / 2
+    (2**-10 more in the exponent covers the float rounding of L and of
+    _support's t).  Integer true division rounds correctly and
+    monotonically, so when both ends round to the same double, so does
+    the moment.
+    """
+    a, two_s = p.as_integer_ratio()
+    b = two_s - a
+    window = _support(N, p, r, rel_mass)
+    lo, hi = window.start, window.stop - 1
+    k0 = min(max((N + 1) * a // two_s, lo), hi)
+    d_lo, d_hi = k0 - lo, hi - k0
+    e_f = (d_lo * (d_lo + 1) + d_hi * (d_hi + 1)) // 2 + 2 * len(window)
+    log2_l = _log_jensen_binomial(N, p, r) / math.log(2.0)
+    W = bits + e_f.bit_length() + min(math.ceil(-log2_l), 1080)
+    M = (N + 1) * (3.0 * math.log(N + 1) - math.log(p) - math.log1p(-p))
+    with mpmath.workprec(max(bits, 64) + math.ceil(math.log2(M)) + 8):
+        P = mpmath.mpf(p)
+        log_pmf = (mpmath.loggamma(N + 1) - mpmath.loggamma(k0 + 1)
+                   - mpmath.loggamma(N - k0 + 1) + k0 * mpmath.log(P)
+                   + (N - k0) * mpmath.log1p(-P))
+        anchor = to_fixed(mpmath.exp(log_pmf)._mpf_, W)
+    k_cut = 1 << -(-(W + 1) // r)  # k**r >= 2**(W+1) from here on
+    acc, T = 0, anchor
+    for k in range(k0, min(hi, k_cut - 1) + 1):
+        term = T // k**r
+        if not term:
+            break
+        acc += term
+        T = T * ((N - k) * a) // ((k + 1) * b)
+    T = anchor
+    for k in range(k0 - 1, lo - 1, -1):
+        T = T * ((k + 1) * b) // ((N - k) * a)
+        if not T:
+            break
+        if k < k_cut:
+            acc += T // k**r
+    sides = (lo > 1) + (hi < N)
+    tail = sides * (math.ceil(2.0 ** (W + log2_l + math.log2(rel_mass / 2) + 2**-10)) + 1)
+    low = max(0, acc - (acc >> bits) - 1)
+    high = acc + e_f
+    high += (high >> (bits - 1)) + 1 + tail
+    den = 1 << W
+    value = low / den
+    return value if value == high / den else None
 
 
 def _poisson_terms(mu: float) -> Iterator[tuple[int, float]]:

@@ -9,11 +9,14 @@ import time
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mpf
 
+from invmoments import exact_oracle
 from invmoments.charlier_expansion import ExpansionPolynomial, expand_pdf
+from invmoments.cli import GridSpec
 from invmoments.exact_oracle import (
+    _WINDOW_REL_MASS,
     Binomial,
     DomainError,
     ExplicitPdf,
@@ -23,6 +26,7 @@ from invmoments.exact_oracle import (
     factorial_cumulants_from_pdf,
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
+    _binomial_walk,
     _log2_jensen,
     _poisson_terms,
     _stirlerr,
@@ -73,30 +77,24 @@ def test_binomial_pdf_large_N_stable():
     assert abs(ratio - expected) < 1e-9
 
 
-@pytest.mark.parametrize("N,p", [(301, 0.3), (1000, 0.02), (5000, 0.77)])
-@pytest.mark.parametrize("r", [1, 3])
-def test_exact_inverse_moment_large_N_matches_per_k_pdf(N, p, r):
-    # the oracle sums a window around Np with the (N, p) invariants hoisted
-    # out of the k loop; the sum of binomial_pdf over all of 1..N
-    # differs only by the left-out mass, far below one ulp
-    want = math.fsum(binomial_pdf(N, p, k) / k**r for k in range(1, N + 1))
-    got = exact_inverse_moment(Binomial(N, p), r)
-    assert abs(got - want) <= 2**-53 * got
-
-
-# mpmath references for N > 300, where the oracle sums Loader's pdf over a
-# window around Np.  They share nothing with the oracle but the inputs.
+# mpmath references for N > 300, where the oracle walks a window around Np.
+# They share nothing with the oracle but the inputs.  Q = 1 - P is exact and
+# log Q is log1p(-P), so no rounding of 1 - p enters them.
 REF_DPS = 34
+# Relative error of a reference: the log-gamma sum cancels terms near
+# 1.4e7 at N = 10**6, about 1e-27 of the pmf at 34 digits, and each run
+# stops at 1e-32 of its total.
+REF_ERR = 1e-25
 
 
-def _mp_pmf(N, k, P, Q):
+def _mp_pmf(N, k, P):
     return mpmath.exp(
         mpmath.loggamma(N + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(N - k + 1)
-        + k * mpmath.log(P) + (N - k) * mpmath.log(Q)
+        + k * mpmath.log(P) + (N - k) * mpmath.log1p(-P)
     )
 
 
-def _mp_run(N, P, Q, r, k, step):
+def _mp_run(N, P, r, k, step):
     """sum of pmf(j) / j**r for j = k, k + step, ... inside 1..N.
 
     The pmf is log-concave, so the ratio rho of neighbours only falls
@@ -104,8 +102,9 @@ def _mp_run(N, P, Q, r, k, step):
     pmf(j) * rho / (1 - rho), because 1/j**r <= 1, and the run stops when
     that is 1e-32 of its own total.
     """
+    Q = mpmath.fsub(1, P, exact=True)
     total = mpf(0)
-    pmf = _mp_pmf(N, k, P, Q)
+    pmf = _mp_pmf(N, k, P)
     while 1 <= k <= N:
         total += pmf / mpf(k) ** r
         rho = (N - k) / mpf(k + 1) * P / Q if step > 0 else k / mpf(N - k + 1) * Q / P
@@ -120,11 +119,10 @@ def _mp_inverse_moment(N, p, r):
     """E+[1/K**r] for K ~ Binomial(N, p) at REF_DPS digits, from the mode out."""
     with mpmath.workdps(REF_DPS):
         P = mpf(p)
-        Q = 1 - P
-        mode = min(N, max(1, math.floor((N + 1) * p)))
-        total = _mp_run(N, P, Q, r, mode, 1)
+        mode = min(N, max(1, math.floor((N + 1) * P)))
+        total = _mp_run(N, P, r, mode, 1)
         if mode > 1:
-            total += _mp_run(N, P, Q, r, mode - 1, -1)
+            total += _mp_run(N, P, r, mode - 1, -1)
         return total
 
 
@@ -132,22 +130,102 @@ def _rel_err(got, want):
     return float(abs(mpf(got) - want) / want)
 
 
-_log_uniform_tail = st.floats(min_value=math.log(1e-12), max_value=math.log(0.5)).map(math.exp)
+def _near_midpoint(want):
+    """Whether want lies within REF_ERR of a point halfway between two doubles."""
+    d = float(want)
+    with mpmath.workdps(REF_DPS):
+        return any(
+            abs(want - (mpf(d) + mpf(e)) / 2) <= REF_ERR * want
+            for e in (math.nextafter(d, 0.0), math.nextafter(d, math.inf))
+        )
+
+
+@pytest.mark.parametrize("N,p", [(301, 0.3), (1000, 0.02), (5000, 0.77)])
+@pytest.mark.parametrize("r", [1, 3])
+def test_exact_inverse_moment_large_N_matches_per_k_pdf(N, p, r):
+    # the oracle no longer sums binomial_pdf, so both are held against the
+    # reference: the oracle is correctly rounded, and the fsum of Loader's
+    # pdf over all of 1..N keeps binomial_pdf's documented 1e-15
+    want = _mp_inverse_moment(N, p, r)
+    loader = math.fsum(binomial_pdf(N, p, k) / k**r for k in range(1, N + 1))
+    assert _rel_err(loader, want) <= 1e-15
+    assert not _near_midpoint(want)
+    assert exact_inverse_moment(Binomial(N, p), r) == float(want)
+
+
+REPORT_GRID = GridSpec().points()[:-1]  # p = 1 sums only its atom
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.floats(min_value=math.log(301), max_value=math.log(1e5)).map(
-        lambda x: int(round(math.exp(x)))
+    st.floats(min_value=math.log(301), max_value=math.log(1e6)).map(
+        lambda x: max(301, int(round(math.exp(x))))
     ),
-    st.one_of(_log_uniform_tail, _log_uniform_tail.map(lambda x: 1.0 - x)),
-    st.sampled_from((1, 2, 3, 6)),
+    st.one_of(
+        st.integers(1, 999).map(lambda i: i / 1000),  # 1 - p inexact for most p < 0.5
+        st.sampled_from(REPORT_GRID),
+        st.floats(min_value=math.log(1e-300), max_value=math.log(0.5)).map(math.exp),
+        st.floats(min_value=math.log(1e-15), max_value=math.log(0.5)).map(
+            lambda x: 1.0 - math.exp(x)
+        ),
+    ),
+    st.integers(1, 8),
 )
+@example(1000, 0.02, 1)  # the Loader sum was 1.1 ulp off
+@example(10**5, 1e-300, 1)  # and 9.9e-14 off: its exponent carries k |log Np|
 @example(301, 0.3, 1)
 @example(5000, 0.77, 3)
 def test_exact_inverse_moment_large_N_against_mpmath(N, p, r):
-    got = exact_inverse_moment(Binomial(N, p), r)
-    assert _rel_err(got, _mp_inverse_moment(N, p, r)) <= 1e-14, (N, p, r)
+    # the moment of the binomial with the exact double p, correctly rounded
+    want = _mp_inverse_moment(N, p, r)
+    assume(not _near_midpoint(want))
+    assert exact_inverse_moment(Binomial(N, p), r) == float(want), (N, p, r)
+
+
+@pytest.mark.parametrize("N,p,r", [(1000, 0.02, 1), (20000, 0.37, 3), (4000, 1e-200, 2)])
+def test_exact_inverse_moment_retries_an_undecided_rounding(N, p, r):
+    # Ziv's scheme from 2 bits past the result instead of 64: the first
+    # walk cannot decide the rounding, and every walk that can, at twice
+    # the bits and a narrower tail, lands on the double the oracle returns
+    want = exact_inverse_moment(Binomial(N, p), r)
+    bits, rel_mass, got = 2, _WINDOW_REL_MASS, []
+    while bits <= 256:
+        got.append(_binomial_walk(N, p, r, bits, rel_mass))
+        bits, rel_mass = 2 * bits, rel_mass * 2.0**-bits
+    assert got[0] is None
+    assert set(got) == {None, want}
+
+
+@pytest.mark.parametrize("r", [400, 10**4, 10**6])
+@pytest.mark.parametrize(
+    "N,p,want",
+    [
+        # P(K = 1) = N p q**(N-1) carries the moment; the other terms weigh
+        # less than 2**-r of the total, or everything is below 2**-1075
+        (301, 0.5, 301 * 2.0**-301),
+        (1000, 0.5, 1000 * 2.0**-1000),
+        (10**5, 0.5, 0.0),
+        (301, 1e-300, 301 * 1e-300),
+        (10**5, 1e-300, 10**5 * 1e-300),
+    ],
+)
+def test_exact_inverse_moment_huge_r(N, p, r, want):
+    # the walk forms no float k**r, and no k**r at all past 2**W
+    start = time.perf_counter()
+    assert exact_inverse_moment(Binomial(N, p), r) == want
+    assert time.perf_counter() - start < 1.0
+
+
+def test_large_N_oracle_reads_no_loader_term(monkeypatch):
+    # above N = 300 the oracle walks exact ratios; Loader's pieces and a
+    # float sum stay with binomial_pdf and the central moments
+    def refuse(*args):
+        raise AssertionError("called")
+
+    for name in ("_bd0", "_stirlerr", "_pdf_in_k"):
+        monkeypatch.setattr(exact_oracle, name, refuse)
+    monkeypatch.setattr(exact_oracle.math, "fsum", refuse)
+    assert exact_inverse_moment(Binomial(1000, 0.02), 2) > 0.0
 
 
 @pytest.mark.parametrize(
@@ -163,10 +241,10 @@ def test_exact_inverse_moment_subnormal_mean(N, p, r):
 
 @pytest.mark.parametrize("N,p", [(10**6, 0.5), (10**6, 0.99997), (3000, 0.99997)])
 def test_exact_inverse_moment_large_N_fixed_cases(N, p):
-    # the log-gamma sum this oracle replaced was 5.8e-10 off at (10**6, 0.5);
-    # with Np large every term is good to a few ulp
-    got = exact_inverse_moment(Binomial(N, p), 1)
-    assert _rel_err(got, _mp_inverse_moment(N, p, 1)) <= 1e-15
+    # the log-gamma sum of an earlier oracle was 5.8e-10 off at (10**6, 0.5)
+    want = _mp_inverse_moment(N, p, 1)
+    assert not _near_midpoint(want)
+    assert exact_inverse_moment(Binomial(N, p), 1) == float(want)
 
 
 @pytest.mark.parametrize(
@@ -179,12 +257,11 @@ def test_exact_inverse_moment_window_neglects_under_1e_17(N, p, r):
     value = exact_inverse_moment(Binomial(N, p), r)
     with mpmath.workdps(REF_DPS):
         P = mpf(p)
-        Q = 1 - P
         left_out = mpf(0)
         if window.start > 1:
-            left_out += _mp_run(N, P, Q, r, window.start - 1, -1)
+            left_out += _mp_run(N, P, r, window.start - 1, -1)
         if window.stop <= N:
-            left_out += _mp_run(N, P, Q, r, window.stop, 1)
+            left_out += _mp_run(N, P, r, window.stop, 1)
         assert left_out <= 1e-17 * value
     if N == 10**5:
         assert len(window) < N // 10  # the window does cut the work
@@ -208,9 +285,8 @@ def test_binomial_pdf_large_N_against_mpmath(N, p):
     # double carries x only to a few of its ulp, about 1e-16 * x.
     with mpmath.workdps(REF_DPS):
         P = mpf(p)
-        Q = 1 - P
         for k in sorted({0, 1, 2, math.floor(N * p), N - 2, N - 1, N}):
-            want = _mp_pmf(N, k, P, Q)
+            want = _mp_pmf(N, k, P)
             if want > 1e-300:
                 tol = 1e-15 * max(10.0, -float(mpmath.log(want)))
                 assert _rel_err(binomial_pdf(N, p, k), want) <= tol, (N, p, k)
