@@ -246,7 +246,8 @@ def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
 
     A finite sum for both supported distribution kinds.  An explicit pdf
     and a binomial with N <= 300 give the correctly rounded sum of the
-    rounded terms.  A binomial with N > 300 and 0 < p < 1 gives the
+    rounded terms, also where k**r passes the double range
+    (_over_power).  A binomial with N > 300 and 0 < p < 1 gives the
     moment of the binomial with that exact double p, correctly rounded
     (_binomial_inverse_moment); its window around Np leaves out terms
     weighing less than 1e-17 of the result, and the rounding accounts
@@ -254,18 +255,38 @@ def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
     """
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
+    if isinstance(spec, Binomial):
+        N, p = spec.N, spec.p
+        if N > _COMB_LIMIT and 0.0 < p < 1.0:
+            return _binomial_inverse_moment(N, p, r)
+        ks = _support(N, p, r)
+        pairs = lambda: zip(ks, map(_pdf_in_k(N, p), ks))
+    elif isinstance(spec, ExplicitPdf):
+        pairs = lambda: zip(count(1), spec.weights[1:])
+    else:
+        raise DomainError(f"unsupported distribution spec: {spec!r}")
     try:
-        if isinstance(spec, Binomial):
-            N, p = spec.N, spec.p
-            if N > _COMB_LIMIT and 0.0 < p < 1.0:
-                return _binomial_inverse_moment(N, p, r)
-            pdf = _pdf_in_k(N, p)
-            return math.fsum(pdf(k) / k**r for k in _support(N, p, r))
-        if isinstance(spec, ExplicitPdf):
-            return math.fsum(w / k**r for k, w in enumerate(spec.weights) if k >= 1)
+        return math.fsum(w / k**r for k, w in pairs())
     except OverflowError:  # k**r past the double range
-        raise DomainError(f"r = {r} takes a term outside the double range") from None
-    raise DomainError(f"unsupported distribution spec: {spec!r}")
+        return math.fsum(_over_power(w, k, r) for k, w in pairs())
+
+
+def _over_power(w: float, k: int, r: int) -> float:
+    """w / k**r for 0 <= w <= 2 and k >= 1, whatever the size of k**r.
+
+    The double quotient while k**r converts to a double.  Past that, the
+    quotient of exact integers, which CPython's true division rounds
+    correctly, and once k**r passes 2**1080 the quotient lies below half
+    the least subnormal and rounds to 0.0, so k**r is not formed.
+    """
+    if r * math.log2(k) > 1080.0:
+        return 0.0
+    kr = k**r
+    try:
+        return w / kr
+    except OverflowError:
+        n, d = w.as_integer_ratio()
+        return n / (d * kr)
 
 
 def _binomial_inverse_moment(N: int, p: float, r: int) -> float:
@@ -282,22 +303,32 @@ def _binomial_inverse_moment(N: int, p: float, r: int) -> float:
     return value
 
 
-def _binomial_walk(N: int, p: float, r: int, bits: int, rel_mass: float) -> float | None:
-    """sum of pmf(k) / k**r over _support(N, p, r, rel_mass), rounded once.
+def _edge_tail(v: int, num: int, den: int) -> int:
+    """ceil(v den / (den - num)), the sum of v rho**i over i >= 0, rho = num / den < 1.
 
-    None if the rounding is undecided.  The double p is exactly a / 2**s,
-    so q = b / 2**s with b = 2**s - a is exact too.  The walk starts at
-    the mode k0 = floor((N+1)p), which the window holds (its t exceeds
-    26) unless k0 = 0, taken as 1 then.  It keeps T(k) ~ 2**W pmf(k) as
-    an integer, stepping up by the floor of T (N-k) a / ((k+1) b) and
-    down by the floor of T (k+1) b / ((N-k) a).  Every such ratio away
-    from the mode is at most 1, so a floor never grows an earlier one:
-    T(k) is within |k - k0| + 1 units (the anchor's floor included) and
-    the floor of T(k) / k**r within |k - k0| + 2 units of the exact term
-    times the anchor's relative error.  Terms stop where they provably
-    floor to 0: upward once one does (T falls and k**r rises), downward
-    once T is 0, and never for k**r at or above 2**(W+1) > T.  So no
-    float and no huge k**r is formed, whatever r.
+    It bounds the mass a walk leaves out past an edge where the value is
+    at most v and every ratio outward is at most rho.
+    """
+    return -(-v * den // (den - num))
+
+
+def _binomial_walk(N: int, p: float, r: int, bits: int, rel_mass: float) -> float | None:
+    """sum of pmf(k) / k**r over k >= 1, rounded once; None if undecided.
+
+    The double p is exactly a / 2**s, so q = b / 2**s with b = 2**s - a
+    is exact too.  The walk keeps to the window of _support(N, p, r,
+    rel_mass), which sizes it.  It starts at the mode k0 = floor((N+1)p),
+    which the window holds (its t exceeds 26) unless k0 = 0, taken as 1
+    then.  It keeps T(k) ~ 2**W pmf(k) as an integer, stepping up by the
+    floor of T (N-k) a / ((k+1) b) and down by the floor of T (k+1) b /
+    ((N-k) a).  Every such ratio away from the mode is at most 1, so a
+    floor never grows an earlier one: T(k) is within |k - k0| + 1 units
+    below 2**W pmf(k) times the anchor's relative error (the anchor's
+    floor included) and the floor of T(k) / k**r within |k - k0| + 2
+    units.  Terms stop where they provably floor to 0: upward once one
+    does (T falls and k**r rises), downward once T is 0, and never for
+    k**r at or above 2**(W+1) > T.  So no float and no huge k**r is
+    formed, whatever r.
 
     Error budget.  The anchor pmf(k0) is one mpmath evaluation of
     exp(log C(N, k0) + k0 log p + (N-k0) log q) at max(bits, 64) + g
@@ -305,15 +336,18 @@ def _binomial_walk(N: int, p: float, r: int, bits: int, rel_mass: float) -> floa
     |log q|) bounds the log-gamma and log terms that cancel; 8 bits
     cover mpmath's few-ulp errors in its eight operations.  So the
     anchor is within a relative 2**-bits, and p is exact in it.  W is
-    bits past both the summed per-term bounds E_f and the larger of
-    Jensen's L and 2**-1080, so a subnormal result keeps bits to spare.
-    With acc the sum of the floored terms, 2**W times the window sum
-    lies in [acc (1 - 2**-bits), (acc + E_f) (1 + 2**(1-bits))], and
-    the moment above that by at most each left-out tail's rel_mass L / 2
-    (2**-10 more in the exponent covers the float rounding of L and of
-    _support's t).  Integer true division rounds correctly and
-    monotonically, so when both ends round to the same double, so does
-    the moment.
+    bits past both the summed per-term bounds E_f of the window and the
+    larger of Jensen's L and 2**-1080, so a subnormal result keeps bits
+    to spare.  The terms each side of the walk leaves out lie from its
+    first unsummed k on, where the scaled pmf is at most T(k) + |k - k0|
+    + 1 and the pmf ratios outward keep falling, so on that scale they
+    weigh at most a geometric tail (_edge_tail) of that value over k**r
+    above (over 2**(W+1) past k**r's cut) and of the value itself
+    below, as 1/k**r <= 1.  With acc the sum of the floored terms and
+    tail the two tails, 2**W times the moment lies in [acc (1 -
+    2**-bits), (acc + E_f + tail) (1 + 2**(1-bits))].  Integer true
+    division rounds correctly and monotonically, so when both ends
+    round to the same double, so does the moment.
     """
     a, two_s = p.as_integer_ratio()
     b = two_s - a
@@ -332,25 +366,27 @@ def _binomial_walk(N: int, p: float, r: int, bits: int, rel_mass: float) -> floa
                    + (N - k0) * mpmath.log1p(-P))
         anchor = to_fixed(mpmath.exp(log_pmf)._mpf_, W)
     k_cut = 1 << -(-(W + 1) // r)  # k**r >= 2**(W+1) from here on
-    acc, T = 0, anchor
-    for k in range(k0, min(hi, k_cut - 1) + 1):
-        term = T // k**r
-        if not term:
-            break
+    acc, T, k = 0, anchor, k0
+    while k <= hi and k < k_cut and (term := T // k**r):
         acc += term
         T = T * ((N - k) * a) // ((k + 1) * b)
-    T = anchor
-    for k in range(k0 - 1, lo - 1, -1):
-        T = T * ((k + 1) * b) // ((N - k) * a)
-        if not T:
+        k += 1
+    tail = 0
+    if k <= N:
+        kr = k**r if k < k_cut else 1 << (W + 1)
+        tail = _edge_tail(-(-(T + k - k0 + 1) // kr), (N - k) * a, (k + 1) * b)
+    T, k = anchor, k0
+    while k > 1:
+        T = T * (k * b) // ((N - k + 1) * a)
+        k -= 1
+        if k < lo or not T:
+            tail += _edge_tail(T + k0 - k + 1, k * b, (N - k + 1) * a)
             break
         if k < k_cut:
             acc += T // k**r
-    sides = (lo > 1) + (hi < N)
-    tail = sides * (math.ceil(2.0 ** (W + log2_l + math.log2(rel_mass / 2) + 2**-10)) + 1)
     low = max(0, acc - (acc >> bits) - 1)
-    high = acc + e_f
-    high += (high >> (bits - 1)) + 1 + tail
+    high = acc + e_f + tail
+    high += (high >> (bits - 1)) + 1
     den = 1 << W
     value = low / den
     return value if value == high / den else None
@@ -392,7 +428,8 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
 
     Truncated and bounded as poisson_inverse_moment_direct describes;
     the bound holds for any a because 1/(k+a)**r <= 1.  The terms go
-    straight from the walk into math.fsum.  Up to mu = 700 the walk
+    straight from the walk into math.fsum; a term whose (k+a)**r passes
+    the double range is taken by _over_power.  Up to mu = 700 the walk
     runs the Poisson recurrence itself rather than drawing on
     _poisson_terms, one generator step per term instead of two.
 
@@ -415,7 +452,7 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
         pi = math.exp(-mu)
         gate = 2.0 * limit
         if a and walk is None:  # past mu = 700 the k = 0 term, under e**-700, is left out
-            yield pi / a**r
+            yield _over_power(pi, a, r)
         for k in count(1):
             if walk is None:
                 pi *= mu / k
@@ -425,13 +462,13 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
                 tail = pi * (k + 1) / (k + 1 - mu)
                 if tail <= limit:
                     return
-            yield pi / (k + a) ** r
+            try:
+                t = pi / (k + a) ** r
+            except OverflowError:  # (k+a)**r past the double range
+                t = _over_power(pi, k + a, r)
+            yield t
 
-    try:
-        value = math.fsum(terms())
-    except OverflowError:  # (k+a)**r past the double range
-        raise DomainError(f"r = {r} takes a term outside the double range") from None
-    return OracleValue(value, tail)
+    return OracleValue(math.fsum(terms()), tail)
 
 
 def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> OracleValue:

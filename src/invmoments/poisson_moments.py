@@ -15,7 +15,10 @@ The closed form cancels heavily, so it runs at elevated precision
 through mpmath, as one mpmath.fdot rounded once.  The expansion's
 inputs need no mpmath sum.  The q table holds each E[1/(Q+a)**r] as an
 exact integer on one scale 2**S with its own error bound, so its
-alternating differences are exact integer sums (build_q_table).  At
+alternating differences are exact integer sums (build_q_table).  Its
+Poisson terms come from one integer walk outward from the mode by the
+pmf's exact ratios, about 2.35 sqrt(mu S) steps, bounded for its floors
+and for both tails it leaves out (_poisson_window).  At
 r = 1, y(n), mu**n times the n-th alternating forward difference of
 a -> E[1/(Q+a)], is exact integers times e**(-mu) Er(mu) and e**(-mu)
 (_y_integers).
@@ -26,27 +29,20 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import count
+from operator import floordiv
 from typing import Iterator
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (
-    from_float,
-    from_int,
-    mpf_div,
-    mpf_exp,
-    mpf_mul,
-    mpf_neg,
-    mpf_shift,
-    to_fixed,
-    to_float,
-)
+from mpmath.libmp import to_fixed
 
 from .exact_oracle import (
     DomainError,
     _check_mu,
     _check_walk_mu,
+    _edge_tail,
     _log2_jensen,
+    _over_power,
     _poisson_terms,
     shifted_poisson_moment_direct,
 )
@@ -144,8 +140,13 @@ def _ascending_partial(mu: float, r: int, m1: int | None) -> float:
     return math.fsum(_ascending_terms(mu, r, m1))
 
 
-def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
+def _ascending_terms(
+    mu: float, r: int, m1: int | None, past_doubles: bool = False
+) -> Iterator[float]:
     """The terms pi(k) / k**r of the ascending series for k = 1 .. m1.
+
+    A k**r past the double range raises OverflowError, or with
+    past_doubles gives the term by exact_oracle._over_power.
 
     With m1 None the walk stops once the geometric majorant of the tail,
     pi(k) (k+1) / (k+1-mu) for k >= mu, is at most 1e-17 of the plain
@@ -166,7 +167,12 @@ def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
             pi *= mu / k
         else:
             pi = next(walk)[1]
-        t = pi / k**r
+        try:
+            t = pi / k**r
+        except OverflowError:
+            if not past_doubles:
+                raise
+            t = _over_power(pi, k, r)
         yield t
         if m1 is None:
             total += t
@@ -328,7 +334,10 @@ def positive_poisson_inverse_moment(
     Without a profile the ascending series is summed to full double
     accuracy, which serves as the oracle-grade path.  With a profile the
     calibrated strategy applies: ascending series with M1 terms up to
-    mu_star, truncated large-mu series with M2 terms beyond it.
+    mu_star, truncated large-mu series with M2 terms beyond it.  An
+    ascending term whose k**r passes the double range is taken by
+    exact_oracle._over_power; a large-mu term whose (1/mu)**r does
+    raises DomainError.
     """
     _check_mu(mu)
     if r < 1:
@@ -344,7 +353,10 @@ def positive_poisson_inverse_moment(
             return _ascending_partial(mu, r, profile.M1)
         return _asymptotic_partial(mu, r, profile.M2)
     except OverflowError:  # k**r, or (1/mu)**r, past the double range
-        raise DomainError(f"r = {r} takes a term outside the double range") from None
+        if profile is not None and mu > profile.mu_star:
+            raise DomainError(f"r = {r} takes a term outside the double range") from None
+        m1 = None if profile is None else profile.M1
+        return math.fsum(_ascending_terms(mu, r, m1, past_doubles=True))
 
 
 def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
@@ -434,7 +446,8 @@ class ShiftedMomentTable:
 def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
     """Tabulate q(a) = E[1/(Q+a)**r] for a = 0 .. A as exact integers.
 
-    All entries come from the same fixed-point walk over k, so the
+    All entries come from the same fixed-point walk over k, from the
+    mode out to where the scaled pmf floors to 0, so the
     table is internally consistent, which matters because consumers
     difference it; mixing evaluation routes across a would turn route
     disagreement into spurious difference signal.  The precision is
@@ -456,59 +469,93 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
 def _q_table(mu: float, r: int, A: int, prec: int) -> ShiftedMomentTable:
     """The table of build_q_table at ``prec`` bits, arguments unchecked.
 
-    With K the walk's last step, entry a errs by at most errs[a] =
-    F + ((2K + 1) (totals[a] + F) >> (wp - 3)) + 1 units of 2**-S,
-    F = 2 (K + 1) + 2: two floors per term for K + 1 terms, at most 2
-    for the tail past K, and the Poisson term's rounding.  By step k
-    that term carries 2k + 1 roundings of one ulp at wp bits, so it is
-    within (2k + 1) 2**(2-wp) of its own value, and the sum within
-    (2K + 1) 2**(2-wp) 2**S q(a); the guard bits keep that below half
-    of 2**S q(a), which is thus at most twice totals[a] + F.
+    Entry a is the sum of floor(T(k) / (k+a)**r) over the window of
+    _poisson_window, without k = 0 at a = 0; one list of j**r serves
+    every entry.  With F the window's bound, entry a errs by at most
+    errs[a] = F + ((totals[a] + F) >> (wp - 1)) + 1 units of 2**-S.  F
+    covers the floors and both tails, since 1/(k+a)**r <= 1 weights
+    every term; the rest covers the anchor's relative error 2**-wp of
+    2**S q(a), which is at most twice totals[a] + F.
     """
     S, wp = _fixed_scale(mu, r, A, prec)
-    totals, K = _shifted_totals_fixed(mu, r, A, S, wp)
-    F = 2 * (K + 1) + 2
-    errs = tuple(F + ((2 * K + 1) * (t + F) >> (wp - 3)) + 1 for t in totals)
+    lo, terms, F = _poisson_window(mu, S, wp)
+    powers = [j**r for j in range(lo, lo + len(terms) + A)]
+    skip = lo == 0  # 1/0**r: k = 0 is not in E+[1/Q**r]
+    totals = [sum(map(floordiv, terms[skip:], powers[skip:]))]
+    totals += [sum(map(floordiv, terms, powers[a:])) for a in range(1, A + 1)]
+    errs = tuple(F + ((t + F) >> (wp - 1)) + 1 for t in totals)
     return ShiftedMomentTable(mu, r, tuple(totals), errs, S, prec)
 
 
 def _fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
-    """(S, wp): the fixed-point scale 2**S and the Poisson-term precision.
+    """(S, wp): the fixed-point scale 2**S and the anchor's precision.
 
     S puts the smallest entry at wp + 2 bits or more, by Jensen's lower
     bound: 1/(mu+A)**r for a >= 1, P(Q >= 1)**(r+1) / mu**r for a = 0.
-    With wp = prec + guard, the guard covering the count 2K + 1, each
-    entry's bound (_q_table) is then 2**-prec of it or less.  Past 2 mu
-    each term at most halves the last, so the walk ends by
-    K = 2 mu + S + 2, which the guard covers with 64 bits to spare.
+    With wp = prec + guard and the guard 4 bits past a bound on the
+    window's F, each entry's bound (_q_table) is then 2**-(prec-2) of it
+    or less.  The bound: T(k) < 2**(S+1) pi(k), so by the Poisson
+    Chernoff bounds P(Q >= mu + t) <= exp(-t**2 / (2 (mu + t/3))) and
+    P(Q <= mu - t) <= exp(-t**2 / (2 mu)) each side of the walk ends
+    within D steps of the mode, D = lam/3 + sqrt(lam**2/9 + 2 lam mu) + 2
+    with lam = (S+1) log 2, and then F <= (D+2) (2D + 2 mu + 6).  S
+    depends on the guard, so the guard grows until it covers the F
+    bound at its own S.
     """
-    low = min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A))
-    guard = (int(2.0 * mu) + prec - math.floor(low) + 68).bit_length() + 4
-    wp = prec + guard
-    return wp - math.floor(low) + 2, wp
+    low = math.floor(min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A)))
+    guard = 8
+    while True:
+        lam = (prec + guard - low + 3) * math.log(2.0)
+        D = lam / 3.0 + math.sqrt(lam * lam / 9.0 + 2.0 * lam * mu) + 2.0
+        need = math.ceil(math.log2((D + 2.0) * (2.0 * D + 2.0 * mu + 6.0))) + 4
+        if need <= guard:
+            return prec + guard - low + 2, prec + guard
+        guard = need
 
 
-def _shifted_totals_fixed(mu: float, r: int, A: int, S: int, wp: int) -> tuple[list[int], int]:
-    """(totals, K): 2**S * E[1/(Q+a)**r] for a = 0 .. A in one walk over k.
+def _poisson_window(mu: float, S: int, wp: int) -> tuple[int, list[int], int]:
+    """(lo, terms, F): T(k) ~ 2**S pi(k) for k = lo, lo + 1, ..., and a bound F.
 
-    The Poisson term stays a binary float at wp bits, since e**(-mu)
-    would underflow any fixed scale at large mu; each entry adds its
-    fixed-point copy floored by the exact integer (k+a)**r.  The walk
-    stops at the first K > mu where the majorant t (K+1) / (K+1-mu) of
-    the terms from K on, t the term on the scale 2**S, is below one
-    unit; the integer copy of t is 0 by then, which is tested first.
+    The double mu is exactly a / 2**s.  The walk starts at the mode
+    k0 = floor(mu) from T(k0), the floor of X(k0), X(k) = 2**S pi(k)
+    (1 + eps) for one mpmath exp(k0 log mu - mu - loggamma(k0 + 1)) at
+    wp + g bits; 2**g is 2**8 times the size of the logs that cancel,
+    so |eps| <= 2**-wp.  It steps up by T(k+1) = floor(T(k) a / ((k+1)
+    2**s)) and down by T(k-1) = floor(T(k) k 2**s / a).  Both ratios,
+    mu / (k+1) above the mode and k / mu below it, are at most 1, so a
+    floor never grows an earlier one: T(k) lies within |k - k0| + 1
+    units below X(k), and a weighted floor floor(T(k) w), w <= 1, within
+    |k - k0| + 2 units of X(k) w.  Each side stops at the first k where
+    T(k) = 0, below k = 0 at the latest.  Past such an edge the ratios
+    keep falling, so the X mass from it on is a geometric tail of at
+    most |k - k0| + 1 units (exact_oracle._edge_tail).  F sums the
+    floor bounds over the window and both tails.
     """
-    x = from_float(mu)
-    t = mpf_exp(mpf_neg(x), wp)
-    fixed = to_fixed(t, S)
-    totals = [0] + [fixed // a**r for a in range(1, A + 1)]
-    for k in count(1):
-        t = mpf_div(mpf_mul(t, x, wp), from_int(k), wp)
-        fixed = to_fixed(t, S)
-        if fixed:
-            totals = [s + fixed // (k + a) ** r for a, s in enumerate(totals)]
-        elif k > mu and to_float(mpf_shift(t, S)) * (k + 1) < k + 1 - mu:
-            return totals, k
+    a, b = mu.as_integer_ratio()
+    s = b.bit_length() - 1
+    k0 = a >> s
+    logs = 1.0 + mu + k0 * (abs(math.log(mu)) + math.log(k0 + 1))
+    with mpmath.workprec(wp + math.ceil(math.log2(logs)) + 8):
+        x = mpmath.mpf(mu)
+        anchor = to_fixed(mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))._mpf_, S)
+    up, T, k = [], anchor, k0
+    while T:
+        up.append(T)
+        T = T * a // ((k + 1) << s)
+        k += 1
+    tail = _edge_tail(k - k0 + 1, a, (k + 1) << s)
+    down, T, k = [], anchor, k0
+    while k:
+        T = (T * k << s) // a
+        k -= 1
+        if not T:
+            tail += _edge_tail(k0 - k + 1, k << s, a)
+            break
+        down.append(T)
+    d_lo, d_hi = len(down), len(up) - 1
+    F = (d_lo * (d_lo + 1) + d_hi * (d_hi + 1)) // 2 + 2 * (d_lo + d_hi + 1) + tail
+    down.reverse()
+    return k0 - d_lo, down + up, F
 
 
 def _y_integers(mu: float, n_max: int) -> list[tuple[int, int, int]]:

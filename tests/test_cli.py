@@ -209,13 +209,21 @@ def test_exit_code_domain_errors(capsys):
     assert main(["poisson-table", "--mu", "nan"]) == 2
     assert main(["poisson-table", "--mu", "1e300"]) == 2  # past the walk cap
     assert main(["compute", "--N", "10", "--p", "0.5", "--order", "0"]) == 2
-    # k**r past the double range at a large moment order r
-    assert main(["poisson-table", "--r", "400", "--mu", "5"]) == 2
-    assert main(["compute", "--N", "10", "--p", "0.5", "--r", "400"]) == 2
-    assert main(["sweep", "--N", "10", "--r", "400", "--grid", "0.5:0.5:1"]) == 2
+    # the calibration oracle's k**r past the double range at a large r
     assert main(["calibrate", "--r", "150", "--target", "1e-5"]) == 2
     err = capsys.readouterr().err
     assert "domain error" in err
+
+
+def test_huge_r_answers(capsys):
+    # k**r passes the double range, the moments do not: E+[1/Q**400] at
+    # mu = 5 is 5 e**-5, and E+[1/K**400] for Binomial(10, 0.5) is 10/1024
+    assert main(["poisson-table", "--r", "400", "--mu", "5"]) == 0
+    assert "0.033689734995427337" in capsys.readouterr().out
+    assert main(["compute", "--N", "10", "--p", "0.5", "--r", "400"]) == 0
+    assert "0.009765625" in capsys.readouterr().out.split("\n")[1]
+    assert main(["sweep", "--N", "10", "--r", "400", "--grid", "0.5:0.5:1"]) == 0
+    assert capsys.readouterr().out.split("\n")[1].startswith("0.5,0.009765625,")
 
 
 def test_huge_n_at_degenerate_p_answers_or_refuses_at_once(capsys):

@@ -5,6 +5,7 @@ the defining series before the module existed; the module has to land
 on them, not the other way round.
 """
 import math
+import random
 import time
 
 import mpmath
@@ -194,6 +195,27 @@ def test_exact_inverse_moment_retries_an_undecided_rounding(N, p, r):
         bits, rel_mass = 2 * bits, rel_mass * 2.0**-bits
     assert got[0] is None
     assert set(got) == {None, want}
+
+
+def test_binomial_walk_rarely_retries(monkeypatch):
+    # the left-out tails are bounded from the walk's own edge values, far
+    # below an ulp, so a rounding stays undecided only where the moment
+    # sits within about 2**-63 of a midpoint; with the window's Bernstein
+    # mass of 1e-17 L in the bound instead, 8% of these calls walked twice
+    walks = []
+
+    def counting(*args):
+        walks.append(args)
+        return _binomial_walk(*args)
+
+    monkeypatch.setattr(exact_oracle, "_binomial_walk", counting)
+    rng = random.Random(3)
+    calls = 400
+    for _ in range(calls):
+        N = round(10.0 ** rng.uniform(3.0, 5.0))
+        p = rng.choice((rng.uniform(0.01, 0.99), rng.randint(1, 999) / 1000))
+        exact_inverse_moment(Binomial(N, p), rng.choice((1, 1, 2, 3)))
+    assert len(walks) <= calls + 2
 
 
 @pytest.mark.parametrize("r", [400, 10**4, 10**6])

@@ -9,7 +9,6 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_float, from_int, mpf_div, mpf_exp, mpf_mul, mpf_neg, to_fixed
 
 from invmoments import poisson_moments
 
@@ -17,6 +16,7 @@ from invmoments.charlier_expansion import _rounded_orders, binomial_barbour_poly
 from invmoments.exact_oracle import (
     Binomial,
     DomainError,
+    ExplicitPdf,
     exact_inverse_moment,
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
@@ -283,27 +283,48 @@ def test_non_finite_mu_is_domain_error(call, mu):
         call(mu)
 
 
+@pytest.mark.parametrize("call", [lambda: calibrate_crossover(150, 1e-5)], ids=["calibrate_crossover"])
+def test_huge_r_overflow_is_domain_error(call):
+    # the calibration oracle's k**r exceeds the double range, and the
+    # calibration refuses the order rather than sum it apart
+    with pytest.raises(DomainError):
+        call()
+
+
+def _mp_poisson_moment(mu, a, r):
+    """E[1/(Q+a)**r] (k >= 1 when a = 0) summed at 30 digits; the terms fall fast past k = 60."""
+    with mpmath.workdps(30):
+        x = mpf(mu)
+        return mpmath.fsum(
+            mpmath.exp(-x) * x**k / mpmath.factorial(k) / mpf(k + a) ** r
+            for k in range(0 if a else 1, 200)
+        )
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call,want",
     [
-        lambda: positive_poisson_inverse_moment(5.0, 400),
-        lambda: exact_inverse_moment(Binomial(10, 0.5), 400),
-        lambda: poisson_inverse_moment_direct(5.0, 400),
-        lambda: shifted_poisson_moment_direct(5.0, 2, 400),
-        lambda: calibrate_crossover(150, 1e-5),
+        (lambda: positive_poisson_inverse_moment(5.0, 400), _mp_poisson_moment(5.0, 0, 400)),
+        (lambda: exact_inverse_moment(Binomial(10, 0.5), 400), mpf(10) / 1024),
+        (lambda: exact_inverse_moment(ExplicitPdf((0.25, 0.5, 0.25)), 2000), mpf(0.5)),
+        (lambda: poisson_inverse_moment_direct(5.0, 400).value, _mp_poisson_moment(5.0, 0, 400)),
+        (lambda: shifted_poisson_moment_direct(5.0, 1, 400).value, _mp_poisson_moment(5.0, 1, 400)),
     ],
     ids=[
         "positive_poisson_inverse_moment",
         "exact_inverse_moment",
+        "exact_inverse_moment_pdf",
         "poisson_inverse_moment_direct",
         "shifted_poisson_moment_direct",
-        "calibrate_crossover",
     ],
 )
-def test_huge_r_overflow_is_domain_error(call):
-    # k**r exceeds the double range, so pi / k**r raises OverflowError
-    with pytest.raises(DomainError):
-        call()
+def test_huge_r_sums_terms_past_the_double_range(call, want):
+    # k**r exceeds the double range, but the moment does not: E+[1/Q**400]
+    # at mu = 5 is P(Q = 1) = 5 e**-5 = 0.0337 to double precision; each
+    # such term is an exact-integer quotient rounded once, or 0.0 once it
+    # provably rounds to it
+    got = call()
+    assert abs(mpf(got) - want) <= 2.0**-52 * want, got
 
 
 @pytest.mark.parametrize("r", [169, 400])
@@ -368,31 +389,54 @@ def _shifted_direct_sums(x, r, A):
             return totals
 
 
-def _fixed_entry_walk(mu, a, r, S, wp):
-    """(2**S * E[1/(Q+a)**r], K) walked on its own, on the table's scale and to its stop."""
-    x = from_float(mu)
-    t = mpf_exp(mpf_neg(x), wp)
-    total = to_fixed(t, S) // a**r if a > 0 else 0
-    for k in count(1):
-        t = mpf_div(mpf_mul(t, x, wp), from_int(k), wp)
-        total += to_fixed(t, S) // (k + a) ** r
-        sign, man, exp, _ = t
-        # the majorant t (k+1) / (k+1-mu) on the scale 2**S, below one unit
-        if k > mu and Fraction(man) * Fraction(2) ** (exp + S) * (k + 1) < k + 1 - Fraction(mu):
-            return total, k
+def _entry_walk(mu, a, r, anchor):
+    """(sum of floor(T(k) / (k+a)**r), lo, hi): one entry walked on its own from the mode.
+
+    T(k0) = anchor at k0 = floor(mu); each step floors T times the exact
+    rational pmf ratio, and each side stops at its first T = 0.
+    """
+    x, k0 = Fraction(mu), math.floor(mu)
+    total, T, k = 0, anchor, k0
+    while T:
+        total += T // (k + a) ** r if k + a else 0
+        T = math.floor(T * x / (k + 1))
+        k += 1
+    hi, T, k = k - 1, anchor, k0
+    while k:
+        T = math.floor(T * k / x)
+        k -= 1
+        if not T:
+            return total, k + 1, hi
+        total += T // (k + a) ** r if k + a else 0
+    return total, 0, hi
 
 
 @pytest.mark.parametrize("mu", [1e-3, 0.5, 7.3, 61.0])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_q_table_one_pass_equals_per_entry_sums(mu, r):
     # the shared walk gives each entry exactly the integer total of its
-    # own walk on the same scale 2**S, with the same last step
+    # own walk from the same anchor on the same scale 2**S, with the same
+    # stops
     table = build_q_table(mu, r, 10)
     S, wp = poisson_moments._fixed_scale(mu, r, 10, table.prec)
-    want = [_fixed_entry_walk(mu, a, r, S, wp) for a in range(11)]
-    one_pass, K = poisson_moments._shifted_totals_fixed(mu, r, 10, S, wp)
-    assert want == [(total, K) for total in one_pass]
-    assert table.S == S and table.totals == tuple(one_pass)
+    lo, terms, _ = poisson_moments._poisson_window(mu, S, wp)
+    anchor = terms[math.floor(mu) - lo]
+    want = [_entry_walk(mu, a, r, anchor) for a in range(11)]
+    assert want == [(total, lo, lo + len(terms) - 1) for total in table.totals]
+    assert table.S == S
+
+
+def test_q_table_walk_grows_like_sqrt_mu():
+    # steps, not wall time: each side of the walk ends where 2**S pi(k)
+    # floors to 0, about sqrt(2 S log(2) mu) from the mode, so the window
+    # holds about 2 sqrt(2 log 2) = 2.35 times sqrt(mu S) terms, where a
+    # walk from k = 0 would take more than mu
+    for e in range(2, 8):
+        mu = 10.0**e
+        S, wp = poisson_moments._fixed_scale(mu, 2, 2, 120)
+        lo, terms, _ = poisson_moments._poisson_window(mu, S, wp)
+        assert 2.0 <= len(terms) / math.sqrt(mu * S) <= 2.5, mu
+        assert lo > 0 or e == 2
 
 
 @settings(max_examples=40, deadline=None)

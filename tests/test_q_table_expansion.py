@@ -10,11 +10,23 @@ mu**(j+k) / N**k as exact Fractions, and one rounding to double.
 """
 import math
 from fractions import Fraction
+from itertools import count
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    mpf_div,
+    mpf_exp,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    to_fixed,
+    to_float,
+)
 
 from invmoments import charlier_expansion, poisson_moments
 from invmoments.charlier_expansion import (
@@ -23,7 +35,8 @@ from invmoments.charlier_expansion import (
     inverse_moment_estimate,
 )
 from invmoments.cli import GridSpec, _charlier_values
-from invmoments.poisson_moments import build_q_table
+from invmoments.exact_oracle import _log2_jensen
+from invmoments.poisson_moments import ShiftedMomentTable, build_q_table
 from invmoments.special_numbers import alpha
 
 GRID = tuple(GridSpec().points())  # the reports' 500-point p grid
@@ -120,3 +133,79 @@ def test_undecided_rounding_rebuilds_the_table_finer(monkeypatch):
     # 8 bits leave the rounding undecided; each rebuild doubles them
     assert inverse_moment_estimate(poly, coarse) == want
     assert seen and seen == [(mu, r, 10, 8 << i) for i in range(1, len(seen) + 1)]
+
+
+# The q table as it was built before the walk from the mode, copied
+# verbatim: a libmp float Poisson term at wp bits, walked from k = 0 to
+# its majorant stop, each entry adding its floored fixed-point copy.
+def _float_walk_q_table(mu: float, r: int, A: int, prec: int) -> ShiftedMomentTable:
+    S, wp = _float_walk_fixed_scale(mu, r, A, prec)
+    totals, K = _float_walk_totals(mu, r, A, S, wp)
+    F = 2 * (K + 1) + 2
+    errs = tuple(F + ((2 * K + 1) * (t + F) >> (wp - 3)) + 1 for t in totals)
+    return ShiftedMomentTable(mu, r, tuple(totals), errs, S, prec)
+
+
+def _float_walk_fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
+    low = min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A))
+    guard = (int(2.0 * mu) + prec - math.floor(low) + 68).bit_length() + 4
+    wp = prec + guard
+    return wp - math.floor(low) + 2, wp
+
+
+def _float_walk_totals(mu: float, r: int, A: int, S: int, wp: int) -> tuple[list[int], int]:
+    x = from_float(mu)
+    t = mpf_exp(mpf_neg(x), wp)
+    fixed = to_fixed(t, S)
+    totals = [0] + [fixed // a**r for a in range(1, A + 1)]
+    for k in count(1):
+        t = mpf_div(mpf_mul(t, x, wp), from_int(k), wp)
+        fixed = to_fixed(t, S)
+        if fixed:
+            totals = [s + fixed // (k + a) ** r for a, s in enumerate(totals)]
+        elif k > mu and to_float(mpf_shift(t, S)) * (k + 1) < k + 1 - mu:
+            return totals, k
+
+
+def _both_tables(N: int, p: float, r: int) -> tuple[list[float], list[float]]:
+    """Orders 1..6 of the r-th moment expansion through the table and through the float walk's.
+
+    Both are the truncated series correctly rounded, the float walk's
+    with its own finer rebuilds, so they must give the same doubles.
+    """
+    mu = N * p
+    polys = [binomial_barbour_polynomial(N, mu, m) for m in range(1, 7)]
+    got = [inverse_moment_estimate(poly, build_q_table(mu, r, 10)) for poly in polys]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(charlier_expansion, "_q_table", _float_walk_q_table)
+        table = _float_walk_q_table(mu, r, 10, 80 + 10 * (1 + max(0, math.ceil(math.log2(mu) / 2))))
+        want = [inverse_moment_estimate(poly, table) for poly in polys]
+    return got, want
+
+
+@pytest.mark.parametrize("N", [10, 100])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_walk_from_the_mode_equals_the_float_walk_on_the_report_grid(N, r):
+    for p in GRID[::10]:  # 1 - p is inexact at most of them
+        got, want = _both_tables(N, p, r)
+        assert got == want, p
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    mu=st.floats(math.log(1e-3), math.log(1e5)).map(math.exp),
+    p=st.integers(1, 999).map(lambda i: i / 1000),
+    r=st.integers(2, 6),
+)
+@example(mu=1e5, p=0.3, r=2)
+@example(mu=3e3, p=0.07, r=6)
+def test_walk_from_the_mode_equals_the_float_walk_up_to_mu_1e5(mu, p, r):
+    N = max(1, round(mu / p))
+    got, want = _both_tables(N, p, r)
+    assert got == want
+
+
+def test_large_mu_expansion_keeps_its_double():
+    # the float walk's value at N = 10**6, from k = 0 past mu; the walk
+    # from the mode takes about 3 sqrt(mu S) steps instead
+    assert _charlier_values(10**6, 0.5, 2, (3,)) == [4.00001200006e-12]
