@@ -366,24 +366,32 @@ def _binomial_walk(N: int, p: float, r: int, bits: int, rel_mass: float) -> floa
                    + (N - k0) * mpmath.log1p(-P))
         anchor = to_fixed(mpmath.exp(log_pmf)._mpf_, W)
     k_cut = 1 << -(-(W + 1) // r)  # k**r >= 2**(W+1) from here on
-    acc, T, k = 0, anchor, k0
-    while k <= hi and k < k_cut and (term := T // k**r):
+    acc, T = 0, anchor
+    for k in range(k0, min(hi, k_cut - 1) + 1):
+        term = T // k**r
+        if not term:
+            break
         acc += term
         T = T * ((N - k) * a) // ((k + 1) * b)
-        k += 1
+    else:
+        k = max(k0, min(hi + 1, k_cut))
+    # k is the first index summed neither way, T its walk value
     tail = 0
     if k <= N:
         kr = k**r if k < k_cut else 1 << (W + 1)
         tail = _edge_tail(-(-(T + k - k0 + 1) // kr), (N - k) * a, (k + 1) * b)
-    T, k = anchor, k0
-    while k > 1:
-        T = T * (k * b) // ((N - k + 1) * a)
-        k -= 1
-        if k < lo or not T:
-            tail += _edge_tail(T + k0 - k + 1, k * b, (N - k + 1) * a)
+    T = anchor
+    for k in range(k0 - 1, lo - 1, -1):
+        T = T * ((k + 1) * b) // ((N - k) * a)
+        if not T:
             break
         if k < k_cut:
             acc += T // k**r
+    else:
+        k = lo - 1
+        T = T * (lo * b) // ((N - lo + 1) * a)
+    if k:
+        tail += _edge_tail(T + k0 - k + 1, k * b, (N - k + 1) * a)
     low = max(0, acc - (acc >> bits) - 1)
     high = acc + e_f + tail
     high += (high >> (bits - 1)) + 1
