@@ -18,7 +18,9 @@ from itertools import islice
 import mpmath
 from mpmath.libmp import to_fixed
 
-from .exact_oracle import DomainError, _check_mu, _check_walk_mu, _log2_jensen, _poisson_terms
+from .exact_oracle import (
+    DomainError, _check_mu, _check_walk_mu, _log2_jensen, _poisson_terms, _round_once,
+)
 from .poisson_moments import ShiftedMomentTable, _er_from_ei, _q_table, _y_integers
 from .special_numbers import alpha
 
@@ -218,8 +220,7 @@ def inverse_moment_estimate(poly: ExpansionPolynomial, q_table: ShiftedMomentTab
         nus = table.differences
         num = sum(c * nus[d][0] for d, c in coeffs)
         err = sum(abs(c) * nus[d][1] for d, c in coeffs)
-        den = L << table.S
-        if (value := (num - err) / den) == (num + err) / den:
+        if (value := _round_once(num - err, num + err, L << table.S)) is not None:
             return value
         table = _q_table(table.mu, table.r, table.A, 2 * table.prec)
 
@@ -295,10 +296,8 @@ def _rounded_orders(rows, den: int, mu: float, T: int) -> list[float] | None:
     G = e**(-mu) Er(mu) and E0 = e**(-mu) lie in (0, 1), so at T + 8
     bits mpmath's few-ulp error is far below 2**-T, and their floors on
     the scale 2**T are within 2 units each.  A row's exact numerator on
-    that scale is then within err = 2 (|U| + |V|) of the computed one.
-    Integer true division rounds correctly and monotonically, so when
-    both ends of that interval round to the same double, so does the
-    exact value.
+    that scale is then within err = 2 (|U| + |V|) of the computed one
+    (_round_once).
     """
     with mpmath.workprec(T + 8):
         e0 = mpmath.exp(-mpmath.mpf(mu))
@@ -308,8 +307,7 @@ def _rounded_orders(rows, den: int, mu: float, T: int) -> list[float] | None:
     values = []
     for U, V, W in rows:
         num, err = U * g + V * e0 - (W << T), 2 * (abs(U) + abs(V))
-        value = (num - err) / den
-        if value != (num + err) / den:
+        if (value := _round_once(num - err, num + err, den)) is None:
             return None
         values.append(value)
     return values

@@ -3,8 +3,9 @@
 Every routine here evaluates its target quantity from the defining sum,
 with non-negative terms wherever possible, and rounds the exact sum of
 its terms once: math.fsum adds rounded terms, and the binomial inverse
-moment for N > 300 sums exact-integer ratio terms in fixed point under
-an error bound, so it is the moment itself, correctly rounded.  The
+moment for N > 300 sums the terms of an exact-ratio integer walk from
+the mode (_ratio_walk, which the q table of poisson_moments walks too)
+under an error bound, so it is the moment itself, correctly rounded.  The
 faster or cleverer formulas elsewhere in the package are tested against
 these.
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
+from operator import floordiv
 from typing import Callable, Iterable, Iterator, Union
 
 import mpmath
@@ -194,38 +196,6 @@ def _pdf_in_k(N: int, p: float) -> Callable[[int], float]:
     return pdf
 
 
-# The terms that the large-N window leaves out weigh at most this
-# fraction of E+[1/K**r].
-_WINDOW_REL_MASS = 1e-17
-
-
-def _log_jensen_binomial(N: int, p: float, r: int) -> float:
-    """log of Jensen's lower bound P(K >= 1)**(r+1) / (Np)**r on E+[1/K**r]."""
-    return (r + 1) * math.log(-math.expm1(N * math.log1p(-p))) - r * math.log(N * p)
-
-
-def _support(N: int, p: float, r: int, rel_mass: float = _WINDOW_REL_MASS) -> range:
-    """The k >= 1 that exact_inverse_moment sums for Binomial(N, p).
-
-    Nothing for p = 0, only N for p = 1, all of 1..N on the comb path.
-    For large N, [max(1, Np - t), min(N, Np + t)]: Bernstein bounds each
-    tail beyond it by exp(-t**2 / (2*(Npq + t/3))), 1/k**r <= 1 there,
-    and the moment is at least Jensen's L (_log_jensen_binomial).  t
-    makes each tail bound rel_mass * L / 2, so the terms left out weigh
-    at most rel_mass * L in all.
-    """
-    if p == 0.0:
-        return range(0)
-    if p == 1.0:
-        return range(N, N + 1)
-    if N <= _COMB_LIMIT:
-        return range(1, N + 1)
-    mean = N * p
-    lam = math.log(2.0 / rel_mass) - _log_jensen_binomial(N, p, r)
-    t = lam / 3.0 + math.sqrt(lam * lam / 9.0 + 2.0 * lam * mean * (1.0 - p))
-    return range(max(1, math.ceil(mean - t)), min(N, math.floor(mean + t)) + 1)
-
-
 def binomial_pdf(N: int, p: float, k: int) -> float:
     """P(K = k) for K ~ Binomial(N, p).
 
@@ -247,19 +217,23 @@ def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
     A finite sum for both supported distribution kinds.  An explicit pdf
     and a binomial with N <= 300 give the correctly rounded sum of the
     rounded terms, also where k**r passes the double range
-    (_over_power).  A binomial with N > 300 and 0 < p < 1 gives the
-    moment of the binomial with that exact double p, correctly rounded
-    (_binomial_inverse_moment); its window around Np leaves out terms
-    weighing less than 1e-17 of the result, and the rounding accounts
-    for them.
+    (_over_power).  p = 0 gives 0.0 and p = 1 its one atom 1/N**r.  A
+    binomial with N > 300 and 0 < p < 1 gives the moment of the binomial
+    with that exact double p, correctly rounded: an integer walk from
+    the mode by the pmf's exact ratios, whose floors and left-out tails
+    the rounding bounds (_binomial_walk).
     """
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     if isinstance(spec, Binomial):
         N, p = spec.N, spec.p
-        if N > _COMB_LIMIT and 0.0 < p < 1.0:
+        if p == 0.0:
+            return 0.0
+        if p == 1.0:
+            return _over_power(1.0, N, r)
+        if N > _COMB_LIMIT:
             return _binomial_inverse_moment(N, p, r)
-        ks = _support(N, p, r)
+        ks = range(1, N + 1)
         pairs = lambda: zip(ks, map(_pdf_in_k(N, p), ks))
     elif isinstance(spec, ExplicitPdf):
         pairs = lambda: zip(count(1), spec.weights[1:])
@@ -289,75 +263,120 @@ def _over_power(w: float, k: int, r: int) -> float:
         return n / (d * kr)
 
 
+def _round_once(low: int, high: int, den: int) -> float | None:
+    """The double that both low / den and high / den round to; None if they differ.
+
+    Integer true division rounds correctly and monotonically, so when both
+    ends of an interval round to one double, so does every value in it.
+    """
+    value = low / den
+    return value if value == high / den else None
+
+
+def _walk_bits(depth: int, var: float) -> int:
+    """ceil(log2((D+2) (2D + 2 var + 6))), D = lam/3 + sqrt(lam**2/9 + 2 lam var) + 2.
+
+    With lam = depth log 2 >= 3, 2**this bounds the F of a _ratio_walk
+    with stop 1 over a Poisson (var = mu) or binomial (var = Npq) pmf if
+    every T(k) >= 1 has pmf(k) >= 2**-depth.  By the Chernoff and
+    Bernstein bounds exp(-t**2 / (2 (var + t/3))) on each tail, such a k
+    lies within D - 2 of the mean, so within D - 1 of the mode, and each
+    side stops within D steps of it.  So the floor bounds sum to under
+    (D+2) (D+3), each edge value is at most D + 1, and as 1 / (1 - rho)
+    is at most var + 3 a step or more out of the mode, the two tails are
+    at most (D+1) (2 var + 6).
+    """
+    lam = depth * math.log(2.0)
+    D = lam / 3.0 + math.sqrt(lam * lam / 9.0 + 2.0 * lam * var) + 2.0
+    return math.ceil(math.log2((D + 2.0) * (2.0 * D + 2.0 * var + 6.0)))
+
+
+def _ratio_walk(
+    anchor: int, k0: int, n0: int, n1: int, d0: int, d1: int, stop: int
+) -> tuple[int, list[int], int]:
+    """(lo, terms, F): T(k) ~ 2**W pmf(k) for k = lo, lo + 1, ..., and a bound F.
+
+    The pmf steps by the exact ratio pmf(k+1) / pmf(k) = (n0 + n1 k) /
+    (d0 + d1 k), d0 = d1, and k0 is its mode: Poisson(a / 2**s) passes
+    (a, 0, 2**s, 2**s) and Binomial(N, a / (a + b)) passes (N a, -a, b,
+    b).  anchor >= stop is the floor of X(k0), where X(k) = 2**W pmf(k)
+    (1 + eps) for one eps.  The walk steps up by T(k+1) = floor(T(k)
+    (n0 + n1 k) / (d0 + d1 k)) and down by the reciprocal ratio at k - 1,
+    which is 0 at k = 0, as the upward one is at the end of a finite
+    support.  Every ratio away from the mode is at most 1, so a floor
+    never grows an earlier one: T(k) lies within |k - k0| + 1 units below
+    X(k), and a weighted floor floor(T(k) w), w <= 1, within |k - k0| + 2
+    units of X(k) w.  Each side stops at its first k with T(k) < stop,
+    one past the support at the latest, where X(k) = 0.  Inside it the
+    ratios outward keep falling past k (the pmf is log-concave), so the
+    X mass from k on, weighted by w <= 1, is at most the geometric tail
+    v / (1 - rho) of v = T(k) + |k - k0| + 1 >= X(k) and rho the ratio
+    out of k.  F sums the floor bounds over the window and both tails.
+    """
+    sides, tail = [], 0
+    for nums, dens in (
+        (count(n0 + n1 * k0, n1), count(d0 + d1 * k0, d1)),
+        (count(d0 + d1 * (k0 - 1), -d1), count(n0 + n1 * (k0 - 1), -n1)),
+    ):
+        side, T = [], anchor
+        for n, d in zip(nums, dens):
+            T = T * n // d
+            if T < stop:
+                break
+            side.append(T)
+        if n:  # the side stopped inside the support
+            n, d = next(nums), next(dens)
+            tail += -(-(T + len(side) + 2) * d // (d - n))
+        sides.append(side)
+    up, down = sides
+    d_lo, d_hi = len(down), len(up)
+    F = (d_lo * (d_lo + 1) + d_hi * (d_hi + 1)) // 2 + 2 * (d_lo + d_hi + 1) + tail
+    return k0 - d_lo, down[::-1] + [anchor] + up, F
+
+
+def _log2_jensen_binomial(N: int, p: float, r: int) -> float:
+    """log2 of Jensen's lower bound P(K >= 1)**(r+1) / (Np)**r on E+[1/K**r]."""
+    return (r + 1) * math.log2(-math.expm1(N * math.log1p(-p))) - r * math.log2(N * p)
+
+
 def _binomial_inverse_moment(N: int, p: float, r: int) -> float:
     """E+[1/K**r] for N > 300 and 0 < p < 1, correctly rounded.
 
-    _binomial_walk sums the window of _support in fixed point, first at
-    64 bits past the result.  While its rounding is undecided, the bits
-    double and the window's left-out mass shrinks by 2**-bits (Ziv's
-    scheme).  Arguments are the caller's to validate.
+    _binomial_walk at 64 bits past the result, with the bits doubled
+    while its rounding is undecided (Ziv's scheme).  Arguments are the
+    caller's to validate.
     """
-    bits, rel_mass = 64, _WINDOW_REL_MASS
-    while (value := _binomial_walk(N, p, r, bits, rel_mass)) is None:
-        bits, rel_mass = 2 * bits, rel_mass * 2.0**-bits
+    bits = 64
+    while (value := _binomial_walk(N, p, r, bits)) is None:
+        bits *= 2
     return value
 
 
-def _edge_tail(v: int, num: int, den: int) -> int:
-    """ceil(v den / (den - num)), the sum of v rho**i over i >= 0, rho = num / den < 1.
-
-    It bounds the mass a walk leaves out past an edge where the value is
-    at most v and every ratio outward is at most rho.
-    """
-    return -(-v * den // (den - num))
-
-
-def _binomial_walk(N: int, p: float, r: int, bits: int, rel_mass: float) -> float | None:
+def _binomial_walk(N: int, p: float, r: int, bits: int) -> float | None:
     """sum of pmf(k) / k**r over k >= 1, rounded once; None if undecided.
 
     The double p is exactly a / 2**s, so q = b / 2**s with b = 2**s - a
-    is exact too.  The walk keeps to the window of _support(N, p, r,
-    rel_mass), which sizes it.  It starts at the mode k0 = floor((N+1)p),
-    which the window holds (its t exceeds 26) unless k0 = 0, taken as 1
-    then.  It keeps T(k) ~ 2**W pmf(k) as an integer, stepping up by the
-    floor of T (N-k) a / ((k+1) b) and down by the floor of T (k+1) b /
-    ((N-k) a).  Every such ratio away from the mode is at most 1, so a
-    floor never grows an earlier one: T(k) is within |k - k0| + 1 units
-    below 2**W pmf(k) times the anchor's relative error (the anchor's
-    floor included) and the floor of T(k) / k**r within |k - k0| + 2
-    units.  Terms stop where they provably floor to 0: upward once one
-    does (T falls and k**r rises), downward once T is 0, and never for
-    k**r at or above 2**(W+1) > T.  So no float and no huge k**r is
-    formed, whatever r.
-
-    Error budget.  The anchor pmf(k0) is one mpmath evaluation of
-    exp(log C(N, k0) + k0 log p + (N-k0) log q) at max(bits, 64) + g
-    bits, where 2**g is 2**8 M and M = (N+1) (3 log(N+1) + |log p| +
-    |log q|) bounds the log-gamma and log terms that cancel; 8 bits
-    cover mpmath's few-ulp errors in its eight operations.  So the
-    anchor is within a relative 2**-bits, and p is exact in it.  W is
-    bits past both the summed per-term bounds E_f of the window and the
-    larger of Jensen's L and 2**-1080, so a subnormal result keeps bits
-    to spare.  The terms each side of the walk leaves out lie from its
-    first unsummed k on, where the scaled pmf is at most T(k) + |k - k0|
-    + 1 and the pmf ratios outward keep falling, so on that scale they
-    weigh at most a geometric tail (_edge_tail) of that value over k**r
-    above (over 2**(W+1) past k**r's cut) and of the value itself
-    below, as 1/k**r <= 1.  With acc the sum of the floored terms and
-    tail the two tails, 2**W times the moment lies in [acc (1 -
-    2**-bits), (acc + E_f + tail) (1 + 2**(1-bits))].  Integer true
-    division rounds correctly and monotonically, so when both ends
-    round to the same double, so does the moment.
+    is exact too, and the pmf steps from its mode k0 = floor((N+1) p) by
+    the ratio (N a - a k) / (b + b k) (_ratio_walk).  The anchor pmf(k0)
+    is one mpmath exp(log C(N, k0) + k0 log p + (N-k0) log q) at
+    max(bits, 64) + g bits, where 2**g is 2**8 M and M = (N+1) (3
+    log(N+1) + |log p| + |log q|) bounds the terms that cancel; 8 bits
+    cover mpmath's few-ulp errors in its eight operations, so the anchor
+    is within a relative 2**-bits.  c is -log2 of Jensen's L, rounded up
+    and at most 1080, so a subnormal result keeps bits to spare.  The
+    scale is W = bits + B + c, B = _walk_bits(bits + c + 1, Npq), and
+    the walk stops below 2**B, near 2**-(bits + c) of the pmf's peak.
+    From k = 2**ceil((W+1) / r) on, k**r > T, so no floor is taken and
+    no huge k**r formed there.  With acc the sum of the floors over k >=
+    1, 2**W times the moment lies in [acc (1 - 2**-bits), (acc + F) (1 +
+    2**(1-bits))] (_round_once).
     """
     a, two_s = p.as_integer_ratio()
     b = two_s - a
-    window = _support(N, p, r, rel_mass)
-    lo, hi = window.start, window.stop - 1
-    k0 = min(max((N + 1) * a // two_s, lo), hi)
-    d_lo, d_hi = k0 - lo, hi - k0
-    e_f = (d_lo * (d_lo + 1) + d_hi * (d_hi + 1)) // 2 + 2 * len(window)
-    log2_l = _log_jensen_binomial(N, p, r) / math.log(2.0)
-    W = bits + e_f.bit_length() + min(math.ceil(-log2_l), 1080)
+    k0 = (N + 1) * a // two_s
+    c = min(math.ceil(-_log2_jensen_binomial(N, p, r)), 1080)
+    B = _walk_bits(bits + c + 1, N * p * (1.0 - p))
+    W = bits + B + c
     M = (N + 1) * (3.0 * math.log(N + 1) - math.log(p) - math.log1p(-p))
     with mpmath.workprec(max(bits, 64) + math.ceil(math.log2(M)) + 8):
         P = mpmath.mpf(p)
@@ -365,39 +384,12 @@ def _binomial_walk(N: int, p: float, r: int, bits: int, rel_mass: float) -> floa
                    - mpmath.loggamma(N - k0 + 1) + k0 * mpmath.log(P)
                    + (N - k0) * mpmath.log1p(-P))
         anchor = to_fixed(mpmath.exp(log_pmf)._mpf_, W)
-    k_cut = 1 << -(-(W + 1) // r)  # k**r >= 2**(W+1) from here on
-    acc, T = 0, anchor
-    for k in range(k0, min(hi, k_cut - 1) + 1):
-        term = T // k**r
-        if not term:
-            break
-        acc += term
-        T = T * ((N - k) * a) // ((k + 1) * b)
-    else:
-        k = max(k0, min(hi + 1, k_cut))
-    # k is the first index summed neither way, T its walk value
-    tail = 0
-    if k <= N:
-        kr = k**r if k < k_cut else 1 << (W + 1)
-        tail = _edge_tail(-(-(T + k - k0 + 1) // kr), (N - k) * a, (k + 1) * b)
-    T = anchor
-    for k in range(k0 - 1, lo - 1, -1):
-        T = T * ((k + 1) * b) // ((N - k) * a)
-        if not T:
-            break
-        if k < k_cut:
-            acc += T // k**r
-    else:
-        k = lo - 1
-        T = T * (lo * b) // ((N - lo + 1) * a)
-    if k:
-        tail += _edge_tail(T + k0 - k + 1, k * b, (N - k + 1) * a)
+    lo, terms, F = _ratio_walk(anchor, k0, N * a, -a, b, b, 1 << B)
+    k1, k2 = max(lo, 1), min(lo + len(terms), 1 << -(-(W + 1) // r))
+    acc = sum(map(floordiv, terms[k1 - lo:k2 - lo], map(pow, range(k1, k2), repeat(r))))
     low = max(0, acc - (acc >> bits) - 1)
-    high = acc + e_f + tail
-    high += (high >> (bits - 1)) + 1
-    den = 1 << W
-    value = low / den
-    return value if value == high / den else None
+    high = acc + F
+    return _round_once(low, high + (high >> (bits - 1)) + 1, 1 << W)
 
 
 def _poisson_terms(mu: float) -> Iterator[tuple[int, float]]:

@@ -16,9 +16,9 @@ through mpmath, as one mpmath.fdot rounded once.  The expansion's
 inputs need no mpmath sum.  The q table holds each E[1/(Q+a)**r] as an
 exact integer on one scale 2**S with its own error bound, so its
 alternating differences are exact integer sums (build_q_table).  Its
-Poisson terms come from one integer walk outward from the mode by the
-pmf's exact ratios, about 2.35 sqrt(mu S) steps, bounded for its floors
-and for both tails it leaves out (_poisson_window).  At
+Poisson terms come from the integer walk outward from the mode by the
+pmf's exact ratios that the binomial oracle takes too
+(exact_oracle._ratio_walk), about 2.35 sqrt(mu S) steps.  At
 r = 1, y(n), mu**n times the n-th alternating forward difference of
 a -> E[1/(Q+a)], is exact integers times e**(-mu) Er(mu) and e**(-mu)
 (_y_integers).
@@ -40,10 +40,11 @@ from .exact_oracle import (
     DomainError,
     _check_mu,
     _check_walk_mu,
-    _edge_tail,
     _log2_jensen,
     _over_power,
     _poisson_terms,
+    _ratio_walk,
+    _walk_bits,
     shifted_poisson_moment_direct,
 )
 from .special_numbers import _ROW_CAP, _stirling_entry, _stirling_row
@@ -494,20 +495,14 @@ def _fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
     bound: 1/(mu+A)**r for a >= 1, P(Q >= 1)**(r+1) / mu**r for a = 0.
     With wp = prec + guard and the guard 4 bits past a bound on the
     window's F, each entry's bound (_q_table) is then 2**-(prec-2) of it
-    or less.  The bound: T(k) < 2**(S+1) pi(k), so by the Poisson
-    Chernoff bounds P(Q >= mu + t) <= exp(-t**2 / (2 (mu + t/3))) and
-    P(Q <= mu - t) <= exp(-t**2 / (2 mu)) each side of the walk ends
-    within D steps of the mode, D = lam/3 + sqrt(lam**2/9 + 2 lam mu) + 2
-    with lam = (S+1) log 2, and then F <= (D+2) (2D + 2 mu + 6).  S
-    depends on the guard, so the guard grows until it covers the F
-    bound at its own S.
+    or less.  T(k) >= 1 puts pi(k) at 2**-(S+1) or more, so the bound is
+    exact_oracle._walk_bits(S + 1, mu).  S depends on the guard, so the
+    guard grows until it covers that bound at its own S.
     """
     low = math.floor(min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A)))
     guard = 8
     while True:
-        lam = (prec + guard - low + 3) * math.log(2.0)
-        D = lam / 3.0 + math.sqrt(lam * lam / 9.0 + 2.0 * lam * mu) + 2.0
-        need = math.ceil(math.log2((D + 2.0) * (2.0 * D + 2.0 * mu + 6.0))) + 4
+        need = _walk_bits(prec + guard - low + 3, mu) + 4
         if need <= guard:
             return prec + guard - low + 2, prec + guard
         guard = need
@@ -516,46 +511,20 @@ def _fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
 def _poisson_window(mu: float, S: int, wp: int) -> tuple[int, list[int], int]:
     """(lo, terms, F): T(k) ~ 2**S pi(k) for k = lo, lo + 1, ..., and a bound F.
 
-    The double mu is exactly a / 2**s.  The walk starts at the mode
-    k0 = floor(mu) from T(k0), the floor of X(k0), X(k) = 2**S pi(k)
-    (1 + eps) for one mpmath exp(k0 log mu - mu - loggamma(k0 + 1)) at
-    wp + g bits; 2**g is 2**8 times the size of the logs that cancel,
-    so |eps| <= 2**-wp.  It steps up by T(k+1) = floor(T(k) a / ((k+1)
-    2**s)) and down by T(k-1) = floor(T(k) k 2**s / a).  Both ratios,
-    mu / (k+1) above the mode and k / mu below it, are at most 1, so a
-    floor never grows an earlier one: T(k) lies within |k - k0| + 1
-    units below X(k), and a weighted floor floor(T(k) w), w <= 1, within
-    |k - k0| + 2 units of X(k) w.  Each side stops at the first k where
-    T(k) = 0, below k = 0 at the latest.  Past such an edge the ratios
-    keep falling, so the X mass from it on is a geometric tail of at
-    most |k - k0| + 1 units (exact_oracle._edge_tail).  F sums the
-    floor bounds over the window and both tails.
+    The double mu is exactly a / 2**s, and the walk is
+    exact_oracle._ratio_walk by the ratio a / ((k+1) 2**s) from the mode
+    k0 = floor(mu), down to where T floors to 0.  Its anchor is the
+    floor of 2**S pi(k0) (1 + eps) for one mpmath exp(k0 log mu - mu -
+    loggamma(k0 + 1)) at wp + g bits; 2**g is 2**8 times the size of the
+    logs that cancel, so |eps| <= 2**-wp.
     """
     a, b = mu.as_integer_ratio()
-    s = b.bit_length() - 1
-    k0 = a >> s
+    k0 = a // b
     logs = 1.0 + mu + k0 * (abs(math.log(mu)) + math.log(k0 + 1))
     with mpmath.workprec(wp + math.ceil(math.log2(logs)) + 8):
         x = mpmath.mpf(mu)
         anchor = to_fixed(mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))._mpf_, S)
-    up, T, k = [], anchor, k0
-    while T:
-        up.append(T)
-        T = T * a // ((k + 1) << s)
-        k += 1
-    tail = _edge_tail(k - k0 + 1, a, (k + 1) << s)
-    down, T, k = [], anchor, k0
-    while k:
-        T = (T * k << s) // a
-        k -= 1
-        if not T:
-            tail += _edge_tail(k0 - k + 1, k << s, a)
-            break
-        down.append(T)
-    d_lo, d_hi = len(down), len(up) - 1
-    F = (d_lo * (d_lo + 1) + d_hi * (d_hi + 1)) // 2 + 2 * (d_lo + d_hi + 1) + tail
-    down.reverse()
-    return k0 - d_lo, down + up, F
+    return _ratio_walk(anchor, k0, a, 0, b, b, 1)
 
 
 def _y_integers(mu: float, n_max: int) -> list[tuple[int, int, int]]:

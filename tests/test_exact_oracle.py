@@ -17,7 +17,6 @@ from invmoments import exact_oracle
 from invmoments.charlier_expansion import ExpansionPolynomial, expand_pdf
 from invmoments.cli import GridSpec
 from invmoments.exact_oracle import (
-    _WINDOW_REL_MASS,
     Binomial,
     DomainError,
     ExplicitPdf,
@@ -30,8 +29,8 @@ from invmoments.exact_oracle import (
     _binomial_walk,
     _log2_jensen,
     _poisson_terms,
+    _ratio_walk,
     _stirlerr,
-    _support,
 )
 from invmoments.poisson_moments import (
     _positive_moment_double,
@@ -187,21 +186,23 @@ def test_exact_inverse_moment_large_N_against_mpmath(N, p, r):
 def test_exact_inverse_moment_retries_an_undecided_rounding(N, p, r):
     # Ziv's scheme from 2 bits past the result instead of 64: the first
     # walk cannot decide the rounding, and every walk that can, at twice
-    # the bits and a narrower tail, lands on the double the oracle returns
+    # the bits and so a finer scale and a longer walk, lands on the
+    # double the oracle returns
     want = exact_inverse_moment(Binomial(N, p), r)
-    bits, rel_mass, got = 2, _WINDOW_REL_MASS, []
+    bits, got = 2, []
     while bits <= 256:
-        got.append(_binomial_walk(N, p, r, bits, rel_mass))
-        bits, rel_mass = 2 * bits, rel_mass * 2.0**-bits
+        got.append(_binomial_walk(N, p, r, bits))
+        bits *= 2
     assert got[0] is None
     assert set(got) == {None, want}
 
 
 def test_binomial_walk_rarely_retries(monkeypatch):
-    # the left-out tails are bounded from the walk's own edge values, far
-    # below an ulp, so a rounding stays undecided only where the moment
-    # sits within about 2**-63 of a midpoint; with the window's Bernstein
-    # mass of 1e-17 L in the bound instead, 8% of these calls walked twice
+    # the left-out tails are bounded from the walk's own edge values, near
+    # 2**-(bits + c) of the pmf's peak, so a rounding stays undecided only
+    # where the moment sits within about 2**-60 of a midpoint; with the
+    # Bernstein mass of 1e-17 L an earlier window put in the bound
+    # instead, 8% of these calls walked twice
     walks = []
 
     def counting(*args):
@@ -269,30 +270,81 @@ def test_exact_inverse_moment_large_N_fixed_cases(N, p):
     assert exact_inverse_moment(Binomial(N, p), 1) == float(want)
 
 
+def _check_walk(pmf, params, k0, W, stop, support):
+    """The bounds _ratio_walk states, against pmf(k) at 40 digits past 2**W.
+
+    params = (n0, n1, d0, d1) gives the step ratio (n0 + n1 k) / (d0 +
+    d1 k) out of k upward, and its reciprocal at k - 1 downward.  Every
+    T(k) lies within |k - k0| + 1 units below X(k) = 2**W pmf(k); each
+    side stops at its first T(k) < stop, and the reference mass it
+    leaves out, from that k outward, is at most its geometric tail term;
+    F is the floor bounds plus the two tail terms.
+    """
+    n0, n1, d0, d1 = params
+    up = lambda k: (n0 + n1 * k, d0 + d1 * k)
+    down = lambda k: (d0 + d1 * (k - 1), n0 + n1 * (k - 1))
+    X = lambda k: mpmath.ldexp(pmf(k), W)
+    anchor = int(mpmath.floor(X(k0)))
+    lo, terms, F = _ratio_walk(anchor, k0, *params, stop)
+    hi = lo + len(terms) - 1
+    for k, T in enumerate(terms, lo):
+        assert T >= stop
+        assert X(k) - (abs(k - k0) + 1) <= T <= X(k), k
+    floors = sum(abs(k - k0) + 2 for k in range(lo, hi + 1))
+    tails = 0
+    for edge, step, out in ((hi, up, 1), (lo, down, -1)):
+        n, d = step(edge)
+        T = terms[edge - lo] * n // d
+        k = edge + out
+        assert T < stop
+        if k not in support:
+            continue
+        n, d = step(k)
+        tail = -(-(T + abs(k - k0) + 1) * d // (d - n))
+        left_out = mpf(0)
+        while k in support:
+            x = X(k)
+            left_out += x
+            if x < mpf(10) ** -30 * left_out:
+                break
+            k += out
+        assert left_out <= tail, (edge, out)
+        tails += tail
+    assert F == floors + tails
+
+
 @pytest.mark.parametrize(
     "N,p,r",
     [(10**5, 0.5, 1), (20000, 0.37, 6), (20000, 0.999, 3), (1000, 1e-6, 3), (301, 0.01, 1)],
 )
-def test_exact_inverse_moment_window_neglects_under_1e_17(N, p, r):
-    window = _support(N, p, r)
-    assert window.step == 1 and 1 <= window.start and window.stop <= N + 1
-    value = exact_inverse_moment(Binomial(N, p), r)
-    with mpmath.workdps(REF_DPS):
+def test_binomial_walk_within_its_bounds(N, p, r):
+    # the binomial ratio (N - k) a / ((k + 1) b) at the scale and stop the
+    # oracle sizes for 64 bits, from an anchor without error
+    a, two_s = p.as_integer_ratio()
+    b = two_s - a
+    c = min(math.ceil(-exact_oracle._log2_jensen_binomial(N, p, r)), 1080)
+    B = exact_oracle._walk_bits(64 + c + 1, N * p * (1.0 - p))
+    W = 64 + B + c
+    with mpmath.workdps(math.ceil(W * math.log10(2.0)) + 40):
         P = mpf(p)
-        left_out = mpf(0)
-        if window.start > 1:
-            left_out += _mp_run(N, P, r, window.start - 1, -1)
-        if window.stop <= N:
-            left_out += _mp_run(N, P, r, window.stop, 1)
-        assert left_out <= 1e-17 * value
-    if N == 10**5:
-        assert len(window) < N // 10  # the window does cut the work
+        _check_walk(lambda k: _mp_pmf(N, k, P), (N * a, -a, b, b), (N + 1) * a // two_s,
+                    W, 1 << B, range(N + 1))
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.5, 7.3, 61.0, 1000.0])
+@pytest.mark.parametrize("W,stop", [(96, 1), (96, 1 << 20), (200, 1)])
+def test_poisson_walk_within_its_bounds(mu, W, stop):
+    # the Poisson ratio a / ((k + 1) 2**s), with stop 1 as the q table
+    # walks it and with a larger stop too
+    a, two_s = mu.as_integer_ratio()
+    with mpmath.workdps(math.ceil(W * math.log10(2.0)) + 40):
+        x = mpf(mu)
+        pmf = lambda k: mpmath.exp(k * mpmath.log(x) - x - mpmath.loggamma(k + 1))
+        _check_walk(pmf, (a, 0, two_s, two_s), a // two_s, W, stop, range(10**18))
 
 
 def test_degenerate_binomial_sums_only_its_atom():
     # p = 0 puts all mass at 0 and p = 1 at N, so no walk over 1..N is needed
-    assert len(_support(10**9, 1.0, 2)) == 1
-    assert len(_support(10**9, 0.0, 2)) == 0
     start = time.perf_counter()
     assert exact_inverse_moment(Binomial(10**9, 1.0), 2) == 1e-18
     assert exact_inverse_moment(Binomial(10**9, 0.0), 2) == 0.0

@@ -1,0 +1,268 @@
+"""The one ratio walk against verbatim copies of the two walks it replaced.
+
+The binomial oracle for N > 300 once walked the window of a Bernstein
+bound with its own two step loops (_support, _binomial_walk below), and
+the q table walked the Poisson pmf with two more (_poisson_window
+below).  Both now go through exact_oracle._ratio_walk.  Every binomial
+value is correctly rounded either way, so the doubles must be equal;
+the Poisson window's (lo, terms, F) must be equal integer for integer.
+"""
+import math
+import random
+
+import mpmath
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import to_fixed
+
+from invmoments import poisson_moments
+from invmoments.cli import GridSpec
+from invmoments.exact_oracle import _COMB_LIMIT, Binomial, exact_inverse_moment
+
+# ---- reference copies, verbatim ---------------------------------------------
+
+# The terms that the large-N window leaves out weigh at most this
+# fraction of E+[1/K**r].
+_WINDOW_REL_MASS = 1e-17
+
+
+def _log_jensen_binomial(N: int, p: float, r: int) -> float:
+    """log of Jensen's lower bound P(K >= 1)**(r+1) / (Np)**r on E+[1/K**r]."""
+    return (r + 1) * math.log(-math.expm1(N * math.log1p(-p))) - r * math.log(N * p)
+
+
+def _support(N: int, p: float, r: int, rel_mass: float = _WINDOW_REL_MASS) -> range:
+    """The k >= 1 that exact_inverse_moment sums for Binomial(N, p).
+
+    Nothing for p = 0, only N for p = 1, all of 1..N on the comb path.
+    For large N, [max(1, Np - t), min(N, Np + t)]: Bernstein bounds each
+    tail beyond it by exp(-t**2 / (2*(Npq + t/3))), 1/k**r <= 1 there,
+    and the moment is at least Jensen's L (_log_jensen_binomial).  t
+    makes each tail bound rel_mass * L / 2, so the terms left out weigh
+    at most rel_mass * L in all.
+    """
+    if p == 0.0:
+        return range(0)
+    if p == 1.0:
+        return range(N, N + 1)
+    if N <= _COMB_LIMIT:
+        return range(1, N + 1)
+    mean = N * p
+    lam = math.log(2.0 / rel_mass) - _log_jensen_binomial(N, p, r)
+    t = lam / 3.0 + math.sqrt(lam * lam / 9.0 + 2.0 * lam * mean * (1.0 - p))
+    return range(max(1, math.ceil(mean - t)), min(N, math.floor(mean + t)) + 1)
+
+
+def _binomial_inverse_moment(N: int, p: float, r: int) -> float:
+    """E+[1/K**r] for N > 300 and 0 < p < 1, correctly rounded.
+
+    _binomial_walk sums the window of _support in fixed point, first at
+    64 bits past the result.  While its rounding is undecided, the bits
+    double and the window's left-out mass shrinks by 2**-bits (Ziv's
+    scheme).  Arguments are the caller's to validate.
+    """
+    bits, rel_mass = 64, _WINDOW_REL_MASS
+    while (value := _binomial_walk(N, p, r, bits, rel_mass)) is None:
+        bits, rel_mass = 2 * bits, rel_mass * 2.0**-bits
+    return value
+
+
+def _edge_tail(v: int, num: int, den: int) -> int:
+    """ceil(v den / (den - num)), the sum of v rho**i over i >= 0, rho = num / den < 1.
+
+    It bounds the mass a walk leaves out past an edge where the value is
+    at most v and every ratio outward is at most rho.
+    """
+    return -(-v * den // (den - num))
+
+
+def _binomial_walk(N: int, p: float, r: int, bits: int, rel_mass: float) -> float | None:
+    """sum of pmf(k) / k**r over k >= 1, rounded once; None if undecided.
+
+    The double p is exactly a / 2**s, so q = b / 2**s with b = 2**s - a
+    is exact too.  The walk keeps to the window of _support(N, p, r,
+    rel_mass), which sizes it.  It starts at the mode k0 = floor((N+1)p),
+    which the window holds (its t exceeds 26) unless k0 = 0, taken as 1
+    then.  It keeps T(k) ~ 2**W pmf(k) as an integer, stepping up by the
+    floor of T (N-k) a / ((k+1) b) and down by the floor of T (k+1) b /
+    ((N-k) a).  Every such ratio away from the mode is at most 1, so a
+    floor never grows an earlier one: T(k) is within |k - k0| + 1 units
+    below 2**W pmf(k) times the anchor's relative error (the anchor's
+    floor included) and the floor of T(k) / k**r within |k - k0| + 2
+    units.  Terms stop where they provably floor to 0: upward once one
+    does (T falls and k**r rises), downward once T is 0, and never for
+    k**r at or above 2**(W+1) > T.  So no float and no huge k**r is
+    formed, whatever r.
+
+    Error budget.  The anchor pmf(k0) is one mpmath evaluation of
+    exp(log C(N, k0) + k0 log p + (N-k0) log q) at max(bits, 64) + g
+    bits, where 2**g is 2**8 M and M = (N+1) (3 log(N+1) + |log p| +
+    |log q|) bounds the log-gamma and log terms that cancel; 8 bits
+    cover mpmath's few-ulp errors in its eight operations.  So the
+    anchor is within a relative 2**-bits, and p is exact in it.  W is
+    bits past both the summed per-term bounds E_f of the window and the
+    larger of Jensen's L and 2**-1080, so a subnormal result keeps bits
+    to spare.  The terms each side of the walk leaves out lie from its
+    first unsummed k on, where the scaled pmf is at most T(k) + |k - k0|
+    + 1 and the pmf ratios outward keep falling, so on that scale they
+    weigh at most a geometric tail (_edge_tail) of that value over k**r
+    above (over 2**(W+1) past k**r's cut) and of the value itself
+    below, as 1/k**r <= 1.  With acc the sum of the floored terms and
+    tail the two tails, 2**W times the moment lies in [acc (1 -
+    2**-bits), (acc + E_f + tail) (1 + 2**(1-bits))].  Integer true
+    division rounds correctly and monotonically, so when both ends
+    round to the same double, so does the moment.
+    """
+    a, two_s = p.as_integer_ratio()
+    b = two_s - a
+    window = _support(N, p, r, rel_mass)
+    lo, hi = window.start, window.stop - 1
+    k0 = min(max((N + 1) * a // two_s, lo), hi)
+    d_lo, d_hi = k0 - lo, hi - k0
+    e_f = (d_lo * (d_lo + 1) + d_hi * (d_hi + 1)) // 2 + 2 * len(window)
+    log2_l = _log_jensen_binomial(N, p, r) / math.log(2.0)
+    W = bits + e_f.bit_length() + min(math.ceil(-log2_l), 1080)
+    M = (N + 1) * (3.0 * math.log(N + 1) - math.log(p) - math.log1p(-p))
+    with mpmath.workprec(max(bits, 64) + math.ceil(math.log2(M)) + 8):
+        P = mpmath.mpf(p)
+        log_pmf = (mpmath.loggamma(N + 1) - mpmath.loggamma(k0 + 1)
+                   - mpmath.loggamma(N - k0 + 1) + k0 * mpmath.log(P)
+                   + (N - k0) * mpmath.log1p(-P))
+        anchor = to_fixed(mpmath.exp(log_pmf)._mpf_, W)
+    k_cut = 1 << -(-(W + 1) // r)  # k**r >= 2**(W+1) from here on
+    acc, T = 0, anchor
+    for k in range(k0, min(hi, k_cut - 1) + 1):
+        term = T // k**r
+        if not term:
+            break
+        acc += term
+        T = T * ((N - k) * a) // ((k + 1) * b)
+    else:
+        k = max(k0, min(hi + 1, k_cut))
+    # k is the first index summed neither way, T its walk value
+    tail = 0
+    if k <= N:
+        kr = k**r if k < k_cut else 1 << (W + 1)
+        tail = _edge_tail(-(-(T + k - k0 + 1) // kr), (N - k) * a, (k + 1) * b)
+    T = anchor
+    for k in range(k0 - 1, lo - 1, -1):
+        T = T * ((k + 1) * b) // ((N - k) * a)
+        if not T:
+            break
+        if k < k_cut:
+            acc += T // k**r
+    else:
+        k = lo - 1
+        T = T * (lo * b) // ((N - lo + 1) * a)
+    if k:
+        tail += _edge_tail(T + k0 - k + 1, k * b, (N - k + 1) * a)
+    low = max(0, acc - (acc >> bits) - 1)
+    high = acc + e_f + tail
+    high += (high >> (bits - 1)) + 1
+    den = 1 << W
+    value = low / den
+    return value if value == high / den else None
+
+
+def _poisson_window(mu: float, S: int, wp: int) -> tuple[int, list[int], int]:
+    """(lo, terms, F): T(k) ~ 2**S pi(k) for k = lo, lo + 1, ..., and a bound F.
+
+    The double mu is exactly a / 2**s.  The walk starts at the mode
+    k0 = floor(mu) from T(k0), the floor of X(k0), X(k) = 2**S pi(k)
+    (1 + eps) for one mpmath exp(k0 log mu - mu - loggamma(k0 + 1)) at
+    wp + g bits; 2**g is 2**8 times the size of the logs that cancel,
+    so |eps| <= 2**-wp.  It steps up by T(k+1) = floor(T(k) a / ((k+1)
+    2**s)) and down by T(k-1) = floor(T(k) k 2**s / a).  Both ratios,
+    mu / (k+1) above the mode and k / mu below it, are at most 1, so a
+    floor never grows an earlier one: T(k) lies within |k - k0| + 1
+    units below X(k), and a weighted floor floor(T(k) w), w <= 1, within
+    |k - k0| + 2 units of X(k) w.  Each side stops at the first k where
+    T(k) = 0, below k = 0 at the latest.  Past such an edge the ratios
+    keep falling, so the X mass from it on is a geometric tail of at
+    most |k - k0| + 1 units (exact_oracle._edge_tail).  F sums the
+    floor bounds over the window and both tails.
+    """
+    a, b = mu.as_integer_ratio()
+    s = b.bit_length() - 1
+    k0 = a >> s
+    logs = 1.0 + mu + k0 * (abs(math.log(mu)) + math.log(k0 + 1))
+    with mpmath.workprec(wp + math.ceil(math.log2(logs)) + 8):
+        x = mpmath.mpf(mu)
+        anchor = to_fixed(mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))._mpf_, S)
+    up, T, k = [], anchor, k0
+    while T:
+        up.append(T)
+        T = T * a // ((k + 1) << s)
+        k += 1
+    tail = _edge_tail(k - k0 + 1, a, (k + 1) << s)
+    down, T, k = [], anchor, k0
+    while k:
+        T = (T * k << s) // a
+        k -= 1
+        if not T:
+            tail += _edge_tail(k0 - k + 1, k << s, a)
+            break
+        down.append(T)
+    d_lo, d_hi = len(down), len(up) - 1
+    F = (d_lo * (d_lo + 1) + d_hi * (d_hi + 1)) // 2 + 2 * (d_lo + d_hi + 1) + tail
+    down.reverse()
+    return k0 - d_lo, down + up, F
+
+
+# ---- the differentials -----------------------------------------------------
+
+REPORT_GRID = GridSpec().points()[:-1]
+
+
+def _large_n_inputs(n):
+    """n seeded inputs shaped like the large_n benchmark's: N from 10**3
+    to 10**5 log-uniform, p uniform in [0.01, 0.99], r mostly 1."""
+    rng = random.Random(19)
+    for _ in range(n):
+        yield (round(10.0 ** rng.uniform(3.0, 5.0)), 0.01 + 0.98 * rng.random(),
+               rng.choice((1, 1, 2, 3)))
+
+
+@pytest.mark.parametrize("N,p,r", list(_large_n_inputs(120)))
+def test_binomial_oracle_equals_the_window_walk_large_n(N, p, r):
+    assert exact_inverse_moment(Binomial(N, p), r) == _binomial_inverse_moment(N, p, r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.floats(min_value=math.log(301), max_value=math.log(1e6)).map(
+        lambda x: max(301, int(round(math.exp(x))))
+    ),
+    st.one_of(
+        st.integers(1, 999).map(lambda i: i / 1000),  # 1 - p inexact for most p < 0.5
+        st.sampled_from(REPORT_GRID),
+        st.floats(min_value=math.log(1e-300), max_value=math.log(0.5)).map(math.exp),
+        st.floats(min_value=math.log(1e-15), max_value=math.log(0.5)).map(
+            lambda x: 1.0 - math.exp(x)
+        ),
+    ),
+    st.one_of(st.integers(1, 8), st.sampled_from([400, 10**4, 10**6])),
+)
+@example(10**5, 0.5, 10**6)
+@example(10**5, 1e-300, 10**6)
+@example(1000, 0.5, 400)
+@example(1000, 5e-324, 3)
+@example(10**6, 0.99997, 1)
+@example(10**6, 1.0 - 2.0**-53, 2)
+def test_binomial_oracle_equals_the_window_walk(N, p, r):
+    assert exact_inverse_moment(Binomial(N, p), r) == _binomial_inverse_moment(N, p, r)
+
+
+@pytest.mark.parametrize("mu", [1e-300, 1e-3, 0.5, 7.3, 61.0, 99.9, 150.0, 1e3, 12345.678, 1e5])
+@pytest.mark.parametrize("r,A,prec", [(1, 0, 80), (2, 2, 120), (3, 10, 300)])
+def test_poisson_window_equals_its_own_walk(mu, r, A, prec):
+    S, wp = poisson_moments._fixed_scale(mu, r, A, prec)
+    assert poisson_moments._poisson_window(mu, S, wp) == _poisson_window(mu, S, wp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(math.log(1e-300), math.log(1e4)), st.integers(1, 6), st.integers(0, 12))
+def test_poisson_window_equals_its_own_walk_hypothesis(log_mu, r, A):
+    mu = math.exp(log_mu)
+    S, wp = poisson_moments._fixed_scale(mu, r, A, 80 + 6 * A)
+    assert poisson_moments._poisson_window(mu, S, wp) == _poisson_window(mu, S, wp)
