@@ -276,9 +276,9 @@ def _round_once(low: int, high: int, den: int) -> float | None:
 def _walk_bits(depth: int, var: float) -> int:
     """ceil(log2((D+2) (2D + 2 var + 6))), D = lam/3 + sqrt(lam**2/9 + 2 lam var) + 2.
 
-    With lam = depth log 2 >= 3, 2**this bounds the F of a _ratio_walk
-    with stop 1 over a Poisson (var = mu) or binomial (var = Npq) pmf if
-    every T(k) >= 1 has pmf(k) >= 2**-depth.  By the Chernoff and
+    With lam = depth log 2 and depth >= 3, 2**this bounds the F of a
+    _ratio_walk with stop 1 over a Poisson (var = mu) or binomial (var =
+    Npq) pmf if every T(k) >= 1 has pmf(k) >= 2**-depth.  By the Chernoff and
     Bernstein bounds exp(-t**2 / (2 (var + t/3))) on each tail, such a k
     lies within D - 2 of the mean, so within D - 1 of the mode, and each
     side stops within D steps of it.  So the floor bounds sum to under

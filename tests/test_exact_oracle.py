@@ -77,7 +77,7 @@ def test_binomial_pdf_large_N_stable():
     assert abs(ratio - expected) < 1e-9
 
 
-# mpmath references for N > 300, where the oracle walks a window around Np.
+# mpmath references for N > 300, where the oracle walks out from the mode.
 # They share nothing with the oracle but the inputs.  Q = 1 - P is exact and
 # log Q is log1p(-P), so no rounding of 1 - p enters them.
 REF_DPS = 34
