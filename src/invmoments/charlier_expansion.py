@@ -317,7 +317,8 @@ def barbour_error_bound(N: int, p: float, m: int) -> float:
     """A priori bound 2**(2m-1) * (1 - e**(-Np)) * p**m on the order-m error.
 
     Loose in absolute terms and only informative for p below roughly
-    1/4; beyond that it exceeds the trivial bound.
+    1/4; beyond that it exceeds the trivial bound.  Past m = 512 the
+    product is formed in mpmath and rounded once, to inf if need be.
     """
     if N < 1:
         raise DomainError("N must be a positive integer")
@@ -325,4 +326,8 @@ def barbour_error_bound(N: int, p: float, m: int) -> float:
         raise DomainError("order m must be a positive integer")
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    return 2.0 ** (2 * m - 1) * (-math.expm1(-N * p)) * p**m
+    e = -math.expm1(-N * p)
+    if m <= 512:  # 2**(2m-1) is a double
+        return 2.0 ** (2 * m - 1) * e * p**m
+    with mpmath.workprec(64):
+        return float(mpmath.ldexp(mpmath.mpf(e) * mpmath.mpf(p) ** m, 2 * m - 1))

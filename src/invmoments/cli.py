@@ -326,7 +326,11 @@ def cmd_poisson_table(args: argparse.Namespace) -> int:
     print(f"{'mu':>10}  {'E+[1/Q^r]':>24}  {'mu^r * value':>24}")
     for mu in args.mu:
         value = positive_poisson_inverse_moment(mu, args.r)
-        print(f"{mu:>10.4f}  {value:>24.17g}  {mu**args.r * value:>24.17g}")
+        try:
+            scaled = mu**args.r * value
+        except OverflowError:
+            raise DomainError(f"mu**r passes the double range at mu = {mu:g}, r = {args.r}") from None
+        print(f"{mu:>10.4f}  {value:>24.17g}  {scaled:>24.17g}")
     return 0
 
 

@@ -40,6 +40,7 @@ from .exact_oracle import (
     DomainError,
     _check_mu,
     _check_walk_mu,
+    _direct_sum,
     _log2_jensen,
     _over_power,
     _poisson_terms,
@@ -131,38 +132,32 @@ def _er_from_ei(mu: float) -> mpf:
     return +er
 
 
+# The oracle's tail is at most this much of Jensen's bound on E+[1/Q**r]
+_ORACLE_TOL = 1e-18
+
+
 def _positive_moment_double(mu: float, r: int) -> float:
-    """Ascending series summed to full double accuracy (oracle grade)."""
-    return _ascending_partial(mu, r, None)
+    """E+[1/Q**r] by the direct sum, to full double accuracy (oracle grade)."""
+    return _direct_sum(mu, 0, r, _ORACLE_TOL).value
 
 
-def _ascending_partial(mu: float, r: int, m1: int | None) -> float:
-    """First m1 >= 1 terms of the ascending series, or all of it for None."""
+def _ascending_partial(mu: float, r: int, m1: int) -> float:
+    """First m1 >= 1 terms of the ascending series."""
     return math.fsum(_ascending_terms(mu, r, m1))
 
 
-def _ascending_terms(
-    mu: float, r: int, m1: int | None, past_doubles: bool = False
-) -> Iterator[float]:
+def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
     """The terms pi(k) / k**r of the ascending series for k = 1 .. m1.
 
-    A k**r past the double range raises OverflowError, or with
-    past_doubles gives the term by exact_oracle._over_power.
-
-    With m1 None the walk stops once the geometric majorant of the tail,
-    pi(k) (k+1) / (k+1-mu) for k >= mu, is at most 1e-17 of the plain
-    running sum of the terms.  The rounded majorant is at least pi / 2
-    (see exact_oracle._direct_sum), so the cheaper test of pi / 2
-    against that limit goes first and drops no stop; that walk refuses
-    mu above 1e8.  Up to mu = 700 the walk runs the Poisson recurrence
-    itself, one generator step per term instead of two, since these
-    walks are most of a calibration.
+    With m1 None the walk never ends; its caller stops drawing.  These
+    are the oracle's own terms (exact_oracle._direct_sum): the same
+    Poisson walk, and a k**r past the double range takes the term by
+    exact_oracle._over_power.  Up to mu = 700 the walk runs the Poisson
+    recurrence itself, one generator step per term instead of two,
+    since these walks are most of a calibration.
     """
-    if m1 is None:
-        _check_walk_mu(mu)
     walk = None if mu <= 700.0 else _poisson_terms(mu)
     pi = math.exp(-mu)
-    total = 0.0
     for k in count(1) if m1 is None else range(1, m1 + 1):
         if walk is None:
             pi *= mu / k
@@ -170,20 +165,9 @@ def _ascending_terms(
             pi = next(walk)[1]
         try:
             t = pi / k**r
-        except OverflowError:
-            if not past_doubles:
-                raise
+        except OverflowError:  # k**r past the double range
             t = _over_power(pi, k, r)
         yield t
-        if m1 is None:
-            total += t
-            # <=: once pi underflows to 0 at tiny mu, so may 1e-17 * total
-            if (
-                k >= mu
-                and 0.5 * pi <= 1e-17 * total
-                and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total
-            ):
-                return
 
 
 # The large-mu series needs |s(r+i, r)| for i = 0 .. M2-1.  Entries stay
@@ -249,12 +233,15 @@ def _large_mu_bracket(mu: float, r: int) -> tuple[float, float] | None:
 
     Both ends then widen by _BRACKET_SLACK of hi, which covers, in
     units of 2**-53, the oracle's error and the bracket's rounding.  The
-    oracle errs by at most 2K + 6 for K terms: 2k + 4 roundings in term
-    k, 1 in its fsum and under 0.1 from its 1e-17 stop; and K <= 500,
-    since pi(500) / pi(1) <= 150**499 / 500! lies far below that stop.
-    Each c_n carries at most 2n + 4 <= 340 roundings, each lower-bound
-    term 2n + 7 more, and each sum 170.  None when the bracket would be
-    empty or 1/mu**r could leave the normal range.
+    oracle errs by at most 1006 for mu <= 150: 2k + 4 roundings in term
+    k <= 500, 1 in its fsum, under 0.01 from its stop at 1e-18 of
+    Jensen's bound, and under 0.01 from the terms past k = 500, however
+    far a large r runs the walk, since t(k) / t(1) <= 150**(k-1) / k!
+    is 6e-49 at k = 500 and shrinks by 0.3 per step.  Absolute roundings
+    below 2**-1074 vanish against the sum, at least pi(1) >= 150
+    e**-150.  Each c_n carries at most 2n + 4 <= 340 roundings, each
+    lower-bound term 2n + 7 more, and each sum 170.  None when the
+    bracket would be empty or 1/mu**r could leave the normal range.
     """
     if not 1.0 <= mu <= 150.0 or r * math.log2(mu) > 1000.0 or r > _ASYM_ROW_CAP:
         return None
@@ -332,11 +319,11 @@ def positive_poisson_inverse_moment(
 ) -> float:
     """E+[1/Q**r] for Q ~ Poisson(mu).
 
-    Without a profile the ascending series is summed to full double
-    accuracy, which serves as the oracle-grade path.  With a profile the
-    calibrated strategy applies: ascending series with M1 terms up to
-    mu_star, truncated large-mu series with M2 terms beyond it.  An
-    ascending term whose k**r passes the double range is taken by
+    Without a profile this is the oracle: poisson_inverse_moment_direct
+    with its tail at most 1e-18 of Jensen's bound on the result.  With a
+    profile the calibrated strategy applies: ascending series with M1
+    terms up to mu_star, truncated large-mu series with M2 terms beyond
+    it.  A term whose k**r passes the double range is taken by
     exact_oracle._over_power; a large-mu term whose (1/mu)**r does
     raises DomainError.
     """
@@ -347,17 +334,14 @@ def positive_poisson_inverse_moment(
         raise DomainError(
             f"profile was calibrated for r={profile.r}, not r={r}"
         )
+    if profile is None:
+        return _positive_moment_double(mu, r)
+    if mu <= profile.mu_star:
+        return _ascending_partial(mu, r, profile.M1)
     try:
-        if profile is None:
-            return _positive_moment_double(mu, r)
-        if mu <= profile.mu_star:
-            return _ascending_partial(mu, r, profile.M1)
         return _asymptotic_partial(mu, r, profile.M2)
-    except OverflowError:  # k**r, or (1/mu)**r, past the double range
-        if profile is not None and mu > profile.mu_star:
-            raise DomainError(f"r = {r} takes a term outside the double range") from None
-        m1 = None if profile is None else profile.M1
-        return math.fsum(_ascending_terms(mu, r, m1, past_doubles=True))
+    except OverflowError:  # (1/mu)**r past the double range
+        raise DomainError(f"r = {r} takes a term outside the double range") from None
 
 
 def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
@@ -597,7 +581,10 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
        maximum is the one an oracle call at every point would give.
 
     Raises CalibrationError when the large-mu series cannot reach the
-    target anywhere below mu = 150 for any M2 <= 120.
+    target anywhere below mu = 150 for any M2 <= 120.  Raises
+    DomainError for r >= 142: there the series' leading term 1/mu**r at
+    mu = 150, where the search starts, lies below the normal double
+    range, so its relative error cannot be measured in doubles.
     """
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
@@ -605,15 +592,14 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
         raise DomainError("target relative error must lie in (1e-14, 1e-2]")
     step = 0.05  # search grid spacing
     mu_cap = 150.0  # the large-mu branch must meet the target below this
+    if r * math.log2(mu_cap) > 1022.0:  # 1/mu_cap**r below the normal range
+        raise DomainError(f"r = {r} puts the large-mu series below the normal double range")
     m2_cap = min(120, _ASYM_ROW_CAP - r + 1)
     target = target_rel_error
 
     @cache
     def exact(mu: float) -> float:
-        try:
-            return _positive_moment_double(mu, r)
-        except OverflowError:  # k**r past the double range
-            raise DomainError(f"r = {r} takes a term outside the double range") from None
+        return _positive_moment_double(mu, r)
 
     def asym_err(mu: float, m2: int) -> float:
         return abs(1.0 - _asymptotic_partial(mu, r, m2) / exact(mu))

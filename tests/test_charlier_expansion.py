@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -215,6 +216,27 @@ def test_error_bound_formula():
     for m in (1, 2, 3):
         direct = 2.0 ** (2 * m - 1) * (1 - math.exp(-100 * 0.01)) * 0.01**m
         assert abs(barbour_error_bound(100, 0.01, m) - direct) <= 1e-15 * direct
+
+
+@pytest.mark.parametrize(
+    "N, p, m",
+    [
+        (10, 0.1, 512),  # p**m underflows to 0, and so does the bound at m <= 512
+        (10, 0.25, 512),  # p**m = 2**-1024, subnormal
+        (10, 0.1, 513),  # 2.27e-205 with 2**(2m-1) past the double range
+        (10, 0.25, 513),  # p**m = 2**-1026, subnormal
+        (10, 0.5, 600),  # 2.06e180
+        (10, 1.0, 600),  # 8.6e360 passes the double range
+    ],
+)
+def test_error_bound_past_the_double_range(N, p, m):
+    got = barbour_error_bound(N, p, m)
+    if m <= 512:  # the double formula, bit for bit
+        assert got == 2.0 ** (2 * m - 1) * (-math.expm1(-N * p)) * p**m
+        return
+    with mpmath.workdps(30):
+        want = float(mpmath.ldexp(-mpmath.expm1(-N * mpmath.mpf(p)) * mpmath.mpf(p) ** m, 2 * m - 1))
+    assert got == want if math.isinf(want) else abs(got - want) <= 4e-16 * want, (got, want)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -209,8 +209,9 @@ def test_exit_code_domain_errors(capsys):
     assert main(["poisson-table", "--mu", "nan"]) == 2
     assert main(["poisson-table", "--mu", "1e300"]) == 2  # past the walk cap
     assert main(["compute", "--N", "10", "--p", "0.5", "--order", "0"]) == 2
-    # the calibration oracle's k**r past the double range at a large r
+    # the large-mu series at mu = 150 below the normal double range
     assert main(["calibrate", "--r", "150", "--target", "1e-5"]) == 2
+    assert main(["poisson-table", "--mu", "1000", "--r", "200"]) == 2  # mu**r overflows
     err = capsys.readouterr().err
     assert "domain error" in err
 

@@ -285,10 +285,19 @@ def test_non_finite_mu_is_domain_error(call, mu):
 
 @pytest.mark.parametrize("call", [lambda: calibrate_crossover(150, 1e-5)], ids=["calibrate_crossover"])
 def test_huge_r_overflow_is_domain_error(call):
-    # the calibration oracle's k**r exceeds the double range, and the
-    # calibration refuses the order rather than sum it apart
+    # the large-mu series at mu = 150 lies below the normal double
+    # range, and the calibration refuses the order rather than measure it
     with pytest.raises(DomainError):
         call()
+
+
+def test_calibration_refuses_from_r_142():
+    # 1/150**r is a normal double through r = 141 (r log2(150) <= 1022);
+    # that order is searched, and no M2 reaches the target below mu = 150
+    with pytest.raises(DomainError):
+        calibrate_crossover(142, 1e-5)
+    with pytest.raises(CalibrationError):
+        calibrate_crossover(141, 1e-5)
 
 
 def _mp_poisson_moment(mu, a, r):

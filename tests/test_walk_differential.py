@@ -1,4 +1,4 @@
-"""The one ratio walk against verbatim copies of the two walks it replaced.
+"""Single walks against verbatim copies of the walks they replaced.
 
 The binomial oracle for N > 300 once walked the window of a Bernstein
 bound with its own two step loops (_support, _binomial_walk below), and
@@ -6,18 +6,34 @@ the q table walked the Poisson pmf with two more (_poisson_window
 below).  Both now go through exact_oracle._ratio_walk.  Every binomial
 value is correctly rounded either way, so the doubles must be equal;
 the Poisson window's (lo, terms, F) must be equal integer for integer.
+
+The oracle-grade E+[1/Q**r] once summed the ascending series to 1e-17
+of its running sum, retrying past the double range (_ascending_terms,
+_ascending_oracle below); it is now the direct sum of
+poisson_inverse_moment_direct, whose stop differs, and must give the
+same doubles.
 """
 import math
 import random
 
 import mpmath
 import pytest
+from itertools import count
+from typing import Iterator
+
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import to_fixed
 
 from invmoments import poisson_moments
 from invmoments.cli import GridSpec
-from invmoments.exact_oracle import _COMB_LIMIT, Binomial, exact_inverse_moment
+from invmoments.exact_oracle import (
+    _COMB_LIMIT,
+    Binomial,
+    _check_walk_mu,
+    _over_power,
+    _poisson_terms,
+    exact_inverse_moment,
+)
 
 # ---- reference copies, verbatim ---------------------------------------------
 
@@ -209,6 +225,59 @@ def _poisson_window(mu: float, S: int, wp: int) -> tuple[int, list[int], int]:
     return k0 - d_lo, down + up, F
 
 
+def _ascending_terms(
+    mu: float, r: int, m1: int | None, past_doubles: bool = False
+) -> Iterator[float]:
+    """The terms pi(k) / k**r of the ascending series for k = 1 .. m1.
+
+    A k**r past the double range raises OverflowError, or with
+    past_doubles gives the term by exact_oracle._over_power.
+
+    With m1 None the walk stops once the geometric majorant of the tail,
+    pi(k) (k+1) / (k+1-mu) for k >= mu, is at most 1e-17 of the plain
+    running sum of the terms.  The rounded majorant is at least pi / 2
+    (see exact_oracle._direct_sum), so the cheaper test of pi / 2
+    against that limit goes first and drops no stop; that walk refuses
+    mu above 1e8.  Up to mu = 700 the walk runs the Poisson recurrence
+    itself, one generator step per term instead of two, since these
+    walks are most of a calibration.
+    """
+    if m1 is None:
+        _check_walk_mu(mu)
+    walk = None if mu <= 700.0 else _poisson_terms(mu)
+    pi = math.exp(-mu)
+    total = 0.0
+    for k in count(1) if m1 is None else range(1, m1 + 1):
+        if walk is None:
+            pi *= mu / k
+        else:
+            pi = next(walk)[1]
+        try:
+            t = pi / k**r
+        except OverflowError:
+            if not past_doubles:
+                raise
+            t = _over_power(pi, k, r)
+        yield t
+        if m1 is None:
+            total += t
+            # <=: once pi underflows to 0 at tiny mu, so may 1e-17 * total
+            if (
+                k >= mu
+                and 0.5 * pi <= 1e-17 * total
+                and pi * (k + 1) / (k + 1 - mu) <= 1e-17 * total
+            ):
+                return
+
+
+def _ascending_oracle(mu: float, r: int) -> float:
+    """positive_poisson_inverse_moment(mu, r) without a profile, as it was."""
+    try:
+        return math.fsum(_ascending_terms(mu, r, None))
+    except OverflowError:  # k**r past the double range
+        return math.fsum(_ascending_terms(mu, r, None, past_doubles=True))
+
+
 # ---- the differentials -----------------------------------------------------
 
 REPORT_GRID = GridSpec().points()[:-1]
@@ -266,3 +335,25 @@ def test_poisson_window_equals_its_own_walk_hypothesis(log_mu, r, A):
     mu = math.exp(log_mu)
     S, wp = poisson_moments._fixed_scale(mu, r, A, 80 + 6 * A)
     assert poisson_moments._poisson_window(mu, S, wp) == _poisson_window(mu, S, wp)
+
+
+MUS_AROUND_700 = (699.0, 699.9999999999999, 700.0, 700.0000000000001, 701.0, 950.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.floats(math.log(1e-300), math.log(1e5)).map(math.exp), st.integers(1, 40)),
+        st.tuples(st.sampled_from(MUS_AROUND_700), st.integers(1, 40)),
+        st.tuples(
+            st.floats(math.log(1e-300), math.log(50.0)).map(math.exp), st.sampled_from([150, 400])
+        ),
+    )
+)
+@example((1e5, 40))
+@example((1e-300, 1))
+@example((5.0, 400))  # k**400 passes the double range from k = 6
+@example((50.0, 150))
+def test_oracle_equals_the_ascending_sum(case):
+    mu, r = case
+    assert poisson_moments.positive_poisson_inverse_moment(mu, r) == _ascending_oracle(mu, r)
