@@ -3,11 +3,11 @@
 Every routine here evaluates its target quantity from the defining sum,
 with non-negative terms wherever possible, and rounds the exact sum of
 its terms once: math.fsum adds rounded terms, and the binomial inverse
-moment for N > 300 sums the terms of an exact-ratio integer walk from
-the mode (_ratio_walk, which the q table of poisson_moments walks too)
-under an error bound, so it is the moment itself, correctly rounded.  The
-faster or cleverer formulas elsewhere in the package are tested against
-these.
+moment for N > 300 and the Poisson moments past mu = 700 sum the terms
+of an exact-ratio integer walk from the mode (_ratio_walk, whose Poisson
+window the q table of poisson_moments reads too) under an error bound,
+so they are the moment itself, correctly rounded.  The faster or
+cleverer formulas elsewhere in the package are tested against these.
 """
 from __future__ import annotations
 
@@ -92,11 +92,11 @@ def _check_mu(mu: float) -> None:
         raise DomainError("mu must be positive and finite")
 
 
-_WALK_MU_CAP = 1e8  # a walk from k = 1 to the Poisson tail takes a minute here
+_WALK_MU_CAP = 1e8  # expand_pdf's list from k = 0 holds about mu doubles
 
 
 def _check_walk_mu(mu: float) -> None:
-    """Refuse a walk to the tail past _WALK_MU_CAP; below it every walk ends."""
+    """Refuse a Poisson walk past _WALK_MU_CAP; below it every walk ends."""
     if mu > _WALK_MU_CAP:
         raise DomainError(f"the Poisson walk takes mu <= {_WALK_MU_CAP:g}, not {mu:g}")
 
@@ -392,25 +392,6 @@ def _binomial_walk(N: int, p: float, r: int, bits: int) -> float | None:
     return _round_once(low, high + (high >> (bits - 1)) + 1, 1 << W)
 
 
-def _poisson_terms(mu: float) -> Iterator[tuple[int, float]]:
-    """Yield (k, pi_mu(k)) for k = 1, 2, ... without over- or underflow."""
-    if mu <= 700.0:
-        t = math.exp(-mu)
-        k = 0
-        while True:
-            k += 1
-            t *= mu / k
-            yield k, t
-    else:
-        log_mu = math.log(mu)
-        log_t = -mu
-        k = 0
-        while True:
-            k += 1
-            log_t += log_mu - math.log(k)
-            yield k, math.exp(log_t)
-
-
 def _log2_jensen(mu: float, r: int, a: int) -> float:
     """log2 of a Jensen lower bound on E[1/(Q+a)**r], Q ~ Poisson(mu).
 
@@ -423,15 +404,71 @@ def _log2_jensen(mu: float, r: int, a: int) -> float:
     return (r + 1) * math.log2(-math.expm1(-mu)) - r * math.log2(mu)
 
 
+def _fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
+    """(S, wp): the fixed-point scale 2**S and the anchor's precision.
+
+    S puts the smallest entry at wp + 2 bits or more, by Jensen's lower
+    bound: 1/(mu+A)**r for a >= 1, P(Q >= 1)**(r+1) / mu**r for a = 0.
+    With wp = prec + guard and the guard 4 bits past a bound on the
+    window's F, each entry's bound (_entry_sum) is then 2**-(prec-2) of
+    it or less.  T(k) >= 1 puts pi(k) at 2**-(S+1) or more, so the bound
+    is _walk_bits(S + 1, mu).  S depends on the guard, so the guard
+    grows until it covers that bound at its own S.
+    """
+    low = math.floor(min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A)))
+    guard = 8
+    while True:
+        need = _walk_bits(prec + guard - low + 3, mu) + 4
+        if need <= guard:
+            return prec + guard - low + 2, prec + guard
+        guard = need
+
+
+def _poisson_window(mu: float, S: int, wp: int) -> tuple[int, list[int], int]:
+    """(lo, terms, F): T(k) ~ 2**S pi(k) for k = lo, lo + 1, ..., and a bound F.
+
+    The double mu is exactly a / 2**s, and the walk is _ratio_walk by
+    the ratio a / ((k+1) 2**s) from the mode k0 = floor(mu), down to
+    where T floors to 0.  Its anchor is the floor of 2**S pi(k0) (1 +
+    eps) for one mpmath exp(k0 log mu - mu - loggamma(k0 + 1)) at wp + g
+    bits; 2**g is 2**8 times the size of the logs that cancel, so |eps|
+    <= 2**-wp.
+    """
+    a, b = mu.as_integer_ratio()
+    k0 = a // b
+    logs = 1.0 + mu + k0 * (abs(math.log(mu)) + math.log(k0 + 1))
+    with mpmath.workprec(wp + math.ceil(math.log2(logs)) + 8):
+        x = mpmath.mpf(mu)
+        anchor = to_fixed(mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))._mpf_, S)
+    return _ratio_walk(anchor, k0, a, 0, b, b, 1)
+
+
+def _entry_sum(terms: list[int], powers: Iterable[int], F: int, wp: int) -> tuple[int, int]:
+    """(total, err): sum of floor(T(k) / (k+a)**r), within err of 2**S q, q = E[1/(Q+a)**r].
+
+    ``powers`` pairs (k+a)**r with the window's ``terms``, past k = 0 at
+    a = 0.  In err = F + ((total + F) >> (wp - 1)) + 1, the window's F
+    covers floors and tails, as 1/(k+a)**r <= 1, and the rest the
+    anchor's relative error 2**-wp of 2**S q, at most twice total + F.
+    """
+    total = sum(map(floordiv, terms, powers))
+    return total, F + ((total + F) >> (wp - 1)) + 1
+
+
+def _window_entry(mu: float, a: int, r: int, prec: int) -> tuple[int, int, int]:
+    """(total, err, S): _entry_sum of E[1/(Q+a)**r] alone (k >= 1 at a = 0) from j = lo + a."""
+    S, wp = _fixed_scale(mu, r, a, prec)
+    lo, terms, F = _poisson_window(mu, S, wp)
+    skip = lo + a == 0
+    return *_entry_sum(terms[skip:], map(pow, count(lo + a + skip), repeat(r)), F, wp), S
+
+
 def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     """Sum of pi_mu(k) / (k+a)**r over k >= 0 (k >= 1 when a = 0).
 
-    Truncated and bounded as poisson_inverse_moment_direct describes;
-    the bound holds for any a because 1/(k+a)**r <= 1.  The terms go
-    straight from the walk into math.fsum; a term whose (k+a)**r passes
-    the double range is taken by _over_power.  Up to mu = 700 the walk
-    runs the Poisson recurrence itself rather than drawing on
-    _poisson_terms, one generator step per term instead of two.
+    Up to mu = 700 it is truncated and bounded as
+    poisson_inverse_moment_direct describes, for any a as 1/(k+a)**r <=
+    1: terms from pi *= mu / k, by _over_power where (k+a)**r overflows.
 
     The stop compares the majorant with tol * L, L the Jensen bound of
     _log2_jensen, taken once per call.  The majorant is tested only
@@ -441,23 +478,33 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     a majorant at most tol L puts pi at most 2 tol L.  Both tests allow
     equality, so where tol L underflows to 0 the walk still ends once
     pi does.
+
+    Past mu = 700, where e**-mu leaves the normal range, it is
+    _window_entry rounded once, with err / 2**S as tail_bound.  From
+    prec = max(64, 2 + ceil(-log2 tol)) the floors and tails take at most
+    2**-(prec+5) of L and the anchor about 2**(1-wp) of the sum; prec
+    doubles while the rounding is undecided or err exceeds tol L (Ziv's scheme).
     """
     _check_walk_mu(mu)
     limit = tol * 2.0 ** _log2_jensen(mu, r, a)
+    if mu > 700.0:
+        prec = max(64, 2 + math.ceil(-math.log2(tol)))
+        while True:
+            total, err, S = _window_entry(mu, a, r, prec)
+            value = _round_once(total - err, total + err, 1 << S)
+            if value is not None and (tail := err / (1 << S)) <= limit:
+                return OracleValue(value, tail)
+            prec *= 2
     tail = math.inf
 
     def terms() -> Iterator[float]:
         nonlocal tail
-        walk = None if mu <= 700.0 else _poisson_terms(mu)
         pi = math.exp(-mu)
         gate = 2.0 * limit
-        if a and walk is None:  # past mu = 700 the k = 0 term, under e**-700, is left out
+        if a:
             yield _over_power(pi, a, r)
         for k in count(1):
-            if walk is None:
-                pi *= mu / k
-            else:
-                pi = next(walk)[1]
+            pi *= mu / k
             if k >= mu and pi <= gate:
                 tail = pi * (k + 1) / (k + 1 - mu)
                 if tail <= limit:
@@ -474,20 +521,19 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
 def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> OracleValue:
     """E+[1/Q**r] for Q ~ Poisson(mu), by direct summation.
 
-    Sums e**(-mu) * mu**k / (k! * k**r) over k >= 1 and truncates at the
-    first k >= mu where the geometric tail majorant
+    Up to mu = 700 it sums e**(-mu) * mu**k / (k! * k**r) over k >= 1
+    and truncates at the first k >= mu where the geometric tail majorant
     pi_mu(k) * (k+1) / (k+1-mu) is at most ``tol`` times the Jensen
-    lower bound P(Q >= 1)**(r+1) / mu**r of the result, so ``tol`` is
-    relative.  The majorant also covers the weighted tail because
-    1/k**r <= 1, and it is returned as the ``tail_bound``.  mu above
-    1e8 is refused (_WALK_MU_CAP).
+    lower bound L = P(Q >= 1)**(r+1) / mu**r of the result, so ``tol``
+    is relative.  The majorant also covers the weighted tail because
+    1/k**r <= 1, and it is returned as the ``tail_bound``.  Past 700 the
+    moment is correctly rounded from the q table's integer walk, and
+    ``tail_bound``, at most tol L too, bounds its whole error
+    (_direct_sum).  mu above 1e8 is refused (_WALK_MU_CAP).
     """
-    _check_mu(mu)
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
-    if not tol > 0.0:  # a NaN tol would never stop the walk
-        raise DomainError("tol must be positive")
-    return _direct_sum(mu, 0, r, tol)
+    return shifted_poisson_moment_direct(mu, 0, r, tol)
 
 
 def shifted_poisson_moment_direct(
@@ -499,9 +545,9 @@ def shifted_poisson_moment_direct(
     conditioned) expectation.  For a = 0 the sum starts at k = 1 and the
     result is the positive-part moment; a = 0 with r = 0 is rejected
     because that expectation has no finite defining sum to truncate.
-    The walk stops as poisson_inverse_moment_direct's does, with the
-    Jensen bound (mu + a)**-r for a >= 1, so ``tol`` is relative here
-    too.
+    The route, the stop and the ``tail_bound`` are
+    poisson_inverse_moment_direct's, with the Jensen bound (mu + a)**-r
+    for a >= 1, so ``tol`` is relative here too.
     """
     _check_mu(mu)
     if a < 0:
@@ -510,8 +556,8 @@ def shifted_poisson_moment_direct(
         raise DomainError("moment order r must be non-negative")
     if a == 0 and r == 0:
         raise DomainError("a = 0 with r = 0 is not a defined moment here")
-    if not tol > 0.0:  # a NaN tol would never stop the walk
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # a NaN limit, from NaN or inf times 0, never stops the walk
+        raise DomainError("tol must be positive and finite")
     if r == 0:
         return OracleValue(1.0, 0.0)
     return _direct_sum(mu, a, r, tol)

@@ -16,12 +16,12 @@ through mpmath, as one mpmath.fdot rounded once.  The expansion's
 inputs need no mpmath sum.  The q table holds each E[1/(Q+a)**r] as an
 exact integer on one scale 2**S with its own error bound, so its
 alternating differences are exact integer sums (build_q_table).  Its
-Poisson terms come from the integer walk outward from the mode by the
-pmf's exact ratios that the binomial oracle takes too
-(exact_oracle._ratio_walk), about 2.35 sqrt(mu S) steps.  At
-r = 1, y(n), mu**n times the n-th alternating forward difference of
-a -> E[1/(Q+a)], is exact integers times e**(-mu) Er(mu) and e**(-mu)
-(_y_integers).
+Poisson terms, like the direct oracles' past mu = 700, come from the
+integer walk outward from the mode by the pmf's exact ratios that the
+binomial oracle takes too (exact_oracle._ratio_walk), about
+2.35 sqrt(mu S) steps.  At r = 1, y(n), mu**n times the n-th
+alternating forward difference of a -> E[1/(Q+a)], is exact integers
+times e**(-mu) Er(mu) and e**(-mu) (_y_integers).
 """
 from __future__ import annotations
 
@@ -29,23 +29,21 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import count
-from operator import floordiv
 from typing import Iterator
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import to_fixed
 
 from .exact_oracle import (
     DomainError,
     _check_mu,
     _check_walk_mu,
     _direct_sum,
-    _log2_jensen,
+    _entry_sum,
+    _fixed_scale,
     _over_power,
-    _poisson_terms,
-    _ratio_walk,
-    _walk_bits,
+    _poisson_window,
+    _window_entry,
     shifted_poisson_moment_direct,
 )
 from .special_numbers import _ROW_CAP, _stirling_entry, _stirling_row
@@ -150,19 +148,17 @@ def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
     """The terms pi(k) / k**r of the ascending series for k = 1 .. m1.
 
     With m1 None the walk never ends; its caller stops drawing.  These
-    are the oracle's own terms (exact_oracle._direct_sum): the same
-    Poisson walk, and a k**r past the double range takes the term by
-    exact_oracle._over_power.  Up to mu = 700 the walk runs the Poisson
-    recurrence itself, one generator step per term instead of two,
-    since these walks are most of a calibration.
+    are the oracle's own terms up to mu = 700 (exact_oracle._direct_sum),
+    and a k**r past the double range takes the term by _over_power.
+    Past 700 e**-mu leaves the normal range: DomainError.  Calibration
+    stays below mu = 210 or so, so only a hand-made profile with
+    mu_star > 700 reaches that refusal.
     """
-    walk = None if mu <= 700.0 else _poisson_terms(mu)
+    if mu > 700.0:
+        raise DomainError(f"the ascending series takes mu <= 700, not {mu:g}")
     pi = math.exp(-mu)
     for k in count(1) if m1 is None else range(1, m1 + 1):
-        if walk is None:
-            pi *= mu / k
-        else:
-            pi = next(walk)[1]
+        pi *= mu / k
         try:
             t = pi / k**r
         except OverflowError:  # k**r past the double range
@@ -320,11 +316,12 @@ def positive_poisson_inverse_moment(
     """E+[1/Q**r] for Q ~ Poisson(mu).
 
     Without a profile this is the oracle: poisson_inverse_moment_direct
-    with its tail at most 1e-18 of Jensen's bound on the result.  With a
-    profile the calibrated strategy applies: ascending series with M1
-    terms up to mu_star, truncated large-mu series with M2 terms beyond
-    it.  A term whose k**r passes the double range is taken by
-    exact_oracle._over_power; a large-mu term whose (1/mu)**r does
+    with its tail at most 1e-18 of Jensen's bound on the result, past
+    mu = 700 the moment correctly rounded.  With a profile the
+    calibrated strategy applies: ascending series with M1 terms up to
+    mu_star (refused past mu = 700), truncated large-mu series with M2
+    terms beyond it.  A term whose k**r passes the double range is taken
+    by exact_oracle._over_power; a large-mu term whose (1/mu)**r does
     raises DomainError.
     """
     _check_mu(mu)
@@ -348,13 +345,13 @@ def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
     """E[1/(Q+a)**r] from the Stirling closed form, for 1 <= a <= 64.
 
     One mpmath.fdot pairs the exact Stirling integers with their factors.
-    Each E+[1/Q**k] among them is the one entry of an integer table at
-    the working precision, rounded once.
+    Each E+[1/Q**k] among them is one integer window entry at the working
+    precision (exact_oracle._window_entry), rounded once.
     """
     pairs = [(_stirling_entry(0, a, r), -mpmath.expm1(-x))]
     for k in range(1, r):
-        t = _q_table(float(x), k, 0, mpmath.mp.prec)
-        pairs.append((_stirling_entry(0, a, r - k), mpmath.ldexp(t.totals[0], -t.S)))
+        total, _, S = _window_entry(float(x), 0, k, mpmath.mp.prec)
+        pairs.append((_stirling_entry(0, a, r - k), mpmath.ldexp(total, -S)))
     pairs += [(_stirling_entry(k, a - k, r), x**k) for k in range(1, a)]
     return mpmath.fdot(pairs) / x**a
 
@@ -454,61 +451,17 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
 def _q_table(mu: float, r: int, A: int, prec: int) -> ShiftedMomentTable:
     """The table of build_q_table at ``prec`` bits, arguments unchecked.
 
-    Entry a is the sum of floor(T(k) / (k+a)**r) over the window of
-    _poisson_window, without k = 0 at a = 0; one list of j**r serves
-    every entry.  With F the window's bound, entry a errs by at most
-    errs[a] = F + ((totals[a] + F) >> (wp - 1)) + 1 units of 2**-S.  F
-    covers the floors and both tails, since 1/(k+a)**r <= 1 weights
-    every term; the rest covers the anchor's relative error 2**-wp of
-    2**S q(a), which is at most twice totals[a] + F.
+    Entry a and its bound are exact_oracle._entry_sum over the window of
+    _poisson_window; one list of j**r serves every entry.
     """
     S, wp = _fixed_scale(mu, r, A, prec)
     lo, terms, F = _poisson_window(mu, S, wp)
     powers = [j**r for j in range(lo, lo + len(terms) + A)]
     skip = lo == 0  # 1/0**r: k = 0 is not in E+[1/Q**r]
-    totals = [sum(map(floordiv, terms[skip:], powers[skip:]))]
-    totals += [sum(map(floordiv, terms, powers[a:])) for a in range(1, A + 1)]
-    errs = tuple(F + ((t + F) >> (wp - 1)) + 1 for t in totals)
-    return ShiftedMomentTable(mu, r, tuple(totals), errs, S, prec)
-
-
-def _fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
-    """(S, wp): the fixed-point scale 2**S and the anchor's precision.
-
-    S puts the smallest entry at wp + 2 bits or more, by Jensen's lower
-    bound: 1/(mu+A)**r for a >= 1, P(Q >= 1)**(r+1) / mu**r for a = 0.
-    With wp = prec + guard and the guard 4 bits past a bound on the
-    window's F, each entry's bound (_q_table) is then 2**-(prec-2) of it
-    or less.  T(k) >= 1 puts pi(k) at 2**-(S+1) or more, so the bound is
-    exact_oracle._walk_bits(S + 1, mu).  S depends on the guard, so the
-    guard grows until it covers that bound at its own S.
-    """
-    low = math.floor(min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A)))
-    guard = 8
-    while True:
-        need = _walk_bits(prec + guard - low + 3, mu) + 4
-        if need <= guard:
-            return prec + guard - low + 2, prec + guard
-        guard = need
-
-
-def _poisson_window(mu: float, S: int, wp: int) -> tuple[int, list[int], int]:
-    """(lo, terms, F): T(k) ~ 2**S pi(k) for k = lo, lo + 1, ..., and a bound F.
-
-    The double mu is exactly a / 2**s, and the walk is
-    exact_oracle._ratio_walk by the ratio a / ((k+1) 2**s) from the mode
-    k0 = floor(mu), down to where T floors to 0.  Its anchor is the
-    floor of 2**S pi(k0) (1 + eps) for one mpmath exp(k0 log mu - mu -
-    loggamma(k0 + 1)) at wp + g bits; 2**g is 2**8 times the size of the
-    logs that cancel, so |eps| <= 2**-wp.
-    """
-    a, b = mu.as_integer_ratio()
-    k0 = a // b
-    logs = 1.0 + mu + k0 * (abs(math.log(mu)) + math.log(k0 + 1))
-    with mpmath.workprec(wp + math.ceil(math.log2(logs)) + 8):
-        x = mpmath.mpf(mu)
-        anchor = to_fixed(mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))._mpf_, S)
-    return _ratio_walk(anchor, k0, a, 0, b, b, 1)
+    entries = [_entry_sum(terms[skip:], powers[skip:], F, wp)]
+    entries += [_entry_sum(terms, powers[a:], F, wp) for a in range(1, A + 1)]
+    totals, errs = zip(*entries)
+    return ShiftedMomentTable(mu, r, totals, errs, S, prec)
 
 
 def _y_integers(mu: float, n_max: int) -> list[tuple[int, int, int]]:

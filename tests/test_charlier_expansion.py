@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from invmoments import charlier_expansion
 from invmoments.charlier_expansion import (
     ExpansionPolynomial,
     barbour_error_bound,
@@ -221,7 +222,7 @@ def test_error_bound_formula():
 @pytest.mark.parametrize(
     "N, p, m",
     [
-        (10, 0.1, 512),  # p**m underflows to 0, and so does the bound at m <= 512
+        (10, 0.1, 512),  # p**m underflows to 0; the bound is 5.68e-205
         (10, 0.25, 512),  # p**m = 2**-1024, subnormal
         (10, 0.1, 513),  # 2.27e-205 with 2**(2m-1) past the double range
         (10, 0.25, 513),  # p**m = 2**-1026, subnormal
@@ -231,12 +232,59 @@ def test_error_bound_formula():
 )
 def test_error_bound_past_the_double_range(N, p, m):
     got = barbour_error_bound(N, p, m)
-    if m <= 512:  # the double formula, bit for bit
+    if m <= 512 and p**m >= 2.0**-1022:  # the double formula, bit for bit
         assert got == 2.0 ** (2 * m - 1) * (-math.expm1(-N * p)) * p**m
         return
     with mpmath.workdps(30):
         want = float(mpmath.ldexp(-mpmath.expm1(-N * mpmath.mpf(p)) * mpmath.mpf(p) ** m, 2 * m - 1))
     assert got == want if math.isinf(want) else abs(got - want) <= 4e-16 * want, (got, want)
+
+
+@pytest.mark.parametrize(
+    "N, p, m, want",
+    [  # 30-digit references; p**m underflows in each, the double formula gave 0.0
+        (10, 0.1, 400, 2.10749450479449766e-160),
+        (10, 0.1, 512, 5.68179394505730585e-205),
+        (10, 0.2, 512, 1.04205605596750329e-50),
+        (10, 0.01, 200, 1.22866782837539933e-281),
+    ],
+)
+def test_error_bound_where_p_to_the_m_underflows(N, p, m, want):
+    assert abs(barbour_error_bound(N, p, m) - want) <= 4e-16 * want
+
+
+def test_error_bound_keeps_its_bits_where_p_to_the_m_is_normal():
+    # the mpmath route takes only the p**m the double range cannot hold
+    seen = 0
+    for N in (1, 10, 100, 10**4):
+        for p in (0.0, 1e-300, 1e-30, 0.003, 0.1, 0.25, 0.5, 0.99, 1.0):
+            for m in (1, 2, 3, 6, 40, 120, 300, 512):
+                if p**m >= 2.0**-1022 or p == 0.0:
+                    seen += 1
+                    want = 2.0 ** (2 * m - 1) * (-math.expm1(-N * p)) * p**m
+                    assert barbour_error_bound(N, p, m).hex() == want.hex(), (N, p, m)
+    assert seen > 150
+
+
+class _Built(Exception):
+    """Raised by a stand-in for the coefficient build, which the cap lets through."""
+
+
+def test_order_cap_admits_120_and_refuses_121(monkeypatch):
+    # the stand-in keeps the order-120 build (about 2 s cold) out of the test
+    def build(top):
+        raise _Built(top)
+
+    monkeypatch.setattr(charlier_expansion, "_part_coefficients", build)
+    for call in (lambda m: binomial_barbour_polynomial(10, 1.0, m),
+                 lambda m: first_inverse_moment_binomial(10, 0.1, m)):
+        with pytest.raises(_Built):
+            call(charlier_expansion._ORDER_CAP)
+        with pytest.raises(DomainError):
+            call(charlier_expansion._ORDER_CAP + 1)
+    assert charlier_expansion._ORDER_CAP == 120
+    with pytest.raises(DomainError):  # refused before the p = 0 shortcut
+        first_inverse_moment_binomial(10, 0.0, 121)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

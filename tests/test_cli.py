@@ -216,6 +216,15 @@ def test_exit_code_domain_errors(capsys):
     assert "domain error" in err
 
 
+def test_orders_past_the_cap_exit_2_at_once(capsys):
+    # a cold build of the order-513 coefficients would take minutes
+    start = time.perf_counter()
+    assert main(["compute", "--N", "10", "--p", "0.1", "--order", "513"]) == 2
+    assert main(["compute", "--N", "10", "--p", "0.1", "--r", "2", "--order", "121"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "order m must lie in 1..120" in capsys.readouterr().err
+
+
 def test_huge_r_answers(capsys):
     # k**r passes the double range, the moments do not: E+[1/Q**400] at
     # mu = 5 is 5 e**-5, and E+[1/K**400] for Binomial(10, 0.5) is 10/1024

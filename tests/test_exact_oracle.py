@@ -28,7 +28,6 @@ from invmoments.exact_oracle import (
     shifted_poisson_moment_direct,
     _binomial_walk,
     _log2_jensen,
-    _poisson_terms,
     _ratio_walk,
     _stirlerr,
 )
@@ -485,6 +484,11 @@ def test_poisson_direct_domain():
         poisson_inverse_moment_direct(2.0, 1, tol=math.nan)
     with pytest.raises(DomainError):
         shifted_poisson_moment_direct(2.0, 1, 1, tol=math.nan)
+    for mu in (5.0, 800.0):  # inf times a Jensen bound that underflows to 0 is NaN
+        with pytest.raises(DomainError):
+            poisson_inverse_moment_direct(mu, 1000, tol=math.inf)
+        with pytest.raises(DomainError):
+            shifted_poisson_moment_direct(mu, 3, 1000, tol=math.inf)
 
 
 @pytest.mark.parametrize(
@@ -520,10 +524,20 @@ def test_shifted_direct_a_zero_matches_positive_moment():
         assert a0.value == direct.value
 
 
+def _poisson_terms(mu):
+    """Yield (k, pi_mu(k)) for k = 1, 2, ...: the recurrence of the direct sums up to mu = 700."""
+    t = math.exp(-mu)
+    k = 0
+    while True:
+        k += 1
+        t *= mu / k
+        yield k, t
+
+
 def _ungated_direct(mu, a, r, tol):
     """The direct sum with its majorant computed at every k >= mu."""
     limit = tol * 2.0 ** _log2_jensen(mu, r, a)
-    terms = [(math.exp(-mu) if mu <= 700.0 else 0.0) / a**r if a else 0.0]
+    terms = [math.exp(-mu) / a**r if a else 0.0]
     for k, pi in _poisson_terms(mu):
         if k >= mu:
             tail = pi * (k + 1) / (k + 1 - mu)
@@ -543,14 +557,17 @@ def _ungated_ascending(mu, r):
             return math.fsum(terms).hex()
 
 
+# past 700 the direct sums read the integer window (see the reference tests below)
 MUS_AROUND_700 = (699.0, 699.9999999999999, 700.0, 700.0000000000001, 701.0, 950.0)
+MUS_UP_TO_700 = tuple(mu for mu in MUS_AROUND_700 if mu <= 700.0)
+MUS_PAST_700 = tuple(mu for mu in MUS_AROUND_700 if mu > 700.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     mu=st.one_of(
-        st.floats(math.log(1e-300), math.log(1e3)).map(lambda x: min(math.exp(x), 1e3)),
-        st.sampled_from(MUS_AROUND_700),
+        st.floats(math.log(1e-300), math.log(700.0)).map(lambda x: min(math.exp(x), 700.0)),
+        st.sampled_from(MUS_UP_TO_700),
     ),
     a=st.integers(0, 6),
     r=st.integers(1, 8),
@@ -558,7 +575,6 @@ MUS_AROUND_700 = (699.0, 699.9999999999999, 700.0, 700.0000000000001, 701.0, 950
 )
 @example(mu=1e-300, a=0, r=1, tol=1e-30)
 @example(mu=700.0, a=3, r=8, tol=1e-12)
-@example(mu=700.0000000000001, a=0, r=2, tol=1e-30)
 def test_gated_stop_tests_equal_ungated_walks(mu, a, r, tol):
     # the walks test pi alone before their tail majorant; that must move
     # no stop, so value and tail bound keep every bit
@@ -569,6 +585,64 @@ def test_gated_stop_tests_equal_ungated_walks(mu, a, r, tol):
         got = poisson_inverse_moment_direct(mu, r, tol)
         assert (got.value.hex(), got.tail_bound.hex()) == want
     assert _positive_moment_double(mu, r).hex() == _ungated_ascending(mu, r)
+
+
+def _mode_walk_pmf(mu):
+    """{k: pi_mu(k)} at 55 digits for every k with pi_mu(k) at least 1e-50 of the mode's.
+
+    Independent of the library's walks: one log-gamma anchor at the mode,
+    with ten digits more for the logs that cancel, then the pmf's ratios
+    mu / (k+1) and k / mu in mpmath out to both sides.  For mu > 700 the
+    terms left out weigh below 1e-35 of E[1/(Q+a)**r] up to r = 40.
+    """
+    k0, pmf = int(mu), {}
+    with mpmath.workdps(65 + math.ceil(math.log10(mu * math.log(mu)))):
+        x = mpf(mu)
+        peak = mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))
+    with mpmath.workdps(55):
+        cut = peak * mpf(10) ** -50
+        for step in (1, -1):
+            pi, k = +peak, k0
+            while pi >= cut:
+                pmf[k] = pi
+                pi = pi * x / (k + 1) if step == 1 else pi * k / x
+                k += step
+                if k < 0:
+                    break
+    return pmf
+
+
+def _reference_moment(pmf, a, r):
+    """E[1/(Q+a)**r], k >= 1 at a = 0, summed from _mode_walk_pmf's terms at 55 digits."""
+    with mpmath.workdps(55):
+        return mpmath.fsum(pi / (k + a) ** r for k, pi in pmf.items() if k + a)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    mu=st.one_of(
+        st.floats(math.log(700.0), math.log(1e7)).map(math.exp).filter(lambda mu: mu > 700.0),
+        st.sampled_from(MUS_PAST_700),
+    ),
+    a=st.integers(0, 6),
+    r=st.integers(1, 8),
+    tol=st.sampled_from([1e-12, 1e-30]),
+)
+@example(mu=700.0000000000001, a=0, r=2, tol=1e-30)
+@example(mu=701.0, a=3, r=8, tol=1e-12)
+@example(mu=950.0, a=0, r=40, tol=1e-18)
+@example(mu=1e5, a=0, r=40, tol=1e-18)
+@example(mu=1e7, a=6, r=8, tol=1e-30)
+def test_direct_sums_past_700_are_the_reference_rounded(mu, a, r, tol):
+    # past mu = 700 the direct oracles are the moment correctly rounded,
+    # with the walk's whole error bound at most tol times Jensen's bound
+    want = float(_reference_moment(_mode_walk_pmf(mu), a, r))
+    got = shifted_poisson_moment_direct(mu, a, r, tol)
+    assert got.value == want
+    assert got.tail_bound <= tol * 2.0 ** _log2_jensen(mu, r, a)
+    if a == 0:
+        assert poisson_inverse_moment_direct(mu, r, tol) == got
+        assert positive_poisson_inverse_moment(mu, r) == want
 
 
 def test_shifted_direct_r_zero():

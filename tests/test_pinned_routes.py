@@ -3,8 +3,8 @@
 The report CSVs under tests/data fix ``_positive_moment_double``, the
 competing series and the exact binomial oracle for N <= 100.  This file
 fixes the rest of the summed routes: the direct Poisson oracles
-(value and tail bound), the truncated ascending series, the windowed
-saddle-point binomial oracle for N > 300, the cross-over calibration, the routes
+(value and tail bound), the truncated ascending series, the binomial
+oracle's integer walk for N > 300, the cross-over calibration, the routes
 of ``shifted_inverse_moment`` (closed form and direct sum), the r >= 2
 expansion values (shifted-moment table and its differences) and the
 coefficients of ``barbour_polynomial``.  Each value is stored as
@@ -22,6 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_exact_oracle import _mode_walk_pmf, _reference_moment
 
 from invmoments.charlier_expansion import (
     barbour_polynomial,
@@ -42,7 +43,7 @@ from invmoments.poisson_moments import (
 
 DATA = Path(__file__).resolve().parent / "data" / "pinned_routes.json"
 
-MUS = (1e-300, 1e-5, 0.37, 3.7, 25.7, 150.0, 699.5, 800.0)
+MUS = (1e-300, 1e-5, 0.37, 3.7, 25.7, 150.0, 699.5, 800.0, 1e4, 1e6)
 
 
 def _direct():
@@ -171,3 +172,19 @@ def pinned():
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_route_is_bit_identical(pinned, route):
     assert ROUTES[route]() == pinned[route]
+
+
+@pytest.mark.parametrize("mu", [mu for mu in MUS if mu > 700.0])
+def test_direct_pins_past_700_are_their_references_rounded(pinned, mu):
+    # past mu = 700 the direct oracles read the integer window: every
+    # pinned value there is its 55-digit mpmath sum, correctly rounded
+    pmf, seen = _mode_walk_pmf(mu), 0
+    for route, shifted in (("poisson_inverse_moment_direct", False),
+                           ("shifted_poisson_moment_direct", True)):
+        for key, (value, _) in pinned[route].items():
+            at, first, second = key.split()
+            if float(at) == mu:
+                a, r = (int(first), int(second)) if shifted else (0, int(first))
+                assert float.fromhex(value) == float(_reference_moment(pmf, a, r)), (route, key)
+                seen += 1
+    assert seen == 6 + 11
