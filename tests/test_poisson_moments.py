@@ -248,6 +248,15 @@ def test_profile_is_frozen():
         prof.M1 = 99
 
 
+def test_ascending_branch_refuses_mu_past_700():
+    # e**-mu leaves the normal range past 700; calibration never puts
+    # mu_star there, so only a hand-made profile reaches the refusal
+    prof = CrossoverProfile(1, 1e-5, 1000.0, 31, 20)
+    assert positive_poisson_inverse_moment(700.0, 1, prof) > 0.0
+    with pytest.raises(DomainError):
+        positive_poisson_inverse_moment(700.0000000000001, 1, prof)
+
+
 @pytest.mark.parametrize("m1,m2", [(0, 10), (-3, 10), (31, 0)])
 def test_profile_rejects_empty_series(m1, m2):
     # a series with no terms would evaluate to 0.0 on its side of mu_star
