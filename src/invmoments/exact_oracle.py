@@ -92,7 +92,7 @@ def _check_mu(mu: float) -> None:
         raise DomainError("mu must be positive and finite")
 
 
-_WALK_MU_CAP = 1e8  # expand_pdf's list from k = 0 holds about mu doubles
+_WALK_MU_CAP = 1e8  # expand_pdf's list holds ~mu doubles; the window walk grows like sqrt(mu)
 
 
 def _check_walk_mu(mu: float) -> None:
@@ -404,18 +404,19 @@ def _log2_jensen(mu: float, r: int, a: int) -> float:
     return (r + 1) * math.log2(-math.expm1(-mu)) - r * math.log2(mu)
 
 
-def _fixed_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
+def _fixed_scale(mu: float, r: int, A: int, prec: int, depth: float = math.inf) -> tuple[int, int]:
     """(S, wp): the fixed-point scale 2**S and the anchor's precision.
 
     S puts the smallest entry at wp + 2 bits or more, by Jensen's lower
-    bound: 1/(mu+A)**r for a >= 1, P(Q >= 1)**(r+1) / mu**r for a = 0.
-    With wp = prec + guard and the guard 4 bits past a bound on the
-    window's F, each entry's bound (_entry_sum) is then 2**-(prec-2) of
-    it or less.  T(k) >= 1 puts pi(k) at 2**-(S+1) or more, so the bound
+    bound: 1/(mu+A)**r for a >= 1, P(Q >= 1)**(r+1) / mu**r for a = 0,
+    or by 2**-depth if that is larger.  With wp = prec + guard and the
+    guard 4 bits past a bound on the window's F, each entry's bound
+    (_entry_sum) is then 2**-(prec-2) of it or of 2**-depth, whichever
+    is larger.  T(k) >= 1 puts pi(k) at 2**-(S+1) or more, so the bound
     is _walk_bits(S + 1, mu).  S depends on the guard, so the guard
     grows until it covers that bound at its own S.
     """
-    low = math.floor(min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A)))
+    low = max(math.floor(min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A))), -depth)
     guard = 8
     while True:
         need = _walk_bits(prec + guard - low + 3, mu) + 4
@@ -456,11 +457,17 @@ def _entry_sum(terms: list[int], powers: Iterable[int], F: int, wp: int) -> tupl
 
 
 def _window_entry(mu: float, a: int, r: int, prec: int) -> tuple[int, int, int]:
-    """(total, err, S): _entry_sum of E[1/(Q+a)**r] alone (k >= 1 at a = 0) from j = lo + a."""
-    S, wp = _fixed_scale(mu, r, a, prec)
+    """(total, err, S): _entry_sum of E[1/(Q+a)**r] alone (k >= 1 at a = 0) from j = lo + a.
+
+    At a depth capped at 1080 bits, an entry under 2**-1080 errs by far
+    less than the least subnormal; from j = 2**ceil((S+1) / r) on, j**r
+    > T, so no floor is taken there.
+    """
+    S, wp = _fixed_scale(mu, r, a, prec, 1080)
     lo, terms, F = _poisson_window(mu, S, wp)
-    skip = lo + a == 0
-    return *_entry_sum(terms[skip:], map(pow, count(lo + a + skip), repeat(r)), F, wp), S
+    skip, j0 = lo + a == 0, lo + a
+    terms = terms[skip:max(0, (1 << -(-(S + 1) // r)) - j0)]
+    return *_entry_sum(terms, map(pow, count(j0 + skip), repeat(r)), F, wp), S
 
 
 def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
@@ -482,8 +489,10 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     Past mu = 700, where e**-mu leaves the normal range, it is
     _window_entry rounded once, with err / 2**S as tail_bound.  From
     prec = max(64, 2 + ceil(-log2 tol)) the floors and tails take at most
-    2**-(prec+5) of L and the anchor about 2**(1-wp) of the sum; prec
-    doubles while the rounding is undecided or err exceeds tol L (Ziv's scheme).
+    2**-(prec+5) of L (of 2**-1080 where L is smaller) and the anchor
+    about 2**(1-wp) of the sum; prec doubles while the rounding is
+    undecided or err exceeds tol L (Ziv's scheme), as doubles: where tol L
+    underflows, err / 2**S must too, as a wp past 1075 ensures.
     """
     _check_walk_mu(mu)
     limit = tol * 2.0 ** _log2_jensen(mu, r, a)
@@ -491,7 +500,7 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
         prec = max(64, 2 + math.ceil(-math.log2(tol)))
         while True:
             total, err, S = _window_entry(mu, a, r, prec)
-            value = _round_once(total - err, total + err, 1 << S)
+            value = _round_once(max(0, total - err), total + err, 1 << S)
             if value is not None and (tail := err / (1 << S)) <= limit:
                 return OracleValue(value, tail)
             prec *= 2

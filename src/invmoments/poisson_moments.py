@@ -35,16 +35,8 @@ import mpmath
 from mpmath import mpf
 
 from .exact_oracle import (
-    DomainError,
-    _check_mu,
-    _check_walk_mu,
-    _direct_sum,
-    _entry_sum,
-    _fixed_scale,
-    _over_power,
-    _poisson_window,
-    _window_entry,
-    shifted_poisson_moment_direct,
+    DomainError, _check_mu, _check_walk_mu, _direct_sum, _entry_sum, _fixed_scale,
+    _over_power, _poisson_window, _window_entry, shifted_poisson_moment_direct,
 )
 from .special_numbers import _ROW_CAP, _stirling_entry, _stirling_row
 
@@ -150,9 +142,8 @@ def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
     With m1 None the walk never ends; its caller stops drawing.  These
     are the oracle's own terms up to mu = 700 (exact_oracle._direct_sum),
     and a k**r past the double range takes the term by _over_power.
-    Past 700 e**-mu leaves the normal range: DomainError.  Calibration
-    stays below mu = 210 or so, so only a hand-made profile with
-    mu_star > 700 reaches that refusal.
+    Past 700 e**-mu leaves the normal range: DomainError, reached only by
+    a hand-made profile with mu_star > 700 (calibration stays below 210).
     """
     if mu > 700.0:
         raise DomainError(f"the ascending series takes mu <= 700, not {mu:g}")

@@ -1,0 +1,39 @@
+"""Reference Poisson moments in mpmath, independent of the library's walks.
+
+Shared by the oracle tests and the pin checks past mu = 700.
+"""
+import math
+
+import mpmath
+from mpmath import mpf
+
+
+def mode_walk_pmf(mu):
+    """{k: pi_mu(k)} at 55 digits for every k with pi_mu(k) at least 1e-50 of the mode's.
+
+    Independent of the library's walks: one log-gamma anchor at the mode,
+    with ten digits more for the logs that cancel, then the pmf's ratios
+    mu / (k+1) and k / mu in mpmath out to both sides.  For mu > 700 the
+    terms left out weigh below 1e-35 of E[1/(Q+a)**r] up to r = 40.
+    """
+    k0, pmf = int(mu), {}
+    with mpmath.workdps(65 + math.ceil(math.log10(mu * math.log(mu)))):
+        x = mpf(mu)
+        peak = mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))
+    with mpmath.workdps(55):
+        cut = peak * mpf(10) ** -50
+        for step in (1, -1):
+            pi, k = +peak, k0
+            while pi >= cut:
+                pmf[k] = pi
+                pi = pi * x / (k + 1) if step == 1 else pi * k / x
+                k += step
+                if k < 0:
+                    break
+    return pmf
+
+
+def reference_moment(pmf, a, r):
+    """E[1/(Q+a)**r], k >= 1 at a = 0, summed from mode_walk_pmf's terms at 55 digits."""
+    with mpmath.workdps(55):
+        return mpmath.fsum(pi / (k + a) ** r for k, pi in pmf.items() if k + a)

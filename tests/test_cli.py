@@ -225,6 +225,14 @@ def test_orders_past_the_cap_exit_2_at_once(capsys):
     assert "order m must lie in 1..120" in capsys.readouterr().err
 
 
+def test_poisson_table_at_huge_r_past_700_exits_2_at_once(capsys):
+    # the oracle answers 0.0 at once and mu**r overflows
+    start = time.perf_counter()
+    assert main(["poisson-table", "--mu", "800", "--r", "100000"]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "mu**r passes the double range" in capsys.readouterr().err
+
+
 def test_huge_r_answers(capsys):
     # k**r passes the double range, the moments do not: E+[1/Q**400] at
     # mu = 5 is 5 e**-5, and E+[1/K**400] for Binomial(10, 0.5) is 10/1024

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mpf
 
+from _reference import mode_walk_pmf, reference_moment
 from invmoments import exact_oracle
 from invmoments.charlier_expansion import ExpansionPolynomial, expand_pdf
 from invmoments.cli import GridSpec
@@ -587,37 +588,6 @@ def test_gated_stop_tests_equal_ungated_walks(mu, a, r, tol):
     assert _positive_moment_double(mu, r).hex() == _ungated_ascending(mu, r)
 
 
-def _mode_walk_pmf(mu):
-    """{k: pi_mu(k)} at 55 digits for every k with pi_mu(k) at least 1e-50 of the mode's.
-
-    Independent of the library's walks: one log-gamma anchor at the mode,
-    with ten digits more for the logs that cancel, then the pmf's ratios
-    mu / (k+1) and k / mu in mpmath out to both sides.  For mu > 700 the
-    terms left out weigh below 1e-35 of E[1/(Q+a)**r] up to r = 40.
-    """
-    k0, pmf = int(mu), {}
-    with mpmath.workdps(65 + math.ceil(math.log10(mu * math.log(mu)))):
-        x = mpf(mu)
-        peak = mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))
-    with mpmath.workdps(55):
-        cut = peak * mpf(10) ** -50
-        for step in (1, -1):
-            pi, k = +peak, k0
-            while pi >= cut:
-                pmf[k] = pi
-                pi = pi * x / (k + 1) if step == 1 else pi * k / x
-                k += step
-                if k < 0:
-                    break
-    return pmf
-
-
-def _reference_moment(pmf, a, r):
-    """E[1/(Q+a)**r], k >= 1 at a = 0, summed from _mode_walk_pmf's terms at 55 digits."""
-    with mpmath.workdps(55):
-        return mpmath.fsum(pi / (k + a) ** r for k, pi in pmf.items() if k + a)
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     mu=st.one_of(
@@ -636,13 +606,32 @@ def _reference_moment(pmf, a, r):
 def test_direct_sums_past_700_are_the_reference_rounded(mu, a, r, tol):
     # past mu = 700 the direct oracles are the moment correctly rounded,
     # with the walk's whole error bound at most tol times Jensen's bound
-    want = float(_reference_moment(_mode_walk_pmf(mu), a, r))
+    want = float(reference_moment(mode_walk_pmf(mu), a, r))
     got = shifted_poisson_moment_direct(mu, a, r, tol)
     assert got.value == want
     assert got.tail_bound <= tol * 2.0 ** _log2_jensen(mu, r, a)
     if a == 0:
         assert poisson_inverse_moment_direct(mu, r, tol) == got
         assert positive_poisson_inverse_moment(mu, r) == want
+
+
+@pytest.mark.parametrize("mu", [700.5, 800.0])
+@pytest.mark.parametrize("a", [0, 1, 3])
+def test_direct_sums_past_700_at_huge_r_are_quick_and_rounded(mu, a):
+    # the scale's depth is capped at 1080 bits and no floor is taken where
+    # j**r > T, so r = 10**5 walks the window of a small r; only k + a <= 3
+    # count, and at mu = 700.5 the a = 0, 1 moments are normal doubles
+    r, tol = 10**5, 1e-12
+    start = time.perf_counter()
+    got = shifted_poisson_moment_direct(mu, a, r, tol)
+    assert time.perf_counter() - start < 2.0
+    with mpmath.workdps(40):
+        x = mpf(mu)
+        want = mpmath.fsum(mpmath.exp(k * mpmath.log(x) - x - mpmath.loggamma(k + 1))
+                           / mpf(k + a) ** r for k in range(a == 0, 4))
+    assert got.value == float(want)
+    assert math.copysign(1.0, got.value) == 1.0
+    assert got.tail_bound <= tol * 2.0 ** _log2_jensen(mu, r, a)
 
 
 def test_shifted_direct_r_zero():

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from test_exact_oracle import _mode_walk_pmf, _reference_moment
+from _reference import mode_walk_pmf, reference_moment
 
 from invmoments.charlier_expansion import (
     barbour_polynomial,
@@ -178,13 +178,13 @@ def test_route_is_bit_identical(pinned, route):
 def test_direct_pins_past_700_are_their_references_rounded(pinned, mu):
     # past mu = 700 the direct oracles read the integer window: every
     # pinned value there is its 55-digit mpmath sum, correctly rounded
-    pmf, seen = _mode_walk_pmf(mu), 0
+    pmf, seen = mode_walk_pmf(mu), 0
     for route, shifted in (("poisson_inverse_moment_direct", False),
                            ("shifted_poisson_moment_direct", True)):
         for key, (value, _) in pinned[route].items():
             at, first, second = key.split()
             if float(at) == mu:
                 a, r = (int(first), int(second)) if shifted else (0, int(first))
-                assert float.fromhex(value) == float(_reference_moment(pmf, a, r)), (route, key)
+                assert float.fromhex(value) == float(reference_moment(pmf, a, r)), (route, key)
                 seen += 1
     assert seen == 6 + 11
