@@ -21,7 +21,6 @@ from .exact_oracle import (
     DomainError,
     ExplicitPdf,
     OracleValue,
-    binomial_pdf,
     central_moment_binomial,
     exact_inverse_moment,
     factorial_cumulants_from_pdf,

@@ -8,8 +8,9 @@ charlier module.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
-from .exact_oracle import DomainError, _central_moments_binomial
+from .exact_oracle import _MOMENT_CAP, DomainError, _scaled_central_moments
 
 __all__ = ["stephan", "rempala", "znidaric"]
 
@@ -149,29 +150,38 @@ def znidaric(N: int, p: float, M: int) -> float:
     """M-term series around 1/(Np + q) using central moments of Binomial(N-1, p).
 
     E+[1/K] ~ Np / (Np + q)**2 * sum_{i<M} (-1)**i (i+1) m_i / (Np + q)**i,
-    with m_i the i-th central moment.  Terms alternate, so the sum goes
-    through fsum.  Consecutive term counts can coincide: m_1 = 0 makes
-    M = 2 equal M = 1.
+    with m_i the i-th central moment.  At the exact double p = a / 2**s
+    it is one rational, rounded once: with B = N a + 2**s - a = 2**s (Np
+    + q) and U_i = 2**(s i) m_i (exact_oracle._scaled_central_moments),
+    N a 2**s sum_{i<M} (-1)**i (i+1) U_i B**(M-1-i) / B**(M+1).
+    Consecutive term counts can coincide: m_1 = 0 makes M = 2 equal M =
+    1.  M past exact_oracle._MOMENT_CAP, and a value past the double
+    range, raise DomainError.
     """
     return _znidaric_partial_sums(N, p, (M,))[0]
 
 
 def _znidaric_partial_sums(N: int, p: float, counts) -> list[float]:
-    """znidaric(N, p, M) for every M in ``counts``, from one column of moments.
+    """znidaric(N, p, M) for every M in ``counts``, from one build of the moments.
 
-    m_0 .. m_{M-1} for the largest M come from one pmf column, and each
-    value sums the first M terms with fsum, as a call per M does.
+    The sum for each M is read off one Horner pass over the prefix,
+    S_{M+1} = S_M B + (-1)**M (M+1) U_M, so each value is the one
+    rational a call per M rounds.
     """
     _check_args(N, p)
-    top = _walk_length(counts)
-    q = 1.0 - p
-    b = N * p + q
-    terms = []
-    for i, m_i in enumerate(_central_moments_binomial(N - 1, p, range(top))):
-        t = (i + 1) * m_i / b**i
-        terms.append(-t if i % 2 else t)
+    top = _walk_length(counts, _MOMENT_CAP)
+    a, two_s = p.as_integer_ratio()
+    B = N * a + two_s - a
+    scaled = _scaled_central_moments(N - 1, a, two_s.bit_length() - 1, range(top))
+    terms = ((-1) ** i * (i + 1) * scaled[i] for i in range(top))
+    sums = list(accumulate(terms, lambda S, t: S * B + t))
     values = []
     for M in counts:
         _check_count(M)
-        values.append(N * p / b**2 * math.fsum(terms[:M]))
+        if M > _MOMENT_CAP:
+            raise DomainError(f"term count M must lie in 1..{_MOMENT_CAP}")
+        try:
+            values.append(N * a * two_s * sums[M - 1] / B ** (M + 1))
+        except OverflowError:
+            raise DomainError(f"the M={M} series overflows double precision at p={p:g}") from None
     return values

@@ -3,20 +3,21 @@
 Every routine here evaluates its target quantity from the defining sum,
 with non-negative terms wherever possible, and rounds the exact sum of
 its terms once: math.fsum adds rounded terms, and the binomial inverse
-moment for N > 300 and the Poisson moments past mu = 700 sum the terms
-of an exact-ratio integer walk from the mode (_ratio_walk, whose Poisson
+moment and the Poisson moments past mu = 700 sum the terms of an
+exact-ratio integer walk from the mode (_ratio_walk, whose Poisson
 window the q table of poisson_moments reads too) under an error bound,
-so they are the moment itself, correctly rounded.  The faster or
-cleverer formulas elsewhere in the package are tested against these.
+so they are the moment itself, correctly rounded.  The binomial central
+moments are exact integers on the scale of the exact p, rounded once.
+The faster or cleverer formulas elsewhere in the package are tested
+against these.
 """
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count, islice, repeat
 from operator import floordiv
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 import mpmath
 from mpmath.libmp import to_fixed
@@ -27,7 +28,6 @@ __all__ = [
     "ExplicitPdf",
     "DistributionSpec",
     "OracleValue",
-    "binomial_pdf",
     "exact_inverse_moment",
     "poisson_inverse_moment_direct",
     "shifted_poisson_moment_direct",
@@ -101,144 +101,33 @@ def _check_walk_mu(mu: float) -> None:
         raise DomainError(f"the Poisson walk takes mu <= {_WALK_MU_CAP:g}, not {mu:g}")
 
 
-_COMB_LIMIT = 300
-
-# stirlerr(n) for n = 0..15, rounded from 50-digit mpmath values.  Past
-# 15 the Stirling series to 1/n**9 is good to 2e-16 absolute, and past
-# 500 its first two terms are.
-_STIRLERR_SMALL = (
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-)
-_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
-
-
-def _stirlerr(n: int) -> float:
-    """log(n!) - log(sqrt(2*pi*n) * (n/e)**n), the error of Stirling's formula."""
-    if n <= 15:
-        return _STIRLERR_SMALL[n]
-    nn = n * n
-    if n > 500:
-        return (_S0 - _S1 / nn) / n
-    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
-
-
-def _bd0(x: float, m: float) -> float:
-    """The deviance x*log(x/m) + m - x, without its cancellation near x = m.
-
-    Close to m the closed form loses most of its digits, so there it is
-    summed as (x-m)*v + 2x * sum_{j>=1} v**(2j+1) / (2j+1) in
-    v = (x-m)/(x+m), |v| < 0.1 (Loader's bd0).
-    """
-    d = x - m
-    if abs(d) < 0.1 * (x + m):
-        v = d / (x + m)
-        s = d * v
-        ej = 2.0 * x * v
-        v *= v
-        j = 3
-        while True:
-            ej *= v
-            s1 = s + ej / j
-            if s1 == s:
-                return s
-            s = s1
-            j += 2
-    return x * math.log(x / m) + m - x
-
-
-def _bd0_tiny(x: float, m: float) -> float:
-    """_bd0 for m below 2**-1024, where x / m overflows even at x = 1.
-
-    There m is far below every x >= 1, so the closed form has no
-    cancellation to avoid, and log(x) - log(m) stays finite.
-    """
-    return x * (math.log(x) - math.log(m)) + m - x
-
-
-def _pdf_in_k(N: int, p: float) -> Callable[[int], float]:
-    """k -> P(K = k) for 0 <= k <= N, with the (N, p) invariants computed once.
-
-    Exact binomial coefficients for moderate N.  For large N, where that
-    product would overflow or underflow long before the probability
-    does, Loader's saddle-point form (C. Loader, "Fast and Accurate
-    Computation of Binomial Probabilities", 2000)
-
-        exp(stirlerr(N) - stirlerr(k) - stirlerr(N-k)
-            - bd0(k, Np) - bd0(N-k, Nq)) / sqrt(2*pi*k*(N-k)/N),
-
-    good to about 1e-15 relative.  The root takes the exact integer
-    k*(N-k), so it keeps its accuracy at k next to N.  k = 0 and k = N
-    are the one-sided forms of R's dbinom_raw.
-    """
-    if p == 0.0:
-        return lambda k: 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return lambda k: 1.0 if k == N else 0.0
-    q = 1.0 - p
-    if N <= _COMB_LIMIT:
-        return lambda k: math.comb(N, k) * p**k * q ** (N - k)
-    mean, mean_q = N * p, N * q
-    head = _stirlerr(N)
-    bd0_low = _bd0 if 1.0 / mean < math.inf else _bd0_tiny
-
-    def pdf(k: int) -> float:
-        if k == 0:
-            return math.exp(-_bd0(N, mean_q) - mean if p < 0.1 else N * math.log(q))
-        if k == N:
-            return math.exp(-_bd0(N, mean) - mean_q if q < 0.1 else N * math.log(p))
-        lc = head - _stirlerr(k) - _stirlerr(N - k) - bd0_low(k, mean) - _bd0(N - k, mean_q)
-        return math.exp(lc) / math.sqrt(math.tau * (k * (N - k)) / N)
-
-    return pdf
-
-
-def binomial_pdf(N: int, p: float, k: int) -> float:
-    """P(K = k) for K ~ Binomial(N, p).
-
-    Uses exact binomial coefficients for moderate N and Loader's
-    saddle-point form for large N (see _pdf_in_k).
-    """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
-    if not 0.0 <= p <= 1.0:
-        raise DomainError("p must lie in [0, 1]")
-    if k < 0 or k > N:
-        return 0.0
-    return _pdf_in_k(N, p)(k)
+_EXACT_ANCHOR_BITS = 1 << 14  # s N up to this: the exact anchor is the quicker (measured)
 
 
 def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
     """E+[1/K**r], the inverse moment restricted to the event K >= 1.
 
-    A finite sum for both supported distribution kinds.  An explicit pdf
-    and a binomial with N <= 300 give the correctly rounded sum of the
-    rounded terms, also where k**r passes the double range
-    (_over_power).  p = 0 gives 0.0 and p = 1 its one atom 1/N**r.  A
-    binomial with N > 300 and 0 < p < 1 gives the moment of the binomial
-    with that exact double p, correctly rounded: an integer walk from
-    the mode by the pmf's exact ratios, whose floors and left-out tails
-    the rounding bounds (_binomial_walk).
+    An explicit pdf gives the correctly rounded sum of its rounded terms,
+    also where k**r passes the double range (_over_power).  A binomial
+    gives the moment of the binomial with that exact double p, correctly
+    rounded: p = 0 gives 0.0 and p = 1 its one atom 1/N**r, and 0 < p <
+    1 _binomial_walk at 64 bits past the result, with the bits doubled
+    while its rounding is undecided (Ziv's scheme).
     """
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     if isinstance(spec, Binomial):
-        N, p = spec.N, spec.p
+        N, p, bits = spec.N, spec.p, 64
         if p == 0.0:
             return 0.0
         if p == 1.0:
             return _over_power(1.0, N, r)
-        if N > _COMB_LIMIT:
-            return _binomial_inverse_moment(N, p, r)
-        ks = range(1, N + 1)
-        pairs = lambda: zip(ks, map(_pdf_in_k(N, p), ks))
-    elif isinstance(spec, ExplicitPdf):
-        pairs = lambda: zip(count(1), spec.weights[1:])
-    else:
+        while (value := _binomial_walk(N, p, r, bits)) is None:
+            bits *= 2
+        return value
+    if not isinstance(spec, ExplicitPdf):
         raise DomainError(f"unsupported distribution spec: {spec!r}")
+    pairs = lambda: zip(count(1), spec.weights[1:])
     try:
         return math.fsum(w / k**r for k, w in pairs())
     except OverflowError:  # k**r past the double range
@@ -292,7 +181,7 @@ def _walk_bits(depth: int, var: float) -> int:
 
 
 def _ratio_walk(
-    anchor: int, k0: int, n0: int, n1: int, d0: int, d1: int, stop: int
+    anchor: int, k0: int, n0: int, n1: int, d0: int, d1: int, stop: int, top: int | None = None
 ) -> tuple[int, list[int], int]:
     """(lo, terms, F): T(k) ~ 2**W pmf(k) for k = lo, lo + 1, ..., and a bound F.
 
@@ -311,22 +200,28 @@ def _ratio_walk(
     ratios outward keep falling past k (the pmf is log-concave), so the
     X mass from k on, weighted by w <= 1, is at most the geometric tail
     v / (1 - rho) of v = T(k) + |k - k0| + 1 >= X(k) and rho the ratio
-    out of k.  F sums the floor bounds over the window and both tails.
+    out of k.  The upward side stops before k = top too, if given, where
+    the caller's weights are at most 2**-(W+1): the X mass from there on,
+    at most 2**W (1 + eps) in all, then weighs under 1 unit, its tail.
+    F sums the floor bounds over the window and both tails.
     """
     sides, tail = [], 0
-    for nums, dens in (
-        (count(n0 + n1 * k0, n1), count(d0 + d1 * k0, d1)),
-        (count(d0 + d1 * (k0 - 1), -d1), count(n0 + n1 * (k0 - 1), -n1)),
+    up_steps = None if top is None else max(0, top - 1 - k0)
+    for nums, dens, steps in (
+        (count(n0 + n1 * k0, n1), count(d0 + d1 * k0, d1), up_steps),
+        (count(d0 + d1 * (k0 - 1), -d1), count(n0 + n1 * (k0 - 1), -n1), None),
     ):
         side, T = [], anchor
-        for n, d in zip(nums, dens):
+        for n, d in islice(zip(nums, dens), steps):
             T = T * n // d
             if T < stop:
+                if n:  # the side stopped inside the support
+                    n, d = next(nums), next(dens)
+                    tail += -(-(T + len(side) + 2) * d // (d - n))
                 break
             side.append(T)
-        if n:  # the side stopped inside the support
-            n, d = next(nums), next(dens)
-            tail += -(-(T + len(side) + 2) * d // (d - n))
+        else:  # the upward side reached top
+            tail += 1
         sides.append(side)
     up, down = sides
     d_lo, d_hi = len(down), len(up)
@@ -339,53 +234,48 @@ def _log2_jensen_binomial(N: int, p: float, r: int) -> float:
     return (r + 1) * math.log2(-math.expm1(N * math.log1p(-p))) - r * math.log2(N * p)
 
 
-def _binomial_inverse_moment(N: int, p: float, r: int) -> float:
-    """E+[1/K**r] for N > 300 and 0 < p < 1, correctly rounded.
-
-    _binomial_walk at 64 bits past the result, with the bits doubled
-    while its rounding is undecided (Ziv's scheme).  Arguments are the
-    caller's to validate.
-    """
-    bits = 64
-    while (value := _binomial_walk(N, p, r, bits)) is None:
-        bits *= 2
-    return value
-
-
 def _binomial_walk(N: int, p: float, r: int, bits: int) -> float | None:
     """sum of pmf(k) / k**r over k >= 1, rounded once; None if undecided.
 
     The double p is exactly a / 2**s, so q = b / 2**s with b = 2**s - a
     is exact too, and the pmf steps from its mode k0 = floor((N+1) p) by
-    the ratio (N a - a k) / (b + b k) (_ratio_walk).  The anchor pmf(k0)
-    is one mpmath exp(log C(N, k0) + k0 log p + (N-k0) log q) at
-    max(bits, 64) + g bits, where 2**g is 2**8 M and M = (N+1) (3
-    log(N+1) + |log p| + |log q|) bounds the terms that cancel; 8 bits
-    cover mpmath's few-ulp errors in its eight operations, so the anchor
-    is within a relative 2**-bits.  c is -log2 of Jensen's L, rounded up
-    and at most 1080, so a subnormal result keeps bits to spare.  The
-    scale is W = bits + B + c, B = _walk_bits(bits + c + 1, Npq), and
-    the walk stops below 2**B, near 2**-(bits + c) of the pmf's peak.
-    From k = 2**ceil((W+1) / r) on, k**r > T, so no floor is taken and
-    no huge k**r formed there.  With acc the sum of the floors over k >=
-    1, 2**W times the moment lies in [acc (1 - 2**-bits), (acc + F) (1 +
-    2**(1-bits))] (_round_once).
+    the ratio (N a - a k) / (b + b k) (_ratio_walk).  c is -log2 of
+    Jensen's L, rounded up and at most 1080, so a subnormal result keeps
+    bits to spare.  The scale is W = bits + B + c, B = _walk_bits(bits +
+    c + 1, Npq), and the walk stops below 2**B, near 2**-(bits + c) of
+    the pmf's peak.  While s N <= _EXACT_ANCHOR_BITS the anchor is the
+    exact floor of 2**W C(N, k0) a**k0 b**(N-k0) / 2**(s N).  Past that
+    it is one mpmath exp(log C(N, k0) + k0 log p + (N-k0) log q) at
+    max(bits, 64) + g bits, 2**g = 2**8 M, where M = (N+1) (3 log(N+1) +
+    |log p| + |log q|) bounds the terms that cancel and 8 bits cover
+    mpmath's few-ulp errors in its eight operations: a relative 2**-bits.
+    From k = 2**ceil((W+1) / r) on, k**r >= 2**(W+1) > T, so the upward
+    walk stops there (its top) and no huge k**r is formed.  With acc the
+    sum of the floors over k >= 1, 2**W times the moment lies in [acc (1
+    - 2**-bits), (acc + F) (1 + 2**(1-bits))] (_round_once), whichever
+    the anchor.
     """
     a, two_s = p.as_integer_ratio()
     b = two_s - a
+    sN = (two_s.bit_length() - 1) * N
     k0 = (N + 1) * a // two_s
     c = min(math.ceil(-_log2_jensen_binomial(N, p, r)), 1080)
     B = _walk_bits(bits + c + 1, N * p * (1.0 - p))
     W = bits + B + c
-    M = (N + 1) * (3.0 * math.log(N + 1) - math.log(p) - math.log1p(-p))
-    with mpmath.workprec(max(bits, 64) + math.ceil(math.log2(M)) + 8):
-        P = mpmath.mpf(p)
-        log_pmf = (mpmath.loggamma(N + 1) - mpmath.loggamma(k0 + 1)
-                   - mpmath.loggamma(N - k0 + 1) + k0 * mpmath.log(P)
-                   + (N - k0) * mpmath.log1p(-P))
-        anchor = to_fixed(mpmath.exp(log_pmf)._mpf_, W)
-    lo, terms, F = _ratio_walk(anchor, k0, N * a, -a, b, b, 1 << B)
-    k1, k2 = max(lo, 1), min(lo + len(terms), 1 << -(-(W + 1) // r))
+    if sN <= _EXACT_ANCHOR_BITS:
+        anchor = (math.comb(N, k0) * a**k0 * b ** (N - k0) << W) >> sN
+    else:
+        M = (N + 1) * (3.0 * math.log(N + 1) - math.log(p) - math.log1p(-p))
+        with mpmath.workprec(max(bits, 64) + math.ceil(math.log2(M)) + 8):
+            P = mpmath.mpf(p)
+            log_pmf = (mpmath.loggamma(N + 1) - mpmath.loggamma(k0 + 1)
+                       - mpmath.loggamma(N - k0 + 1) + k0 * mpmath.log(P)
+                       + (N - k0) * mpmath.log1p(-P))
+            anchor = to_fixed(mpmath.exp(log_pmf)._mpf_, W)
+    k_cut = 1 << -(-(W + 1) // r)
+    # past N + 1 the walk has already stopped, and islice takes no 2**(W+1)
+    lo, terms, F = _ratio_walk(anchor, k0, N * a, -a, b, b, 1 << B, min(k_cut, N + 2))
+    k1, k2 = max(lo, 1), min(lo + len(terms), k_cut)
     acc = sum(map(floordiv, terms[k1 - lo:k2 - lo], map(pow, range(k1, k2), repeat(r))))
     low = max(0, acc - (acc >> bits) - 1)
     high = acc + F
@@ -572,40 +462,68 @@ def shifted_poisson_moment_direct(
     return _direct_sum(mu, a, r, tol)
 
 
-def central_moment_binomial(N: int, p: float, i: int) -> float:
-    """E[(K - Np)**i] for K ~ Binomial(N, p), by exact finite summation.
+_MOMENT_CAP = 400  # the exact build grows like i**3; at 400 a cold one takes under 1 s
 
-    N = 0 is accepted as the one-point distribution at zero; the
-    shifted-sample consumers need that degenerate case.
+
+def central_moment_binomial(N: int, p: float, i: int) -> float:
+    """E[(K - Np)**i] for K ~ Binomial(N, p), the exact moment rounded once.
+
+    It is a polynomial in p with integer coefficients, so at the exact
+    double p = a / 2**s it is an exact integer over 2**(s i)
+    (_scaled_central_moments), whose quotient rounds once.  Where that
+    passes the double range, and for i past _MOMENT_CAP, it raises
+    DomainError.  N = 0 is accepted as the one-point distribution at
+    zero; the shifted-sample consumers need that degenerate case.
     """
     if N < 0:
         raise DomainError("N must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    if i < 0:
-        raise DomainError("moment index i must be non-negative")
-    return _central_moments_binomial(N, p, (i,))[0]
+    if not 0 <= i <= _MOMENT_CAP:
+        raise DomainError(f"moment index i must lie in 0..{_MOMENT_CAP}")
+    a, two_s = p.as_integer_ratio()
+    try:
+        return _scaled_central_moments(N, a, two_s.bit_length() - 1, (i,))[i] / two_s**i
+    except OverflowError:
+        raise DomainError(f"central moment i={i} overflows double precision") from None
 
 
-def _central_moments_binomial(N: int, p: float, indices) -> list[float]:
-    """central_moment_binomial for every index in ``indices`` at once.
+def _scaled_central_moments(n: int, a: int, s: int, indices) -> dict[int, int]:
+    """{i: 2**(s i) mu_i} for each index, mu_i the i-th central moment of Binomial(n, a / 2**s).
 
-    Each moment is math.fsum of the same products a single call takes,
-    so the values are the same doubles.  When more than one index needs
-    a sum, the pmf is computed once into an array of N + 1 doubles;
-    a single sum streams it, in O(1) memory.  Arguments are the
-    caller's to validate.
+    mu_i is a polynomial in p of degree at most i, with integer
+    coefficients from Romanovsky's recurrence mu_{i+1} = p q (n i
+    mu_{i-1} + d mu_i / dp), mu_0 = 1 and mu_1 = 0, so 2**(s i) mu_i is
+    an exact integer.  The coefficients of the next moment are built
+    from the last two, and each wanted one is evaluated at p
+    (_scaled_polynomial).  The build costs about i**3 in all.
     """
-    if N == 0:
-        return [1.0 if i == 0 else 0.0 for i in indices]
-    mu = N * p
-    pdf = _pdf_in_k(N, p)
-    if len({i for i in indices if i != 1}) > 1:
-        pdf = array("d", map(pdf, range(N + 1))).__getitem__
-    return [
-        0.0 if i == 1 else math.fsum(pdf(k) * (k - mu) ** i for k in range(N + 1))
-        for i in indices
-    ]
+    wanted = set(indices)
+    scaled = {}
+    prev, cur = [], [1]
+    for i in range(max(wanted, default=-1) + 1):
+        if i in wanted:
+            scaled[i] = _scaled_polynomial(cur, a, s)
+        f = [j * c + n * i * d for j, c, d in zip(count(1), cur[1:], prev)]
+        prev, cur = cur, [x - y for x, y in zip([0, *f, 0], [0, 0, *f])]
+    return scaled
+
+
+def _scaled_polynomial(c: list[int], a: int, s: int) -> int:
+    """sum of c[j] a**j 2**(s (d - j)) over j, d = len(c) - 1: 2**(s d) c(a / 2**s).
+
+    Horner's rule for a few coefficients.  Past that by halves, so that
+    the big products are few: the low half shifted past the high half's
+    degree, plus a**m times the high half.
+    """
+    if len(c) > 8:
+        m = len(c) // 2
+        low, high = (_scaled_polynomial(half, a, s) for half in (c[:m], c[m:]))
+        return (low << s * (len(c) - m)) + a**m * high
+    h = 0
+    for t, cj in enumerate(reversed(c)):
+        h = h * a + (cj << s * t)
+    return h
 
 
 def factorial_cumulants_from_pdf(weights: Iterable[float], max_j: int) -> list[float]:

@@ -1,11 +1,22 @@
-"""Reference Poisson moments in mpmath, independent of the library's walks.
+"""Reference pmfs and Poisson moments in mpmath, independent of the library's walks.
 
-Shared by the oracle tests and the pin checks past mu = 700.
+Shared by the oracle tests, the expansion tests and the pin checks past
+mu = 700.
 """
 import math
 
 import mpmath
 from mpmath import mpf
+
+
+def binomial_pmf(N, k, p):
+    """P(K = k) for K ~ Binomial(N, p) at the working precision, with q = 1 - p exact.
+
+    C(N, k) p**k q**(N-k) in mpmath, so the double p enters exactly and
+    no rounding of 1 - p does; p = 0 and p = 1 give their atoms.
+    """
+    P = mpf(p)
+    return mpmath.binomial(N, k) * P**k * mpmath.fsub(1, P, exact=True) ** (N - k)
 
 
 def mode_walk_pmf(mu):

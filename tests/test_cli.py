@@ -288,3 +288,17 @@ def test_python_m_invmoments_exit_codes():
         bad = run(module, "poisson-table", "--mu", "nan")
         assert bad.returncode == 2, module
         assert "domain error" in bad.stderr, module
+
+
+def test_long_znidaric_series_exit_2(capsys, tmp_path):
+    # the float moments leaked a raw OverflowError here (exit 1, with a
+    # traceback); the exact rational passes the double range at p = 0.002
+    out = tmp_path / "z.csv"
+    assert main(["sweep", "--N", "10", "--method", "znidaric", "--terms", "400",
+                 "--grid", "0.002:0.002:1", "--out", str(out)]) == 2
+    assert "the M=400 series overflows double precision" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert main(["sweep", "--N", "10", "--method", "znidaric", "--terms", "401",
+                 "--grid", "0.5:0.5:1", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "term count M must lie in 1..400" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Tests for the three classical series the expansion is benchmarked against."""
 import math
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,10 +16,10 @@ from invmoments.competing import (
     znidaric,
 )
 from invmoments.exact_oracle import (
+    _MOMENT_CAP,
     Binomial,
     DomainError,
-    _central_moments_binomial,
-    _pdf_in_k,
+    _scaled_central_moments,
     central_moment_binomial,
     exact_inverse_moment,
 )
@@ -193,37 +195,61 @@ def _ref_rempala(N, p, M):
     return value
 
 
+def _stirling2(j):
+    """Row j of the Stirling numbers of the second kind, S(j, 0..j)."""
+    row = [1]
+    for n in range(1, j + 1):
+        row = [(m * row[m] if m < n else 0) + (row[m - 1] if m else 0) for m in range(n + 1)]
+    return row
+
+
+def _exact_central_moment(N, p, i):
+    """E[(K - Np)**i] as an exact Fraction at the double p, from the raw moments.
+
+    E[K**j] = sum_m S(j, m) N (N-1) ... (N-m+1) p**m, and the binomial
+    theorem in (K - Np); no pmf and no recurrence, so it shares nothing
+    with the library's route.
+    """
+    P = Fraction(p)
+    raw = [
+        sum(S * math.perm(N, m) * P**m for m, S in enumerate(_stirling2(j)))
+        for j in range(i + 1)
+    ]
+    return sum(math.comb(i, j) * (-N * P) ** (i - j) * raw[j] for j in range(i + 1))
+
+
+def _rounded(value, message):
+    """float(value), correctly rounded, or DomainError(message) past the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(message) from None
+
+
 def _ref_central_moment_binomial(N, p, i):
     if N < 0:
         raise DomainError("N must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
-    if i < 0:
-        raise DomainError("moment index i must be non-negative")
-    if N == 0:
-        return 1.0 if i == 0 else 0.0
-    if i == 1:
-        return 0.0
-    mu = N * p
-    pdf = _pdf_in_k(N, p)
-    return math.fsum(pdf(k) * (k - mu) ** i for k in range(N + 1))
+    if not 0 <= i <= _MOMENT_CAP:
+        raise DomainError(f"moment index i must lie in 0..{_MOMENT_CAP}")
+    return _rounded(_exact_central_moment(N, p, i), f"central moment i={i} overflows double precision")
 
 
 def _ref_znidaric(N, p, M):
+    """The M-term series at the exact double p, one Fraction rounded once."""
     if N < 1:
         raise DomainError("N must be a positive integer")
     if not 0.0 < p <= 1.0:
         raise DomainError("p must lie in (0, 1]")
     if M < 1:
         raise DomainError("term count M must be a positive integer")
-    q = 1.0 - p
-    b = N * p + q
-    terms = []
-    for i in range(M):
-        m_i = _ref_central_moment_binomial(N - 1, p, i)
-        t = (i + 1) * m_i / b**i
-        terms.append(-t if i % 2 else t)
-    return N * p / b**2 * math.fsum(terms)
+    P = Fraction(p)
+    b = N * P + 1 - P
+    total = sum((-1) ** i * (i + 1) * _exact_central_moment(N - 1, p, i) / b**i
+                for i in range(M))
+    return _rounded(N * P / b**2 * total,
+                    f"the M={M} series overflows double precision at p={p:g}")
 
 
 def _outcome(fn):
@@ -239,7 +265,7 @@ _SERIES = [
     (rempala, _rempala_partial_sums, _ref_rempala),
     (znidaric, _znidaric_partial_sums, _ref_znidaric),
 ]
-# N - 1 > 300 takes the Loader pmf in the znidaric moments
+# N up to 400: the znidaric moments' polynomial coefficients grow with N
 _N = st.integers(min_value=1, max_value=400)
 _P = st.one_of(
     st.sampled_from([1.0, 1e-300, 5e-324]),
@@ -290,23 +316,72 @@ def test_partial_sums_raise_as_a_call_per_count(public, multi, ref, N, p, counts
 @example(N=0, p=0.3, indices=[0, 3, 1])
 @example(N=350, p=0.2, indices=[1, 1])
 def test_central_moments_equal_a_call_per_index(N, p, indices):
+    # one build for all indices, as the znidaric series takes them, gives
+    # each index's integer; each value is the exact moment rounded once
+    a, two_s = p.as_integer_ratio()
+    s = two_s.bit_length() - 1
+    scaled = _scaled_central_moments(N, a, s, indices)
+    assert scaled == {i: _scaled_central_moments(N, a, s, (i,))[i] for i in indices}
     expected = [_ref_central_moment_binomial(N, p, i) for i in indices]
-    assert _central_moments_binomial(N, p, indices) == expected
     assert [central_moment_binomial(N, p, i) for i in indices] == expected
 
 
 def test_central_moments_memory_stays_off_the_pmf_for_one_index():
-    # one sum streams the pmf; several sums share one array of N + 1 doubles
+    # the moments are polynomials in p, so no pmf column of N + 1 terms
+    # is held for one index or for several
     N = 20_000
+
+    a, two_s = (0.3).as_integer_ratio()
 
     def peak(indices):
         tracemalloc.start()
         try:
-            _central_moments_binomial(N, 0.3, indices)
+            _scaled_central_moments(N, a, two_s.bit_length() - 1, indices)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     assert peak((4,)) < N
     assert peak((1, 4, 1)) < N
-    assert 8 * N < peak(range(6)) < 12 * N
+    assert peak(range(6)) < N
+
+
+def test_central_moment_at_huge_n_costs_milliseconds():
+    # the pmf column took seconds at N = 2e6; the polynomial build is
+    # independent of N but for its integers' size
+    start = time.perf_counter()
+    got = central_moment_binomial(2 * 10**6, 0.3, 5)
+    assert time.perf_counter() - start < 0.05
+    assert got == float(_exact_central_moment(2 * 10**6, 0.3, 5))
+    P = Fraction(0.3)  # q = 1 - p exactly, not the double 0.7
+    assert central_moment_binomial(2 * 10**6, 0.3, 2) == float(2 * 10**6 * P * (1 - P))
+
+
+def test_long_series_answer_or_refuse():
+    # the float moments raised a bare OverflowError for these; the exact
+    # rational is returned where it is finite and refused where it is not
+    assert abs(znidaric(100, 0.9, 300) - 0.0111) < 1e-4
+    with pytest.raises(DomainError, match="overflows double precision"):
+        central_moment_binomial(10, 0.002, 400)
+    with pytest.raises(DomainError, match="overflows double precision"):
+        znidaric(10, 0.002, 400)
+
+
+def test_moment_cap_refuses_up_front():
+    # the exact build grows like i**3, so indices and counts past the cap
+    # are refused before any moment is built
+    for call in (lambda: central_moment_binomial(10, 0.3, _MOMENT_CAP + 1),
+                 lambda: znidaric(10, 0.3, _MOMENT_CAP + 1),
+                 lambda: _znidaric_partial_sums(10, 0.3, [2, 10**9])):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"{_MOMENT_CAP}"):
+            call()
+        assert time.perf_counter() - start < 0.05
+
+
+def test_moment_cap_build_stays_near_a_second():
+    # a cold build of the capped series, at a tiny p whose 2**s scale
+    # makes the integers largest; about 0.7 s on a 2-vCPU machine
+    start = time.perf_counter()
+    assert 0.0 < znidaric(10, 1e-300, _MOMENT_CAP) < 1e-298
+    assert time.perf_counter() - start < 5.0

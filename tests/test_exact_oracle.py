@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mpf
 
-from _reference import mode_walk_pmf, reference_moment
+from _reference import binomial_pmf, mode_walk_pmf, reference_moment
 from invmoments import exact_oracle
 from invmoments.charlier_expansion import ExpansionPolynomial, expand_pdf
 from invmoments.cli import GridSpec
@@ -21,7 +21,6 @@ from invmoments.exact_oracle import (
     Binomial,
     DomainError,
     ExplicitPdf,
-    binomial_pdf,
     central_moment_binomial,
     exact_inverse_moment,
     factorial_cumulants_from_pdf,
@@ -30,7 +29,6 @@ from invmoments.exact_oracle import (
     _binomial_walk,
     _log2_jensen,
     _ratio_walk,
-    _stirlerr,
 )
 from invmoments.poisson_moments import (
     _positive_moment_double,
@@ -43,55 +41,14 @@ F1_AT_1 = 0.48482910699568764
 F2_AT_1 = 0.42177343810541403
 
 
-def test_binomial_pdf_values():
-    assert binomial_pdf(1, 0.3, 1) == 0.3
-    assert binomial_pdf(2, 0.5, 1) == 0.5
-    assert binomial_pdf(5, 0.0, 0) == 1.0
-    assert binomial_pdf(5, 1.0, 5) == 1.0
-    assert binomial_pdf(5, 0.7, 9) == 0.0
-    assert binomial_pdf(5, 0.7, -1) == 0.0
-
-
-def test_binomial_pdf_domain():
-    with pytest.raises(DomainError):
-        binomial_pdf(0, 0.5, 0)
-    with pytest.raises(DomainError):
-        binomial_pdf(5, 1.5, 2)
-
-
-@settings(max_examples=60)
-@given(st.integers(min_value=1, max_value=60), st.floats(min_value=0.0, max_value=1.0))
-def test_binomial_pdf_sums_to_one(N, p):
-    total = math.fsum(binomial_pdf(N, p, k) for k in range(N + 1))
-    assert abs(total - 1.0) < 1e-12
-
-
-def test_binomial_pdf_large_N_stable():
-    # saddle-point path; compare against a mode-relative recursion
-    N, p = 10_000, 0.37
-    mode = int(N * p)
-    v = binomial_pdf(N, p, mode)
-    assert 0.0 < v < 1.0
-    ratio = binomial_pdf(N, p, mode + 1) / v
-    expected = (N - mode) / (mode + 1) * p / (1 - p)
-    assert abs(ratio - expected) < 1e-9
-
-
-# mpmath references for N > 300, where the oracle walks out from the mode.
-# They share nothing with the oracle but the inputs.  Q = 1 - P is exact and
-# log Q is log1p(-P), so no rounding of 1 - p enters them.
+# mpmath references for the binomial oracle, which walks out from the mode.
+# They share nothing with the oracle but the inputs.  Q = 1 - P is exact
+# (_reference.binomial_pmf), so no rounding of 1 - p enters them.
 REF_DPS = 34
-# Relative error of a reference: the log-gamma sum cancels terms near
-# 1.4e7 at N = 10**6, about 1e-27 of the pmf at 34 digits, and each run
-# stops at 1e-32 of its total.
+# Relative error of a reference: the anchor pmf is good to about 1e-33,
+# each of the up to ~1e4 ratio steps of a run at N = 10**6 adds about
+# 1e-34, and each run stops at 1e-32 of its total.
 REF_ERR = 1e-25
-
-
-def _mp_pmf(N, k, P):
-    return mpmath.exp(
-        mpmath.loggamma(N + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(N - k + 1)
-        + k * mpmath.log(P) + (N - k) * mpmath.log1p(-P)
-    )
 
 
 def _mp_run(N, P, r, k, step):
@@ -104,7 +61,7 @@ def _mp_run(N, P, r, k, step):
     """
     Q = mpmath.fsub(1, P, exact=True)
     total = mpf(0)
-    pmf = _mp_pmf(N, k, P)
+    pmf = binomial_pmf(N, k, P)
     while 1 <= k <= N:
         total += pmf / mpf(k) ** r
         rho = (N - k) / mpf(k + 1) * P / Q if step > 0 else k / mpf(N - k + 1) * Q / P
@@ -126,29 +83,21 @@ def _mp_inverse_moment(N, p, r):
         return total
 
 
-def _rel_err(got, want):
-    return float(abs(mpf(got) - want) / want)
-
-
-def _near_midpoint(want):
-    """Whether want lies within REF_ERR of a point halfway between two doubles."""
+def _near_midpoint(want, err=REF_ERR):
+    """Whether want lies within a relative err of a point halfway between two doubles."""
     d = float(want)
-    with mpmath.workdps(REF_DPS):
+    with mpmath.workprec(256):
         return any(
-            abs(want - (mpf(d) + mpf(e)) / 2) <= REF_ERR * want
-            for e in (math.nextafter(d, 0.0), math.nextafter(d, math.inf))
+            abs(want - (mpf(d) + mpf(e)) / 2) <= err * abs(want)
+            for e in (math.nextafter(d, -math.inf), math.nextafter(d, math.inf))
         )
 
 
 @pytest.mark.parametrize("N,p", [(301, 0.3), (1000, 0.02), (5000, 0.77)])
 @pytest.mark.parametrize("r", [1, 3])
 def test_exact_inverse_moment_large_N_matches_per_k_pdf(N, p, r):
-    # the oracle no longer sums binomial_pdf, so both are held against the
-    # reference: the oracle is correctly rounded, and the fsum of Loader's
-    # pdf over all of 1..N keeps binomial_pdf's documented 1e-15
+    # the per-k reference pmf summed from the mode out, correctly rounded
     want = _mp_inverse_moment(N, p, r)
-    loader = math.fsum(binomial_pdf(N, p, k) / k**r for k in range(1, N + 1))
-    assert _rel_err(loader, want) <= 1e-15
     assert not _near_midpoint(want)
     assert exact_inverse_moment(Binomial(N, p), r) == float(want)
 
@@ -180,6 +129,74 @@ def test_exact_inverse_moment_large_N_against_mpmath(N, p, r):
     want = _mp_inverse_moment(N, p, r)
     assume(not _near_midpoint(want))
     assert exact_inverse_moment(Binomial(N, p), r) == float(want), (N, p, r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.one_of(
+        st.integers(1, 999).map(lambda i: i / 1000),  # 1 - p inexact for most p < 0.5
+        st.sampled_from(REPORT_GRID),
+        st.floats(min_value=math.log(1e-300), max_value=math.log(0.5)).map(math.exp),
+        st.floats(min_value=math.log(1e-15), max_value=math.log(0.5)).map(
+            lambda x: 1.0 - math.exp(x)
+        ),
+    ),
+    st.integers(1, 6),
+)
+@example(10, 0.1, 1)  # the comb sum with q = 1.0 - p was 1 ulp off
+@example(100, 0.3, 2)
+@example(300, 0.3, 1)  # and 1.7e-14 off here
+@example(1, 0.3, 6)
+@example(250, 5e-324, 3)  # s N past the exact anchor's bits
+def test_exact_inverse_moment_small_N_against_mpmath(N, p, r):
+    # up to N = 300 too, the moment of the binomial with the exact double p
+    want = _mp_inverse_moment(N, p, r)
+    assume(not _near_midpoint(want))
+    assert exact_inverse_moment(Binomial(N, p), r) == float(want), (N, p, r)
+
+
+@pytest.mark.parametrize("N,p,r", [(10, 0.3, 1), (100, 0.002, 2), (300, 0.3, 1), (300, 0.7, 3),
+                                   (1000, 0.5, 1), (1000, 0.02, 2), (3000, 1e-3, 1)])
+def test_both_anchors_give_the_same_double(N, p, r, monkeypatch):
+    # the exact anchor below _EXACT_ANCHOR_BITS and the mpmath one above
+    # it bound the same walk, so either gives the correctly rounded moment
+    values = []
+    for bits in (0, 10**9):
+        monkeypatch.setattr(exact_oracle, "_EXACT_ANCHOR_BITS", bits)
+        values.append(exact_inverse_moment(Binomial(N, p), r))
+    assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("N,p", [(10, 0.3), (250, 0.1 + 0.2), (4000, 0.5), (10, 5e-324)])
+def test_exact_anchor_is_the_scaled_pmf_floored(N, p):
+    # floor(2**W pmf(k0)) against a reference far past 2**W
+    a, two_s = p.as_integer_ratio()
+    k0, W = (N + 1) * a // two_s, 200
+    s = two_s.bit_length() - 1
+    assert s * N <= exact_oracle._EXACT_ANCHOR_BITS
+    anchor = (math.comb(N, k0) * a**k0 * (two_s - a) ** (N - k0) << W) >> (s * N)
+    with mpmath.workprec(s * N + W + 64):
+        assert anchor == int(mpmath.floor(mpmath.ldexp(binomial_pmf(N, k0, p), W)))
+
+
+def test_huge_r_walks_no_term_past_the_cut(monkeypatch):
+    # only k < 2**ceil((W+1) / r) = 2 is divided at r = 10**6, so the
+    # upward side from the mode is not walked at all
+    walked, walk = [], exact_oracle._ratio_walk
+
+    def counting(*args):
+        lo, terms, F = walk(*args)
+        walked.append((args, len(terms)))
+        return lo, terms, F
+
+    monkeypatch.setattr(exact_oracle, "_ratio_walk", counting)
+    for N, p, r, want in [(10**5, 0.5, 10**6, 0.0), (1000, 0.5, 400, 1000 * 2.0**-1000)]:
+        walked.clear()
+        assert exact_inverse_moment(Binomial(N, p), r) == want
+        (args, n), = walked
+        full = walk(*args[:7])[1]  # the same walk without its top
+        assert n < len(full) // 2 + 2, (N, n, len(full))
 
 
 @pytest.mark.parametrize("N,p,r", [(1000, 0.02, 1), (20000, 0.37, 3), (4000, 1e-200, 2)])
@@ -240,15 +257,17 @@ def test_exact_inverse_moment_huge_r(N, p, r, want):
 
 
 def test_large_N_oracle_reads_no_loader_term(monkeypatch):
-    # above N = 300 the oracle walks exact ratios; Loader's pieces and a
-    # float sum stay with binomial_pdf and the central moments
+    # the exact-ratio walk is the one binomial pmf: Loader's saddle-point
+    # pieces are gone, and no N takes a float sum of pmf doubles
+    for name in ("binomial_pdf", "_pdf_in_k", "_stirlerr", "_bd0", "_COMB_LIMIT"):
+        assert not hasattr(exact_oracle, name), name
+
     def refuse(*args):
         raise AssertionError("called")
 
-    for name in ("_bd0", "_stirlerr", "_pdf_in_k"):
-        monkeypatch.setattr(exact_oracle, name, refuse)
     monkeypatch.setattr(exact_oracle.math, "fsum", refuse)
-    assert exact_inverse_moment(Binomial(1000, 0.02), 2) > 0.0
+    for N in (1, 10, 300, 1000):
+        assert exact_inverse_moment(Binomial(N, 0.02), 2) > 0.0
 
 
 @pytest.mark.parametrize(
@@ -327,7 +346,7 @@ def test_binomial_walk_within_its_bounds(N, p, r):
     W = 64 + B + c
     with mpmath.workdps(math.ceil(W * math.log10(2.0)) + 40):
         P = mpf(p)
-        _check_walk(lambda k: _mp_pmf(N, k, P), (N * a, -a, b, b), (N + 1) * a // two_s,
+        _check_walk(lambda k: binomial_pmf(N, k, P), (N * a, -a, b, b), (N + 1) * a // two_s,
                     W, 1 << B, range(N + 1))
 
 
@@ -349,30 +368,6 @@ def test_degenerate_binomial_sums_only_its_atom():
     assert exact_inverse_moment(Binomial(10**9, 1.0), 2) == 1e-18
     assert exact_inverse_moment(Binomial(10**9, 0.0), 2) == 0.0
     assert time.perf_counter() - start < 1.0
-
-
-@pytest.mark.parametrize("N", [301, 4000])
-@pytest.mark.parametrize("p", [1e-3, 0.05, 0.5, 0.95, 0.999])
-def test_binomial_pdf_large_N_against_mpmath(N, p):
-    # k = 0 and k = N take dbinom_raw's one-sided forms, switched at 0.1.
-    # Far out in a tail the pdf is exp(-x) with x in the hundreds, and a
-    # double carries x only to a few of its ulp, about 1e-16 * x.
-    with mpmath.workdps(REF_DPS):
-        P = mpf(p)
-        for k in sorted({0, 1, 2, math.floor(N * p), N - 2, N - 1, N}):
-            want = _mp_pmf(N, k, P)
-            if want > 1e-300:
-                tol = 1e-15 * max(10.0, -float(mpmath.log(want)))
-                assert _rel_err(binomial_pdf(N, p, k), want) <= tol, (N, p, k)
-
-
-def test_stirlerr_against_mpmath():
-    # the table below 16 and both sides of the series' switch at 500
-    with mpmath.workdps(50):
-        for n in list(range(1, 40)) + [79, 80, 81, 499, 500, 501, 10**6]:
-            want = (mpmath.loggamma(n + 1) - (n + mpf(0.5)) * mpmath.log(n) + n
-                    - mpmath.log(mpmath.sqrt(2 * mpmath.pi)))
-            assert abs(_stirlerr(n) - want) <= 2.5e-16, n  # an absolute error in log P
 
 
 def test_exact_inverse_moment_hand_values():
@@ -642,14 +637,35 @@ def test_shifted_direct_r_zero():
 
 def test_central_moment_binomial():
     assert central_moment_binomial(10, 0.5, 0) == 1.0
-    assert abs(central_moment_binomial(10, 0.5, 1)) < 1e-14
-    assert abs(central_moment_binomial(10, 0.5, 2) - 2.5) < 1e-13
+    assert central_moment_binomial(10, 0.5, 1) == 0.0
+    assert central_moment_binomial(10, 0.5, 2) == 2.5
     # N = 0 degenerates to the point mass at zero
     assert central_moment_binomial(0, 0.3, 0) == 1.0
     assert central_moment_binomial(0, 0.3, 3) == 0.0
-    # N > 300 reads the saddle-point pdf: Npq and Npq(q - p)
-    assert abs(central_moment_binomial(1000, 0.3, 2) / 210.0 - 1.0) < 1e-13
-    assert abs(central_moment_binomial(1000, 0.3, 3) / 84.0 - 1.0) < 1e-11
+    # Npq and Npq(q - p), with q = 1 - p exact
+    assert abs(central_moment_binomial(1000, 0.3, 2) / 210.0 - 1.0) < 1e-15
+    assert abs(central_moment_binomial(1000, 0.3, 3) / 84.0 - 1.0) < 1e-13
+
+
+CENTRAL_PS = (0.5, 0.3, 0.1 + 0.2, 0.007, 0.999, 1e-300, 5e-324, 1.0, 0.0) + tuple(REPORT_GRID[::50])
+
+
+@pytest.mark.parametrize("N", [0, 1, 9, 99, 300])
+@pytest.mark.parametrize("p", CENTRAL_PS)
+def test_central_moments_against_60_digit_sums(N, p):
+    # every index up to 12 is the 60-digit pmf sum rounded once; the first
+    # moment, and the odd ones at p = 0.5, are exactly 0, as the exact
+    # integers cancel where the sum leaves a few units of 1e-60
+    got = [central_moment_binomial(N, p, i) for i in range(13)]
+    with mpmath.workdps(60):
+        mean = N * mpf(p)
+        pmf = [binomial_pmf(N, k, p) for k in range(N + 1)]
+        for i in range(13):
+            want = mpmath.fsum(w * (k - mean) ** i for k, w in enumerate(pmf))
+            if i == 1 or p == 0.5 and i % 2 or N == 0 and i:
+                assert got[i] == 0.0, i
+            elif not _near_midpoint(want, 1e-45):
+                assert got[i] == float(want), (i, got[i], want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -659,7 +675,8 @@ def test_central_moment_binomial():
     st.integers(min_value=1, max_value=8),
 )
 def test_factorial_cumulants_binomial_closed_form(N, p, j):
-    weights = tuple(binomial_pdf(N, p, k) for k in range(N + 1))
+    with mpmath.workdps(30):
+        weights = tuple(float(binomial_pmf(N, k, p)) for k in range(N + 1))
     kappas = factorial_cumulants_from_pdf(weights, j)
     expected = -N * math.factorial(j - 1) * (-p) ** j
     # the series inversion cancels heavily for high j (worst observed over
