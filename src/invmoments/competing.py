@@ -15,11 +15,6 @@ from .exact_oracle import _MOMENT_CAP, DomainError, _scaled_central_moments
 __all__ = ["stephan", "rempala", "znidaric"]
 
 
-def _log_factorials(n: int) -> list[float]:
-    """log(j!) for j = 0..n, each math.lgamma(j + 1)."""
-    return [math.lgamma(j + 1) for j in range(n + 1)]
-
-
 def _check_args(N: int, p: float) -> None:
     if N < 1:
         raise DomainError("N must be a positive integer")
@@ -77,7 +72,7 @@ def _stephan_partial_sums(N: int, p: float, counts) -> list[float]:
     q = 1.0 - p
     terms = []
     if top and q > 0.0:
-        log_fact = _log_factorials(N + top)
+        log_fact = [math.lgamma(j + 1) for j in range(N + top + 1)]  # log(j!)
         log_p = math.log(p)
         log_q = math.log(q)
     ratio = 1.0  # i! N! / (N+i)!, built as prod_{j<=i} j / (N+j)
@@ -117,10 +112,10 @@ def _rempala_partial_sums(N: int, p: float, counts) -> list[float]:
     terms = []
     if top and q > 0.0:
         log_ratio = math.log(q) - math.log(p)
-        log_fact = _log_factorials(N - 1)
+        log_head = math.lgamma(N)  # log (N-1)!; no O(N) table for the few terms read
         try:
             for i in range(top):
-                log_comb = log_fact[N - 1] - log_fact[i] - log_fact[N - 1 - i]
+                log_comb = log_head - math.lgamma(i + 1) - math.lgamma(N - i)
                 terms.append(math.exp(i * log_ratio - log_comb))
         except OverflowError:  # the counts past this term raise below
             pass

@@ -4,20 +4,23 @@ Every routine here evaluates its target quantity from the defining sum,
 with non-negative terms wherever possible, and rounds the exact sum of
 its terms once: math.fsum adds rounded terms, and the binomial inverse
 moment and the Poisson moments past mu = 700 sum the terms of an
-exact-ratio integer walk from the mode (_ratio_walk, whose Poisson
-window the q table of poisson_moments reads too) under an error bound,
-so they are the moment itself, correctly rounded.  The binomial central
-moments are exact integers on the scale of the exact p, rounded once.
-The faster or cleverer formulas elsewhere in the package are tested
-against these.
+exact-ratio integer walk from the mode (_ratio_walk), on one scale and
+stop (_walk_scale) under one error bound (_walk_sums), which the q table
+of poisson_moments takes too, so they are the moment itself, correctly
+rounded (_ziv).  The binomial central moments and factorial cumulants
+are exact, rounded once.  The faster or cleverer formulas elsewhere in
+the package are tested against these.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
 from itertools import count, islice, repeat
 from operator import floordiv
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import mpmath
 from mpmath.libmp import to_fixed
@@ -111,20 +114,17 @@ def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
     also where k**r passes the double range (_over_power).  A binomial
     gives the moment of the binomial with that exact double p, correctly
     rounded: p = 0 gives 0.0 and p = 1 its one atom 1/N**r, and 0 < p <
-    1 _binomial_walk at 64 bits past the result, with the bits doubled
-    while its rounding is undecided (Ziv's scheme).
+    1 _binomial_walk from 56 bits (_ziv), a double's 53 and 3 to spare.
     """
     if r < 1:
         raise DomainError("moment order r must be a positive integer")
     if isinstance(spec, Binomial):
-        N, p, bits = spec.N, spec.p, 64
+        N, p = spec.N, spec.p
         if p == 0.0:
             return 0.0
         if p == 1.0:
             return _over_power(1.0, N, r)
-        while (value := _binomial_walk(N, p, r, bits)) is None:
-            bits *= 2
-        return value
+        return _ziv(partial(_binomial_walk, N, p, r), 56)
     if not isinstance(spec, ExplicitPdf):
         raise DomainError(f"unsupported distribution spec: {spec!r}")
     pairs = lambda: zip(count(1), spec.weights[1:])
@@ -160,6 +160,13 @@ def _round_once(low: int, high: int, den: int) -> float | None:
     """
     value = low / den
     return value if value == high / den else None
+
+
+def _ziv(attempt: Callable[[int], object], prec: int):
+    """attempt(prec), prec doubled while it returns None, undecided (Ziv's scheme)."""
+    while (value := attempt(prec)) is None:
+        prec *= 2
+    return value
 
 
 def _walk_bits(depth: int, var: float) -> int:
@@ -206,7 +213,7 @@ def _ratio_walk(
     F sums the floor bounds over the window and both tails.
     """
     sides, tail = [], 0
-    up_steps = None if top is None else max(0, top - 1 - k0)
+    up_steps = None if top is None else min(max(0, top - 1 - k0), sys.maxsize)  # islice's limit
     for nums, dens, steps in (
         (count(n0 + n1 * k0, n1), count(d0 + d1 * k0, d1), up_steps),
         (count(d0 + d1 * (k0 - 1), -d1), count(n0 + n1 * (k0 - 1), -n1), None),
@@ -229,57 +236,94 @@ def _ratio_walk(
     return k0 - d_lo, down[::-1] + [anchor] + up, F
 
 
+_WALK_GUARD = 8  # g: bits past the floors' 2**B, and the anchor's past prec
+
+
+def _walk_scale(prec: int, log2_L: float, var: float, cap: float) -> tuple[int, int]:
+    """(W, B): the scale 2**W and the stop 2**B of every walk for a moment m to prec bits.
+
+    With L a lower bound on m (Jensen's), c = ceil(-log2 L) at most cap,
+    B = _walk_bits(prec + c + 1, var) and the guard g = _WALK_GUARD, W =
+    prec + g + B + c puts 2**W max(m, 2**-cap) at 2**(prec + g + B) or
+    more.  The walk stops below 2**B, near 2**-(prec + g + c) of the
+    peak, and upward at _power_cutoff.  That stop adds edge tails near
+    2**B / (1 - rho) to F, up to 2**(B+g) with g (F = 175 2**B at mu =
+    1e6), and the anchor is at wp = prec + g bits, so _walk_sums' err is
+    about 2**-prec of 2**W max(m, 2**-cap); a larger F costs a retry (_ziv).
+    """
+    c = min(math.ceil(-log2_L), cap)
+    B = _walk_bits(prec + c + 1, var)
+    return prec + _WALK_GUARD + B + c, B
+
+
+def _power_cutoff(W: int, r: int) -> int:
+    """2**ceil((W+1) / r): from here on j**r >= 2**(W+1), so floor(T / j**r) is 0 for every T."""
+    return 1 << -(-(W + 1) // r)
+
+
+def _walk_sums(
+    lo: int, terms: list[int], F: int, r: int, shifts: range, W: int, wp: int
+) -> list[tuple[int, int]]:
+    """(total, err) per shift a: total sums floor(T(k) / (k+a)**r) over k + a >= 1.
+
+    One list of j**r serves every shift.  Each total is within err of
+    2**W m, m the sum of pmf(k) / (k+a)**r over k + a >= 1, for (lo,
+    terms, F) a _ratio_walk over that pmf on the scale 2**W from an
+    anchor within a relative |eps| <= 2**-wp, X(k) = 2**W pmf(k) (1 +
+    eps).  As every weight 1/(k+a)**r is at most 1, F puts the sum of
+    X(k) / (k+a)**r in [total, total + F]: it bounds the window's floors,
+    also those not formed from k + a = _power_cutoff(W, r) on, where
+    T(k) < 2**(W+1) <= (k+a)**r floors to 0, and the tails.  2**W m is
+    that sum over 1 + eps, so within F + 2**(1-wp) (total + F) of total,
+    which err rounds up.
+    """
+    j0, top = max(lo + shifts[0], 1), min(lo + len(terms) + shifts[-1], _power_cutoff(W, r))
+    powers = list(map(pow, range(j0, top), repeat(r)))
+    sums = []
+    for a in shifts:
+        skip = lo + a == 0  # no 1/0**r
+        total = sum(map(floordiv, terms[skip:], powers[lo + a + skip - j0:]))
+        sums.append((total, F + ((total + F) >> (wp - 1)) + 1))
+    return sums
+
+
 def _log2_jensen_binomial(N: int, p: float, r: int) -> float:
     """log2 of Jensen's lower bound P(K >= 1)**(r+1) / (Np)**r on E+[1/K**r]."""
     return (r + 1) * math.log2(-math.expm1(N * math.log1p(-p))) - r * math.log2(N * p)
 
 
-def _binomial_walk(N: int, p: float, r: int, bits: int) -> float | None:
+def _binomial_walk(N: int, p: float, r: int, prec: int) -> float | None:
     """sum of pmf(k) / k**r over k >= 1, rounded once; None if undecided.
 
     The double p is exactly a / 2**s, so q = b / 2**s with b = 2**s - a
     is exact too, and the pmf steps from its mode k0 = floor((N+1) p) by
-    the ratio (N a - a k) / (b + b k) (_ratio_walk).  c is -log2 of
-    Jensen's L, rounded up and at most 1080, so a subnormal result keeps
-    bits to spare.  The scale is W = bits + B + c, B = _walk_bits(bits +
-    c + 1, Npq), and the walk stops below 2**B, near 2**-(bits + c) of
-    the pmf's peak.  While s N <= _EXACT_ANCHOR_BITS the anchor is the
-    exact floor of 2**W C(N, k0) a**k0 b**(N-k0) / 2**(s N).  Past that
-    it is one mpmath exp(log C(N, k0) + k0 log p + (N-k0) log q) at
-    max(bits, 64) + g bits, 2**g = 2**8 M, where M = (N+1) (3 log(N+1) +
-    |log p| + |log q|) bounds the terms that cancel and 8 bits cover
-    mpmath's few-ulp errors in its eight operations: a relative 2**-bits.
-    From k = 2**ceil((W+1) / r) on, k**r >= 2**(W+1) > T, so the upward
-    walk stops there (its top) and no huge k**r is formed.  With acc the
-    sum of the floors over k >= 1, 2**W times the moment lies in [acc (1
-    - 2**-bits), (acc + F) (1 + 2**(1-bits))] (_round_once), whichever
-    the anchor.
+    the ratio (N a - a k) / (b + b k), with Jensen's bound, var = Npq and
+    the cap 1080 (_walk_scale, _walk_sums).  While s N <= _EXACT_ANCHOR_BITS
+    the anchor is the exact floor of 2**W C(N, k0) a**k0 b**(N-k0) /
+    2**(s N).  Past that it is one mpmath exp(log C(N, k0) + k0 log p +
+    (N-k0) log q) at wp + g bits, 2**g = 2**8 M: M = (N+1) (3 log(N+1) +
+    |log p| + |log q|) bounds the terms that cancel, and 8 bits cover
+    mpmath's few-ulp errors in its eight operations.
     """
     a, two_s = p.as_integer_ratio()
     b = two_s - a
     sN = (two_s.bit_length() - 1) * N
     k0 = (N + 1) * a // two_s
-    c = min(math.ceil(-_log2_jensen_binomial(N, p, r)), 1080)
-    B = _walk_bits(bits + c + 1, N * p * (1.0 - p))
-    W = bits + B + c
+    W, B = _walk_scale(prec, _log2_jensen_binomial(N, p, r), N * p * (1.0 - p), 1080)
+    wp = prec + _WALK_GUARD
     if sN <= _EXACT_ANCHOR_BITS:
         anchor = (math.comb(N, k0) * a**k0 * b ** (N - k0) << W) >> sN
     else:
         M = (N + 1) * (3.0 * math.log(N + 1) - math.log(p) - math.log1p(-p))
-        with mpmath.workprec(max(bits, 64) + math.ceil(math.log2(M)) + 8):
+        with mpmath.workprec(wp + math.ceil(math.log2(M)) + 8):
             P = mpmath.mpf(p)
             log_pmf = (mpmath.loggamma(N + 1) - mpmath.loggamma(k0 + 1)
                        - mpmath.loggamma(N - k0 + 1) + k0 * mpmath.log(P)
                        + (N - k0) * mpmath.log1p(-P))
             anchor = to_fixed(mpmath.exp(log_pmf)._mpf_, W)
-    k_cut = 1 << -(-(W + 1) // r)
-    # past N + 1 the walk has already stopped, and islice takes no 2**(W+1)
-    lo, terms, F = _ratio_walk(anchor, k0, N * a, -a, b, b, 1 << B, min(k_cut, N + 2))
-    k1, k2 = max(lo, 1), min(lo + len(terms), k_cut)
-    acc = sum(map(floordiv, terms[k1 - lo:k2 - lo], map(pow, range(k1, k2), repeat(r))))
-    low = max(0, acc - (acc >> bits) - 1)
-    high = acc + F
-    return _round_once(low, high + (high >> (bits - 1)) + 1, 1 << W)
+    lo, terms, F = _ratio_walk(anchor, k0, N * a, -a, b, b, 1 << B, _power_cutoff(W, r))
+    (total, err), = _walk_sums(lo, terms, F, r, range(1), W, wp)
+    return _round_once(max(0, total - err), total + err, 1 << W)
 
 
 def _log2_jensen(mu: float, r: int, a: int) -> float:
@@ -294,70 +338,39 @@ def _log2_jensen(mu: float, r: int, a: int) -> float:
     return (r + 1) * math.log2(-math.expm1(-mu)) - r * math.log2(mu)
 
 
-def _fixed_scale(mu: float, r: int, A: int, prec: int, depth: float = math.inf) -> tuple[int, int]:
-    """(S, wp): the fixed-point scale 2**S and the anchor's precision.
-
-    S puts the smallest entry at wp + 2 bits or more, by Jensen's lower
-    bound: 1/(mu+A)**r for a >= 1, P(Q >= 1)**(r+1) / mu**r for a = 0,
-    or by 2**-depth if that is larger.  With wp = prec + guard and the
-    guard 4 bits past a bound on the window's F, each entry's bound
-    (_entry_sum) is then 2**-(prec-2) of it or of 2**-depth, whichever
-    is larger.  T(k) >= 1 puts pi(k) at 2**-(S+1) or more, so the bound
-    is _walk_bits(S + 1, mu).  S depends on the guard, so the guard
-    grows until it covers that bound at its own S.
-    """
-    low = max(math.floor(min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A))), -depth)
-    guard = 8
-    while True:
-        need = _walk_bits(prec + guard - low + 3, mu) + 4
-        if need <= guard:
-            return prec + guard - low + 2, prec + guard
-        guard = need
-
-
-def _poisson_window(mu: float, S: int, wp: int) -> tuple[int, list[int], int]:
-    """(lo, terms, F): T(k) ~ 2**S pi(k) for k = lo, lo + 1, ..., and a bound F.
+def _poisson_window(
+    mu: float, W: int, wp: int, stop: int = 1, top: int | None = None
+) -> tuple[int, list[int], int]:
+    """(lo, terms, F): T(k) ~ 2**W pi(k) for k = lo, lo + 1, ..., and a bound F.
 
     The double mu is exactly a / 2**s, and the walk is _ratio_walk by
-    the ratio a / ((k+1) 2**s) from the mode k0 = floor(mu), down to
-    where T floors to 0.  Its anchor is the floor of 2**S pi(k0) (1 +
-    eps) for one mpmath exp(k0 log mu - mu - loggamma(k0 + 1)) at wp + g
-    bits; 2**g is 2**8 times the size of the logs that cancel, so |eps|
-    <= 2**-wp.
+    the ratio a / ((k+1) 2**s) from the mode k0 = floor(mu), to ``stop``
+    and ``top``; expand_pdf reads the whole window, down to stop 1.  Its
+    anchor is the floor of 2**W pi(k0) (1 + eps) for one mpmath exp(k0
+    log mu - mu - loggamma(k0 + 1)) at wp + g bits; 2**g is 2**8 times
+    the size of the logs that cancel, so |eps| <= 2**-wp.
     """
     a, b = mu.as_integer_ratio()
     k0 = a // b
     logs = 1.0 + mu + k0 * (abs(math.log(mu)) + math.log(k0 + 1))
     with mpmath.workprec(wp + math.ceil(math.log2(logs)) + 8):
         x = mpmath.mpf(mu)
-        anchor = to_fixed(mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))._mpf_, S)
-    return _ratio_walk(anchor, k0, a, 0, b, b, 1)
+        anchor = to_fixed(mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))._mpf_, W)
+    return _ratio_walk(anchor, k0, a, 0, b, b, stop, top)
 
 
-def _entry_sum(terms: list[int], powers: Iterable[int], F: int, wp: int) -> tuple[int, int]:
-    """(total, err): sum of floor(T(k) / (k+a)**r), within err of 2**S q, q = E[1/(Q+a)**r].
+def _poisson_walk(mu: float, a: int, r: int, limit: float, prec: int) -> OracleValue | None:
+    """E[1/(Q+a)**r] (k >= 1 at a = 0) rounded once, err / 2**W its tail_bound; or None.
 
-    ``powers`` pairs (k+a)**r with the window's ``terms``, past k = 0 at
-    a = 0.  In err = F + ((total + F) >> (wp - 1)) + 1, the window's F
-    covers floors and tails, as 1/(k+a)**r <= 1, and the rest the
-    anchor's relative error 2**-wp of 2**S q, at most twice total + F.
+    The window with Jensen's bound, var = mu and the cap 1080 (_walk_scale,
+    _walk_sums); None while undecided or the bound passes ``limit``.
     """
-    total = sum(map(floordiv, terms, powers))
-    return total, F + ((total + F) >> (wp - 1)) + 1
-
-
-def _window_entry(mu: float, a: int, r: int, prec: int) -> tuple[int, int, int]:
-    """(total, err, S): _entry_sum of E[1/(Q+a)**r] alone (k >= 1 at a = 0) from j = lo + a.
-
-    At a depth capped at 1080 bits, an entry under 2**-1080 errs by far
-    less than the least subnormal; from j = 2**ceil((S+1) / r) on, j**r
-    > T, so no floor is taken there.
-    """
-    S, wp = _fixed_scale(mu, r, a, prec, 1080)
-    lo, terms, F = _poisson_window(mu, S, wp)
-    skip, j0 = lo + a == 0, lo + a
-    terms = terms[skip:max(0, (1 << -(-(S + 1) // r)) - j0)]
-    return *_entry_sum(terms, map(pow, count(j0 + skip), repeat(r)), F, wp), S
+    W, B = _walk_scale(prec, _log2_jensen(mu, r, a), mu, 1080)
+    wp = prec + _WALK_GUARD
+    lo, terms, F = _poisson_window(mu, W, wp, 1 << B, _power_cutoff(W, r) - a)
+    (total, err), = _walk_sums(lo, terms, F, r, range(a, a + 1), W, wp)
+    value, tail = _round_once(max(0, total - err), total + err, 1 << W), err / (1 << W)
+    return OracleValue(value, tail) if value is not None and tail <= limit else None
 
 
 def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
@@ -377,23 +390,15 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     pi does.
 
     Past mu = 700, where e**-mu leaves the normal range, it is
-    _window_entry rounded once, with err / 2**S as tail_bound.  From
-    prec = max(64, 2 + ceil(-log2 tol)) the floors and tails take at most
-    2**-(prec+5) of L (of 2**-1080 where L is smaller) and the anchor
-    about 2**(1-wp) of the sum; prec doubles while the rounding is
-    undecided or err exceeds tol L (Ziv's scheme), as doubles: where tol L
-    underflows, err / 2**S must too, as a wp past 1075 ensures.
+    _poisson_walk (_ziv) from prec = max(64, 2 + ceil(-log2 tol)), whose
+    err is then near 2**-prec, below tol L where the moment is within a
+    few L.  Where tol L underflows, err / 2**W must too: a wp past 1075.
     """
     _check_walk_mu(mu)
     limit = tol * 2.0 ** _log2_jensen(mu, r, a)
     if mu > 700.0:
         prec = max(64, 2 + math.ceil(-math.log2(tol)))
-        while True:
-            total, err, S = _window_entry(mu, a, r, prec)
-            value = _round_once(max(0, total - err), total + err, 1 << S)
-            if value is not None and (tail := err / (1 << S)) <= limit:
-                return OracleValue(value, tail)
-            prec *= 2
+        return _ziv(partial(_poisson_walk, mu, a, r, limit), prec)
     tail = math.inf
 
     def terms() -> Iterator[float]:
@@ -527,24 +532,24 @@ def _scaled_polynomial(c: list[int], a: int, s: int) -> int:
 
 
 def factorial_cumulants_from_pdf(weights: Iterable[float], max_j: int) -> list[float]:
-    """Factorial cumulants kappa(1)..kappa(max_j) of an explicit pdf.
+    """Factorial cumulants kappa(1)..kappa(max_j) of an explicit pdf, each rounded once.
 
-    Expands g(x) = sum_k f(k) * (1+x)**k as a power series (its n-th
-    coefficient is sum_k f(k) * C(k, n)), takes log g term by term, and
-    scales by factorials.  A pdf concentrated at zero has g identically
-    one and therefore all cumulants zero.
+    The factorial moments G_n = sum_k f(k) k! / (k-n)! of the double
+    weights are exact rationals, and so is kappa(n) = G_n - sum_{0<i<n}
+    C(n-1, i-1) kappa(i) G_{n-i}, n! times the n-th coefficient of log
+    sum_k f(k) (1+x)**k (G_0, the mass, enters none).  A kappa past the
+    double range raises DomainError.
     """
     if max_j < 1:
         raise DomainError("max_j must be a positive integer")
     pdf = ExplicitPdf(tuple(weights))
-    w = pdf.weights
-    g = [
-        math.fsum(w[k] * math.comb(k, n) for k in range(n, len(w)))
-        for n in range(max_j + 1)
-    ]
-    g[0] = 1.0  # the pdf validation already pinned the mass to 1 +- 1e-12
-    h = [0.0] * (max_j + 1)
+    w = [Fraction(x) for x in pdf.weights]
+    G = [sum(f * math.perm(k, n) for k, f in enumerate(w[n:], n)) for n in range(max_j + 1)]
+    kappas = []
     for n in range(1, max_j + 1):
-        cross = math.fsum(i * h[i] * g[n - i] for i in range(1, n))
-        h[n] = g[n] - cross / n
-    return [math.factorial(j) * h[j] for j in range(1, max_j + 1)]
+        cross = (math.comb(n - 1, i - 1) * kappas[i - 1] * G[n - i] for i in range(1, n))
+        kappas.append(G[n] - sum(cross))
+    try:
+        return [float(kappa) for kappa in kappas]
+    except OverflowError:
+        raise DomainError("a factorial cumulant passes the double range") from None

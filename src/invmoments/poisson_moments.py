@@ -17,9 +17,9 @@ inputs need no mpmath sum.  The q table holds each E[1/(Q+a)**r] as an
 exact integer on one scale 2**S with its own error bound, so its
 alternating differences are exact integer sums (build_q_table).  Its
 Poisson terms, like the direct oracles' past mu = 700, come from the
-integer walk outward from the mode by the pmf's exact ratios that the
-binomial oracle takes too (exact_oracle._ratio_walk), about
-2.35 sqrt(mu S) steps.  At r = 1, y(n), mu**n times the n-th
+integer walk out from the mode by the pmf's exact ratios, on the one
+scale, stop and bound of every walk (exact_oracle._walk_scale), about
+2.3 sqrt(mu (S - B)) steps.  At r = 1, y(n), mu**n times the n-th
 alternating forward difference of a -> E[1/(Q+a)], is exact integers
 times e**(-mu) Er(mu) and e**(-mu) (_y_integers).
 """
@@ -35,8 +35,9 @@ import mpmath
 from mpmath import mpf
 
 from .exact_oracle import (
-    DomainError, _check_mu, _check_walk_mu, _direct_sum, _entry_sum, _fixed_scale,
-    _over_power, _poisson_window, _window_entry, shifted_poisson_moment_direct,
+    _WALK_GUARD, DomainError, _check_mu, _check_walk_mu, _direct_sum, _log2_jensen,
+    _over_power, _poisson_window, _power_cutoff, _walk_scale, _walk_sums,
+    shifted_poisson_moment_direct,
 )
 from .special_numbers import _ROW_CAP, _stirling_entry, _stirling_row
 
@@ -336,13 +337,13 @@ def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
     """E[1/(Q+a)**r] from the Stirling closed form, for 1 <= a <= 64.
 
     One mpmath.fdot pairs the exact Stirling integers with their factors.
-    Each E+[1/Q**k] among them is one integer window entry at the working
-    precision (exact_oracle._window_entry), rounded once.
+    Each E+[1/Q**k] among them is the one entry of a q table at the
+    working precision (_q_table), rounded once.
     """
     pairs = [(_stirling_entry(0, a, r), -mpmath.expm1(-x))]
     for k in range(1, r):
-        total, _, S = _window_entry(float(x), 0, k, mpmath.mp.prec)
-        pairs.append((_stirling_entry(0, a, r - k), mpmath.ldexp(total, -S)))
+        table = _q_table(float(x), k, 0, mpmath.mp.prec)
+        pairs.append((_stirling_entry(0, a, r - k), mpmath.ldexp(table.totals[0], -table.S)))
     pairs += [(_stirling_entry(k, a - k, r), x**k) for k in range(1, a)]
     return mpmath.fdot(pairs) / x**a
 
@@ -420,7 +421,7 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
     """Tabulate q(a) = E[1/(Q+a)**r] for a = 0 .. A as exact integers.
 
     All entries come from the same fixed-point walk over k, from the
-    mode out to where the scaled pmf floors to 0, so the
+    mode out to its stop (_q_table), so the
     table is internally consistent, which matters because consumers
     difference it; mixing evaluation routes across a would turn route
     disagreement into spurious difference signal.  The precision is
@@ -442,17 +443,15 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
 def _q_table(mu: float, r: int, A: int, prec: int) -> ShiftedMomentTable:
     """The table of build_q_table at ``prec`` bits, arguments unchecked.
 
-    Entry a and its bound are exact_oracle._entry_sum over the window of
-    _poisson_window; one list of j**r serves every entry.
+    One _poisson_window, with the smaller Jensen bound of entries 0 and
+    A, var = mu and no cap, so the differences keep their relative
+    accuracy (exact_oracle._walk_scale); entry a is its _walk_sums.
     """
-    S, wp = _fixed_scale(mu, r, A, prec)
-    lo, terms, F = _poisson_window(mu, S, wp)
-    powers = [j**r for j in range(lo, lo + len(terms) + A)]
-    skip = lo == 0  # 1/0**r: k = 0 is not in E+[1/Q**r]
-    entries = [_entry_sum(terms[skip:], powers[skip:], F, wp)]
-    entries += [_entry_sum(terms, powers[a:], F, wp) for a in range(1, A + 1)]
-    totals, errs = zip(*entries)
-    return ShiftedMomentTable(mu, r, totals, errs, S, prec)
+    W, B = _walk_scale(prec, min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A)), mu, math.inf)
+    wp = prec + _WALK_GUARD
+    lo, terms, F = _poisson_window(mu, W, wp, 1 << B, _power_cutoff(W, r))
+    totals, errs = zip(*_walk_sums(lo, terms, F, r, range(A + 1), W, wp))
+    return ShiftedMomentTable(mu, r, totals, errs, W, prec)
 
 
 def _y_integers(mu: float, n_max: int) -> list[tuple[int, int, int]]:

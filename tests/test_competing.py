@@ -83,6 +83,24 @@ def test_rempala_overflow_is_domain_error(M):
         rempala(10, 1e-300, M)
 
 
+def test_rempala_reads_no_table_of_n_log_factorials():
+    # six terms read six binomial coefficients C(N-1, i) from lgamma
+    # directly, so N = 10**7 costs neither 10**7 lgamma calls nor a list
+    # of 10**7 floats (329 MB); the doubles are the lgamma formula's
+    N, p, counts = 10**7, 0.3, (1, 2, 3, 4, 5, 6)
+    tracemalloc.start()
+    try:
+        got = _rempala_partial_sums(N, p, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    log_ratio = math.log(1.0 - p) - math.log(p)
+    terms = [math.exp(i * log_ratio - (math.lgamma(N) - math.lgamma(i + 1) - math.lgamma(N - i)))
+             for i in range(6)]
+    assert got == [math.fsum(terms[:M]) / (N * p) for M in counts]
+
+
 def test_rempala_error_is_not_monotone():
     # at N = 100, p = 0.5 the optimal truncation is near M = 13; pushing to
     # the full M = N makes the answer worse by sixteen orders of magnitude

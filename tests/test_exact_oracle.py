@@ -201,7 +201,7 @@ def test_huge_r_walks_no_term_past_the_cut(monkeypatch):
 
 @pytest.mark.parametrize("N,p,r", [(1000, 0.02, 1), (20000, 0.37, 3), (4000, 1e-200, 2)])
 def test_exact_inverse_moment_retries_an_undecided_rounding(N, p, r):
-    # Ziv's scheme from 2 bits past the result instead of 64: the first
+    # Ziv's scheme from 2 bits instead of 56: the first
     # walk cannot decide the rounding, and every walk that can, at twice
     # the bits and so a finer scale and a longer walk, lands on the
     # double the oracle returns
@@ -216,7 +216,7 @@ def test_exact_inverse_moment_retries_an_undecided_rounding(N, p, r):
 
 def test_binomial_walk_rarely_retries(monkeypatch):
     # the left-out tails are bounded from the walk's own edge values, near
-    # 2**-(bits + c) of the pmf's peak, so a rounding stays undecided only
+    # 2**-(bits + 8 + c) of the pmf's peak, so a rounding stays undecided only
     # where the moment sits within about 2**-60 of a midpoint; with the
     # Bernstein mass of 1e-17 L an earlier window put in the bound
     # instead, 8% of these calls walked twice
@@ -338,12 +338,11 @@ def _check_walk(pmf, params, k0, W, stop, support):
 )
 def test_binomial_walk_within_its_bounds(N, p, r):
     # the binomial ratio (N - k) a / ((k + 1) b) at the scale and stop the
-    # oracle sizes for 64 bits, from an anchor without error
+    # oracle sizes for its first 56 bits, from an anchor without error
     a, two_s = p.as_integer_ratio()
     b = two_s - a
-    c = min(math.ceil(-exact_oracle._log2_jensen_binomial(N, p, r)), 1080)
-    B = exact_oracle._walk_bits(64 + c + 1, N * p * (1.0 - p))
-    W = 64 + B + c
+    log2_L = exact_oracle._log2_jensen_binomial(N, p, r)
+    W, B = exact_oracle._walk_scale(56, log2_L, N * p * (1.0 - p), 1080)
     with mpmath.workdps(math.ceil(W * math.log10(2.0)) + 40):
         P = mpf(p)
         _check_walk(lambda k: binomial_pmf(N, k, P), (N * a, -a, b, b), (N + 1) * a // two_s,
@@ -700,3 +699,21 @@ def test_factorial_cumulants_poisson_vanish():
 
 def test_factorial_cumulants_degenerate_at_zero():
     assert factorial_cumulants_from_pdf((1.0,), 4) == [0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("L,max_j", [(20, 40), (50, 40), (200, 150)])
+def test_factorial_cumulants_of_a_point_mass_are_exact(L, max_j):
+    # log (1+x)**L = L log(1+x): kappa(n) = L (-1)**(n+1) (n-1)!, also
+    # past n = L where every factorial moment is 0; a float recursion
+    # was 3.7e15 relative off at (50, 40) and gave 33 inf or nan at 200
+    kappas = factorial_cumulants_from_pdf([0.0] * L + [1.0], max_j)
+    assert kappas == [float(L * (-1) ** (n + 1) * math.factorial(n - 1))
+                      for n in range(1, max_j + 1)]
+
+
+@pytest.mark.parametrize("L,max_j", [(400, 300), (1031, 500)])
+def test_factorial_cumulants_past_the_double_range_raise(L, max_j):
+    # 299! and 499! pass the double range; a float recursion leaked
+    # ValueError from fsum at (400, 300) and OverflowError at (1031, 500)
+    with pytest.raises(DomainError):
+        factorial_cumulants_from_pdf([0.0] * L + [1.0], max_j)

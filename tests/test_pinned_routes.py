@@ -30,6 +30,7 @@ from invmoments.charlier_expansion import (
 )
 from invmoments.exact_oracle import (
     Binomial,
+    _log2_jensen,
     exact_inverse_moment,
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
@@ -177,14 +178,19 @@ def test_route_is_bit_identical(pinned, route):
 @pytest.mark.parametrize("mu", [mu for mu in MUS if mu > 700.0])
 def test_direct_pins_past_700_are_their_references_rounded(pinned, mu):
     # past mu = 700 the direct oracles read the integer window: every
-    # pinned value there is its 55-digit mpmath sum, correctly rounded
+    # pinned value there is its 55-digit mpmath sum, correctly rounded,
+    # and every pinned tail bound is at most tol times Jensen's bound
     pmf, seen = mode_walk_pmf(mu), 0
     for route, shifted in (("poisson_inverse_moment_direct", False),
                            ("shifted_poisson_moment_direct", True)):
-        for key, (value, _) in pinned[route].items():
+        for key, (value, tail) in pinned[route].items():
             at, first, second = key.split()
             if float(at) == mu:
-                a, r = (int(first), int(second)) if shifted else (0, int(first))
+                if shifted:
+                    a, r, tol = int(first), int(second), 1e-14  # as _shifted pins them
+                else:
+                    a, r, tol = 0, int(first), float(second)
                 assert float.fromhex(value) == float(reference_moment(pmf, a, r)), (route, key)
+                assert float.fromhex(tail) <= tol * 2.0 ** _log2_jensen(mu, r, a), (route, key)
                 seen += 1
     assert seen == 6 + 11

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
-from invmoments import poisson_moments
+from invmoments import exact_oracle, poisson_moments
 
 from invmoments.charlier_expansion import _rounded_orders, binomial_barbour_polynomial, expand_pdf
 from invmoments.exact_oracle import (
@@ -407,54 +407,84 @@ def _shifted_direct_sums(x, r, A):
             return totals
 
 
-def _entry_walk(mu, a, r, anchor):
+def _entry_walk(mu, a, r, anchor, stop, top):
     """(sum of floor(T(k) / (k+a)**r), lo, hi): one entry walked on its own from the mode.
 
     T(k0) = anchor at k0 = floor(mu); each step floors T times the exact
-    rational pmf ratio, and each side stops at its first T = 0.
+    rational pmf ratio, each side stops at its first T < stop, and the
+    upward side before k = top too.
     """
     x, k0 = Fraction(mu), math.floor(mu)
-    total, T, k = 0, anchor, k0
-    while T:
-        total += T // (k + a) ** r if k + a else 0
-        T = math.floor(T * x / (k + 1))
-        k += 1
-    hi, T, k = k - 1, anchor, k0
-    while k:
-        T = math.floor(T * k / x)
-        k -= 1
-        if not T:
-            return total, k + 1, hi
-        total += T // (k + a) ** r if k + a else 0
-    return total, 0, hi
+    total = anchor // (k0 + a) ** r if k0 + a else 0
+    hi, T = k0, anchor
+    while hi + 1 < top and (T := math.floor(T * x / (hi + 1))) >= stop:
+        hi += 1
+        total += T // (hi + a) ** r
+    lo, T = k0, anchor
+    while lo and (T := math.floor(T * lo / x)) >= stop:
+        lo -= 1
+        total += T // (lo + a) ** r if lo + a else 0
+    return total, lo, hi
 
 
 @pytest.mark.parametrize("mu", [1e-3, 0.5, 7.3, 61.0])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_q_table_one_pass_equals_per_entry_sums(mu, r):
     # the shared walk gives each entry exactly the integer total of its
-    # own walk from the same anchor on the same scale 2**S, with the same
-    # stops
+    # own walk from the same anchor on the same scale 2**W, with the same
+    # stops: below 2**B, and upward at entry 0's cutoff
     table = build_q_table(mu, r, 10)
-    S, wp = poisson_moments._fixed_scale(mu, r, 10, table.prec)
-    lo, terms, _ = poisson_moments._poisson_window(mu, S, wp)
+    log2_L = min(exact_oracle._log2_jensen(mu, r, 0), exact_oracle._log2_jensen(mu, r, 10))
+    W, B = exact_oracle._walk_scale(table.prec, log2_L, mu, math.inf)
+    top = exact_oracle._power_cutoff(W, r)
+    lo, terms, _ = exact_oracle._poisson_window(mu, W, table.prec + exact_oracle._WALK_GUARD,
+                                                1 << B, top)
     anchor = terms[math.floor(mu) - lo]
-    want = [_entry_walk(mu, a, r, anchor) for a in range(11)]
+    want = [_entry_walk(mu, a, r, anchor, 1 << B, top) for a in range(11)]
     assert want == [(total, lo, lo + len(terms) - 1) for total in table.totals]
-    assert table.S == S
+    assert table.S == W
 
 
 def test_q_table_walk_grows_like_sqrt_mu():
-    # steps, not wall time: each side of the walk ends where 2**S pi(k)
-    # floors to 0, about sqrt(2 S log(2) mu) from the mode, so the window
-    # holds about 2 sqrt(2 log 2) = 2.35 times sqrt(mu S) terms, where a
-    # walk from k = 0 would take more than mu
+    # steps, not wall time: each side of the walk ends where 2**W pi(k)
+    # falls below its stop 2**B, about sqrt(2 (W - B) log(2) mu) from the
+    # mode, so the window holds about 2 sqrt(2 log 2) = 2.35 times
+    # sqrt(mu (W - B)) terms (2.23-2.30 here, as the mode's pi is below
+    # 1), where a walk from k = 0 would take more than mu
     for e in range(2, 8):
         mu = 10.0**e
-        S, wp = poisson_moments._fixed_scale(mu, 2, 2, 120)
-        lo, terms, _ = poisson_moments._poisson_window(mu, S, wp)
-        assert 2.0 <= len(terms) / math.sqrt(mu * S) <= 2.5, mu
+        table = poisson_moments._q_table(mu, 2, 2, 120)
+        log2_L = min(exact_oracle._log2_jensen(mu, 2, 0), exact_oracle._log2_jensen(mu, 2, 2))
+        W, B = exact_oracle._walk_scale(120, log2_L, mu, math.inf)
+        lo, terms, _ = exact_oracle._poisson_window(mu, W, 120 + exact_oracle._WALK_GUARD, 1 << B,
+                                                    exact_oracle._power_cutoff(W, 2))
+        assert table.S == W
+        assert 2.0 <= len(terms) / math.sqrt(mu * (W - B)) <= 2.5, mu
         assert lo > 0 or e == 2
+
+
+def test_q_table_at_huge_r_stops_at_the_cutoff():
+    # at r = 1000 the uncapped scale is near 2**9775, and the window down
+    # to its stop would reach k = 5932; its upward side ends before the
+    # cutoff 2**ceil((W+1) / r) = 1024 instead, where every floor is 0,
+    # and each entry is still within its bound of a 40-digit sum
+    mu, r, A = 800.0, 1000, 2
+    table = build_q_table(mu, r, A)
+    log2_L = min(exact_oracle._log2_jensen(mu, r, 0), exact_oracle._log2_jensen(mu, r, A))
+    W, B = exact_oracle._walk_scale(table.prec, log2_L, mu, math.inf)
+    top = exact_oracle._power_cutoff(W, r)
+    lo, terms, _ = exact_oracle._poisson_window(mu, W, table.prec + exact_oracle._WALK_GUARD,
+                                                1 << B, top)
+    assert table.S == W
+    assert lo + len(terms) == top == 1024
+    with mpmath.workdps(40):
+        x = mpf(mu)
+        for a, (total, err) in enumerate(zip(table.totals, table.errs)):
+            want = mpmath.ldexp(mpmath.fsum(
+                mpmath.exp(k * mpmath.log(x) - x - mpmath.loggamma(k + 1)) / mpf(k + a) ** r
+                for k in range(a == 0, 40)), W)
+            assert abs(total - want) <= err + want * mpf(10) ** -35, a
+            assert err <= total >> (table.prec - 2), a
 
 
 @settings(max_examples=40, deadline=None)

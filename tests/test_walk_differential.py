@@ -12,26 +12,43 @@ of its running sum, retrying past the double range (_ascending_terms,
 _ascending_oracle below); up to mu = 700 it is now the direct sum of
 poisson_inverse_moment_direct, whose stop differs, and must give the
 same doubles.
+
+The binomial walk once sized its own scale (_mode_binomial_walk below),
+and the Poisson window past mu = 700 and the q table another way
+(_fixed_scale, _entry_sum, _window_entry, _q_table below), walking to
+T = 0.  All three now take exact_oracle._walk_scale and _walk_sum.  The
+oracles are correctly rounded and the expansion values are the truncated
+series correctly rounded either way, so the doubles must be equal.
 """
 import math
 import random
 
 import mpmath
 import pytest
-from itertools import count
-from typing import Iterator
+from itertools import count, repeat
+from operator import floordiv
+from typing import Iterable, Iterator
 
 from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import to_fixed
 
-from invmoments import poisson_moments
-from invmoments.cli import GridSpec
+from invmoments import charlier_expansion, exact_oracle, poisson_moments
+from invmoments.cli import GridSpec, _charlier_values
 from invmoments.exact_oracle import (
+    _EXACT_ANCHOR_BITS,
     Binomial,
+    OracleValue,
     _check_walk_mu,
+    _log2_jensen,
+    _log2_jensen_binomial,
     _over_power,
+    _ratio_walk,
+    _round_once,
+    _walk_bits,
     exact_inverse_moment,
+    shifted_poisson_moment_direct,
 )
+from invmoments.poisson_moments import ShiftedMomentTable
 
 # ---- reference copies, verbatim ---------------------------------------------
 
@@ -279,6 +296,141 @@ def _ascending_oracle(mu: float, r: int) -> float:
         return math.fsum(_ascending_terms(mu, r, None, past_doubles=True))
 
 
+# The walks before one scale rule: the binomial walk sized W = bits + B +
+# c itself, and the Poisson window and q table took _fixed_scale's guard
+# loop.  Verbatim, but for the binomial walk's name.
+
+def _mode_binomial_walk(N: int, p: float, r: int, bits: int) -> float | None:
+    """sum of pmf(k) / k**r over k >= 1, rounded once; None if undecided.
+
+    The double p is exactly a / 2**s, so q = b / 2**s with b = 2**s - a
+    is exact too, and the pmf steps from its mode k0 = floor((N+1) p) by
+    the ratio (N a - a k) / (b + b k) (_ratio_walk).  c is -log2 of
+    Jensen's L, rounded up and at most 1080, so a subnormal result keeps
+    bits to spare.  The scale is W = bits + B + c, B = _walk_bits(bits +
+    c + 1, Npq), and the walk stops below 2**B, near 2**-(bits + c) of
+    the pmf's peak.  While s N <= _EXACT_ANCHOR_BITS the anchor is the
+    exact floor of 2**W C(N, k0) a**k0 b**(N-k0) / 2**(s N).  Past that
+    it is one mpmath exp(log C(N, k0) + k0 log p + (N-k0) log q) at
+    max(bits, 64) + g bits, 2**g = 2**8 M, where M = (N+1) (3 log(N+1) +
+    |log p| + |log q|) bounds the terms that cancel and 8 bits cover
+    mpmath's few-ulp errors in its eight operations: a relative 2**-bits.
+    From k = 2**ceil((W+1) / r) on, k**r >= 2**(W+1) > T, so the upward
+    walk stops there (its top) and no huge k**r is formed.  With acc the
+    sum of the floors over k >= 1, 2**W times the moment lies in [acc (1
+    - 2**-bits), (acc + F) (1 + 2**(1-bits))] (_round_once), whichever
+    the anchor.
+    """
+    a, two_s = p.as_integer_ratio()
+    b = two_s - a
+    sN = (two_s.bit_length() - 1) * N
+    k0 = (N + 1) * a // two_s
+    c = min(math.ceil(-_log2_jensen_binomial(N, p, r)), 1080)
+    B = _walk_bits(bits + c + 1, N * p * (1.0 - p))
+    W = bits + B + c
+    if sN <= _EXACT_ANCHOR_BITS:
+        anchor = (math.comb(N, k0) * a**k0 * b ** (N - k0) << W) >> sN
+    else:
+        M = (N + 1) * (3.0 * math.log(N + 1) - math.log(p) - math.log1p(-p))
+        with mpmath.workprec(max(bits, 64) + math.ceil(math.log2(M)) + 8):
+            P = mpmath.mpf(p)
+            log_pmf = (mpmath.loggamma(N + 1) - mpmath.loggamma(k0 + 1)
+                       - mpmath.loggamma(N - k0 + 1) + k0 * mpmath.log(P)
+                       + (N - k0) * mpmath.log1p(-P))
+            anchor = to_fixed(mpmath.exp(log_pmf)._mpf_, W)
+    k_cut = 1 << -(-(W + 1) // r)
+    # past N + 1 the walk has already stopped, and islice takes no 2**(W+1)
+    lo, terms, F = _ratio_walk(anchor, k0, N * a, -a, b, b, 1 << B, min(k_cut, N + 2))
+    k1, k2 = max(lo, 1), min(lo + len(terms), k_cut)
+    acc = sum(map(floordiv, terms[k1 - lo:k2 - lo], map(pow, range(k1, k2), repeat(r))))
+    low = max(0, acc - (acc >> bits) - 1)
+    high = acc + F
+    return _round_once(low, high + (high >> (bits - 1)) + 1, 1 << W)
+
+
+def _mode_binomial_moment(N: int, p: float, r: int) -> float:
+    """exact_inverse_moment(Binomial(N, p), r) for 0 < p < 1 on that walk."""
+    bits = 64
+    while (value := _mode_binomial_walk(N, p, r, bits)) is None:
+        bits *= 2
+    return value
+
+
+def _fixed_scale(mu: float, r: int, A: int, prec: int, depth: float = math.inf) -> tuple[int, int]:
+    """(S, wp): the fixed-point scale 2**S and the anchor's precision.
+
+    S puts the smallest entry at wp + 2 bits or more, by Jensen's lower
+    bound: 1/(mu+A)**r for a >= 1, P(Q >= 1)**(r+1) / mu**r for a = 0,
+    or by 2**-depth if that is larger.  With wp = prec + guard and the
+    guard 4 bits past a bound on the window's F, each entry's bound
+    (_entry_sum) is then 2**-(prec-2) of it or of 2**-depth, whichever
+    is larger.  T(k) >= 1 puts pi(k) at 2**-(S+1) or more, so the bound
+    is _walk_bits(S + 1, mu).  S depends on the guard, so the guard
+    grows until it covers that bound at its own S.
+    """
+    low = max(math.floor(min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A))), -depth)
+    guard = 8
+    while True:
+        need = _walk_bits(prec + guard - low + 3, mu) + 4
+        if need <= guard:
+            return prec + guard - low + 2, prec + guard
+        guard = need
+
+
+def _entry_sum(terms: list[int], powers: Iterable[int], F: int, wp: int) -> tuple[int, int]:
+    """(total, err): sum of floor(T(k) / (k+a)**r), within err of 2**S q, q = E[1/(Q+a)**r].
+
+    ``powers`` pairs (k+a)**r with the window's ``terms``, past k = 0 at
+    a = 0.  In err = F + ((total + F) >> (wp - 1)) + 1, the window's F
+    covers floors and tails, as 1/(k+a)**r <= 1, and the rest the
+    anchor's relative error 2**-wp of 2**S q, at most twice total + F.
+    """
+    total = sum(map(floordiv, terms, powers))
+    return total, F + ((total + F) >> (wp - 1)) + 1
+
+
+def _window_entry(mu: float, a: int, r: int, prec: int) -> tuple[int, int, int]:
+    """(total, err, S): _entry_sum of E[1/(Q+a)**r] alone (k >= 1 at a = 0) from j = lo + a.
+
+    At a depth capped at 1080 bits, an entry under 2**-1080 errs by far
+    less than the least subnormal; from j = 2**ceil((S+1) / r) on, j**r
+    > T, so no floor is taken there.
+    """
+    S, wp = _fixed_scale(mu, r, a, prec, 1080)
+    lo, terms, F = _poisson_window(mu, S, wp)
+    skip, j0 = lo + a == 0, lo + a
+    terms = terms[skip:max(0, (1 << -(-(S + 1) // r)) - j0)]
+    return *_entry_sum(terms, map(pow, count(j0 + skip), repeat(r)), F, wp), S
+
+
+def _direct_past_700(mu: float, a: int, r: int, tol: float) -> OracleValue:
+    """shifted_poisson_moment_direct(mu, a, r, tol) past mu = 700 on _window_entry."""
+    limit = tol * 2.0 ** _log2_jensen(mu, r, a)
+    prec = max(64, 2 + math.ceil(-math.log2(tol)))
+    while True:
+        total, err, S = _window_entry(mu, a, r, prec)
+        value = _round_once(max(0, total - err), total + err, 1 << S)
+        if value is not None and (tail := err / (1 << S)) <= limit:
+            return OracleValue(value, tail)
+        prec *= 2
+
+
+def _q_table(mu: float, r: int, A: int, prec: int) -> ShiftedMomentTable:
+    """The table of build_q_table at ``prec`` bits, arguments unchecked.
+
+    Entry a and its bound are exact_oracle._entry_sum over the window of
+    _poisson_window; one list of j**r serves every entry.
+    """
+    S, wp = _fixed_scale(mu, r, A, prec)
+    lo, terms, F = _poisson_window(mu, S, wp)
+    powers = [j**r for j in range(lo, lo + len(terms) + A)]
+    skip = lo == 0  # 1/0**r: k = 0 is not in E+[1/Q**r]
+    entries = [_entry_sum(terms[skip:], powers[skip:], F, wp)]
+    entries += [_entry_sum(terms, powers[a:], F, wp) for a in range(1, A + 1)]
+    totals, errs = zip(*entries)
+    return ShiftedMomentTable(mu, r, totals, errs, S, prec)
+
+
 # ---- the differentials -----------------------------------------------------
 
 REPORT_GRID = GridSpec().points()[:-1]
@@ -323,19 +475,76 @@ def test_binomial_oracle_equals_the_window_walk(N, p, r):
     assert exact_inverse_moment(Binomial(N, p), r) == _binomial_inverse_moment(N, p, r)
 
 
+def _table_scale(mu: float, r: int, A: int, prec: int) -> tuple[int, int]:
+    """(W, wp): the q table's scale and anchor precision at prec bits."""
+    log2_L = min(_log2_jensen(mu, r, 0), _log2_jensen(mu, r, A))
+    W, _ = exact_oracle._walk_scale(prec, log2_L, mu, math.inf)
+    return W, prec + exact_oracle._WALK_GUARD
+
+
 @pytest.mark.parametrize("mu", [1e-300, 1e-3, 0.5, 7.3, 61.0, 99.9, 150.0, 1e3, 12345.678, 1e5])
 @pytest.mark.parametrize("r,A,prec", [(1, 0, 80), (2, 2, 120), (3, 10, 300)])
 def test_poisson_window_equals_its_own_walk(mu, r, A, prec):
-    S, wp = poisson_moments._fixed_scale(mu, r, A, prec)
-    assert poisson_moments._poisson_window(mu, S, wp) == _poisson_window(mu, S, wp)
+    # the whole window, to stop 1, as expand_pdf reads it
+    W, wp = _table_scale(mu, r, A, prec)
+    assert poisson_moments._poisson_window(mu, W, wp) == _poisson_window(mu, W, wp)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(math.log(1e-300), math.log(1e4)), st.integers(1, 6), st.integers(0, 12))
 def test_poisson_window_equals_its_own_walk_hypothesis(log_mu, r, A):
     mu = math.exp(log_mu)
-    S, wp = poisson_moments._fixed_scale(mu, r, A, 80 + 6 * A)
-    assert poisson_moments._poisson_window(mu, S, wp) == _poisson_window(mu, S, wp)
+    W, wp = _table_scale(mu, r, A, 80 + 6 * A)
+    assert poisson_moments._poisson_window(mu, W, wp) == _poisson_window(mu, W, wp)
+
+
+@pytest.mark.parametrize("N", [10, 100])
+@pytest.mark.parametrize("r", range(1, 9))
+def test_binomial_oracle_equals_the_sized_walk_on_the_report_grid(N, r):
+    got = [exact_inverse_moment(Binomial(N, p), r) for p in REPORT_GRID]
+    assert got == [_mode_binomial_moment(N, p, r) for p in REPORT_GRID]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([10, 100]),
+        st.floats(math.log(1e3), math.log(1e5)).map(lambda x: round(math.exp(x))),
+    ),
+    st.one_of(
+        st.integers(1, 999).map(lambda i: i / 1000),  # 1 - p inexact for most p < 0.5
+        st.sampled_from(REPORT_GRID),
+    ),
+    st.integers(1, 8),
+)
+@example(10**5, 0.3, 8)
+@example(1000, 0.001, 1)
+def test_binomial_oracle_equals_the_sized_walk(N, p, r):
+    assert exact_inverse_moment(Binomial(N, p), r) == _mode_binomial_moment(N, p, r)
+
+
+@pytest.mark.parametrize("mu", [700.5, 800.0, 2000.0, 1e4, 1e5, 1e6])
+def test_direct_sums_past_700_equal_the_window_entry(mu):
+    # the same correctly rounded values; each bound is the new walk's
+    # own, still at most tol times Jensen's bound
+    for a in (0, 1, 3):
+        for r in (1, 2, 4, 8):
+            for tol in (1e-12, 1e-30):
+                got = shifted_poisson_moment_direct(mu, a, r, tol)
+                assert got.value == _direct_past_700(mu, a, r, tol).value, (a, r, tol)
+                assert got.tail_bound <= tol * 2.0 ** _log2_jensen(mu, r, a), (a, r, tol)
+
+
+@pytest.mark.parametrize("N", [10, 100])
+@pytest.mark.parametrize("r", range(2, 7))
+def test_expansion_values_equal_the_fixed_scale_tables(N, r, monkeypatch):
+    # every r >= 2 value is the truncated series correctly rounded, from
+    # whichever table; the one that retries is patched too
+    orders = range(1, 7)
+    got = [_charlier_values(N, p, r, orders) for p in REPORT_GRID]
+    monkeypatch.setattr(poisson_moments, "_q_table", _q_table)
+    monkeypatch.setattr(charlier_expansion, "_q_table", _q_table)
+    assert got == [_charlier_values(N, p, r, orders) for p in REPORT_GRID]
 
 
 # past 700 see test_exact_oracle's test_direct_sums_past_700_are_the_reference_rounded
