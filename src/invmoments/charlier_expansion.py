@@ -20,7 +20,9 @@ from mpmath.libmp import to_fixed
 from .exact_oracle import (
     DomainError, _check_mu, _check_walk_mu, _log2_jensen, _poisson_window, _round_once,
 )
-from .poisson_moments import ShiftedMomentTable, _er_from_ei, _q_table, _y_integers
+from .poisson_moments import (
+    ShiftedMomentTable, _er_from_ei, _q_table, _y_integers, build_q_table,
+)
 from .special_numbers import alpha
 
 __all__ = [
@@ -135,9 +137,10 @@ def binomial_barbour_polynomial(N: int, mu, m: int) -> ExpansionPolynomial:
 
     coefficient(d) = mu**d sum_{j+k=d} (-1)**j / j! * alpha(k-j, j)
     / N**k over 1 <= j <= k <= m - 1: the sum per degree first, in
-    integers over the common denominator of _part_coefficients, then
-    one product with mu**d.  Every coefficient is an exact Fraction,
-    since a float mu is taken as Fraction(mu), which is exact too.
+    integers over a common denominator (_order_rows, the rows the
+    expansion kernel reads too), then one product with mu**d.  Every
+    coefficient is an exact Fraction, since a float mu is taken as
+    Fraction(mu), which is exact too.
     Equal, coefficient by coefficient, to barbour_polynomial fed the
     binomial cumulants with p = mu / N; the two constructions share no
     code, which is what makes comparing them a real check.
@@ -149,13 +152,8 @@ def binomial_barbour_polynomial(N: int, mu, m: int) -> ExpansionPolynomial:
     if not 0 <= mu < math.inf:
         raise DomainError("mu must be non-negative and finite")
     a, b = Fraction(mu).as_integer_ratio()
-    F, parts = _part_coefficients(m)
-    sums: dict[int, int] = {}  # per degree, over F N**(m-1)
-    for k, row in enumerate(parts, 1):
-        for j, c in enumerate(row, 1):
-            sums[j + k] = sums.get(j + k, 0) + c * N ** (m - 1 - k)
-    den = F * N ** (m - 1)
-    coeffs = {d: Fraction(c * a**d, den * b**d) for d, c in sums.items()}
+    den, (row,) = _order_rows(N, (m,))
+    coeffs = {d: Fraction(c * a**d, den * b**d) for d, c in enumerate(row) if d}
     return ExpansionPolynomial({0: 1} | coeffs, m)
 
 
@@ -242,7 +240,7 @@ def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:
         raise DomainError("order m must be a positive integer")
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0, 1]")
-    return _first_inverse_moments(N, p, (m,))[0]
+    return _inverse_moments(N, p, 1, (m,))[0]
 
 
 @cache
@@ -254,39 +252,105 @@ def _part_coefficients(top: int) -> tuple[int, tuple]:
     return F, tuple(tuple(c.numerator * (F // c.denominator) for c in row) for row in rows)
 
 
-def _first_inverse_moments(N: int, p: float, orders) -> list[float]:
-    """first_inverse_moment_binomial for every order in ``orders`` at once.
+def _order_rows(N: int, orders) -> tuple[int, list[list[int]]]:
+    """(den, rows): orders[i]'s coefficient of y(n) is rows[i][n] / den.
 
-    Order m sums parts k = 0 .. m-1 of one series: part 0 is y(0) and
-    part k >= 1 is the sum over j = 1..k of (-1)**j alpha(k-j, j) / j!
-    y(j+k), over N**k.  With y(n) from poisson_moments._y_integers,
-    order m is (U G + V E0 - W) / D for exact integers U, V, W, D,
-    prefix sums over k of the parts for the largest order.  Each order
-    is rounded by _rounded_orders from G and E0 at T bits.  The first T
-    is 77 bits (the double's 53 and 24 to spare) past the cancellation
-    from (|U| + |V|) / D down to the Jensen bound of E+[1/Q] at mu = N p;
-    while any order's rounding is undecided, T doubles (Ziv's scheme).
-    Orders past _ORDER_CAP raise DomainError; other arguments are the
-    caller's to validate.
+    Order m sums parts k = 0 .. m-1 of one series in y(n) = mu**n
+    ((-Delta)**n q)(0): part 0 is y(0) and part k >= 1 is the sum over
+    j = 1..k of (-1)**j alpha(k-j, j) / j! y(j+k), over N**k.  With
+    (F, c) = _part_coefficients(top), top = max(orders), every
+    coefficient is an integer over den = F N**(top-1): rows[i][0] = den
+    and rows[i][n] = sum over k < m, j + k = n of c[k-1][j-1]
+    N**(top-1-k), for n = 0 .. 2 (m-1).
+    """
+    top = max(orders)
+    F, coefs = _part_coefficients(top)
+    den = F * N ** (top - 1)
+    row = [den] + [0] * (2 * top - 2)
+    prefixes = [row[:1]]
+    for k in range(1, top):
+        w = N ** (top - 1 - k)
+        for j, c in enumerate(coefs[k - 1], 1):
+            row[j + k] += c * w
+        prefixes.append(row[:2 * k + 1])
+    return den, [prefixes[m - 1] for m in orders]
+
+
+def _inverse_moments(N: int, p: float, r: int, orders) -> list[float]:
+    """Orders ``orders`` of the expansion of E+[1/K**r], K ~ Binomial(N, p), at once.
+
+    Every order reads one set of integer coefficients (_order_rows) of
+    y(n) = mu**n ((-Delta)**n q)(0), n = 0 .. A = 2 (max(orders) - 1),
+    and each value is the truncated series correctly rounded.  p = 0
+    returns zeros.  Orders past _ORDER_CAP raise DomainError before any
+    build; other arguments are the caller's to validate.
+
+    r = 1: y(n) comes from poisson_moments._y_integers, so order m is
+    (U G + V E0 - W) / D for exact integers U, V, W, D, rounded by
+    _rounded_orders from G and E0 at T bits.  The first T is 77 bits
+    (the double's 53 and 24 to spare) past the cancellation from
+    (|U| + |V|) / D down to the Jensen bound of E+[1/Q] at mu = N p.
+
+    r >= 2: y(n) is mu**n times difference n of build_q_table(mu, r, A),
+    an integer nu_n within err_n of 2**S ((-Delta)**n q)(0).  The double
+    mu is exactly a / 2**s, so order m, with row R, is sum_n R[n] a**n
+    2**(s (A-n)) nu_n over den 2**(s A + S), within sum_n |R[n] a**n
+    2**(s (A-n))| err_n: the interval inverse_moment_estimate rounds for
+    binomial_barbour_polynomial(N, mu, m) and the same table.
+
+    While any order's rounding is undecided, T doubles, or one table at
+    twice the precision serves every order (Ziv's scheme).
     """
     if max(orders) > _ORDER_CAP:
         raise DomainError(f"order m must lie in 1..{_ORDER_CAP}")
     p = float(p)
     if p == 0.0:
         return [0.0] * len(orders)
-    mu, top = N * p, max(orders)
-    F, coefs = _part_coefficients(top)
-    ys = _y_integers(mu, 2 * (top - 1))
-    den = F * N ** (top - 1) * ys[0][0]
-    sums = [(den, 0, 0)]
-    for k in range(1, top):
-        part = [sum(c * y[i] for c, y in zip(coefs[k - 1], ys[k + 1:])) for i in range(3)]
-        sums.append(tuple(s + N ** (top - 1 - k) * x for s, x in zip(sums[-1], part)))
-    rows = [sums[m - 1] for m in orders]
-    big = max(abs(U) + abs(V) for U, V, _ in rows)
-    T = big.bit_length() - den.bit_length() + 77 - math.floor(_log2_jensen(mu, 1, 0))
-    while (values := _rounded_orders(rows, den, mu, T)) is None:
-        T *= 2
+    mu = N * p
+    den, rows = _order_rows(N, orders)
+    A = 2 * (max(orders) - 1)  # alpha(0, j) = 2**-j, so no row ends in 0
+    if r == 1:
+        ys = _y_integers(mu, A)
+        den *= ys[0][0]
+        sums = []
+        for row in rows:
+            U = V = W = 0
+            for c, (u, v, w) in zip(row, ys):
+                if c:
+                    U, V, W = U + c * u, V + c * v, W + c * w
+            sums.append((U, V, W))
+        rows = sums
+        big = max(abs(U) + abs(V) for U, V, _ in rows)
+        T = big.bit_length() - den.bit_length() + 77 - math.floor(_log2_jensen(mu, 1, 0))
+        while (values := _rounded_orders(rows, den, mu, T)) is None:
+            T *= 2
+        return values
+    a, b = mu.as_integer_ratio()
+    s = b.bit_length() - 1
+    scale = [a**n << s * (A - n) for n in range(A + 1)]
+    rows = [[(n, c * scale[n]) for n, c in enumerate(row) if c] for row in rows]
+    den <<= s * A
+    table = build_q_table(mu, r, A)
+    while (values := _round_rows(rows, table.differences, den << table.S)) is None:
+        table = _q_table(mu, r, A, 2 * table.prec)
+    return values
+
+
+def _round_rows(rows, terms, den: int) -> list[float] | None:
+    """sum_n c x_n / den rounded once per row of (n, c), None if any is undecided.
+
+    terms[n] = (x_n, e_n): the true value is within e_n of x_n, so each
+    row's true numerator is within sum_n |c| e_n of its computed one.
+    """
+    values = []
+    for row in rows:
+        num = err = 0
+        for n, c in row:
+            x, e = terms[n]
+            num, err = num + c * x, err + abs(c) * e
+        if (value := _round_once(num - err, num + err, den)) is None:
+            return None
+        values.append(value)
     return values
 
 
@@ -296,21 +360,15 @@ def _rounded_orders(rows, den: int, mu: float, T: int) -> list[float] | None:
     G = e**(-mu) Er(mu) and E0 = e**(-mu) lie in (0, 1), so at T + 8
     bits mpmath's few-ulp error is far below 2**-T, and their floors on
     the scale 2**T are within 2 units each.  A row's exact numerator on
-    that scale is then within err = 2 (|U| + |V|) of the computed one
-    (_round_once).
+    that scale is then within 2 (|U| + |V|) of the computed one
+    (_round_rows).
     """
     with mpmath.workprec(T + 8):
         e0 = mpmath.exp(-mpmath.mpf(mu))
         g = e0 * _er_from_ei(mu)
     g, e0 = to_fixed(g._mpf_, T), to_fixed(e0._mpf_, T)
-    den <<= T
-    values = []
-    for U, V, W in rows:
-        num, err = U * g + V * e0 - (W << T), 2 * (abs(U) + abs(V))
-        if (value := _round_once(num - err, num + err, den)) is None:
-            return None
-        values.append(value)
-    return values
+    rows = [((0, U), (1, V), (2, -W)) for U, V, W in rows]
+    return _round_rows(rows, ((g, 2), (e0, 2), (1 << T, 0)), den << T)
 
 
 def barbour_error_bound(N: int, p: float, m: int) -> float:

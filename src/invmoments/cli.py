@@ -17,11 +17,14 @@ import sys
 from dataclasses import dataclass, field
 from typing import TextIO
 
+# first_inverse_moment_binomial, binomial_barbour_polynomial,
+# inverse_moment_estimate and build_q_table are unused here, but
+# perfbench/spans.py wraps cli's bindings of them
 from .charlier_expansion import (
-    _first_inverse_moments,
+    _inverse_moments,
     barbour_error_bound,
     binomial_barbour_polynomial,
-    first_inverse_moment_binomial,  # unused here, but perfbench/spans.py wraps cli's binding
+    first_inverse_moment_binomial,
     inverse_moment_estimate,
 )
 from .competing import _rempala_partial_sums, _stephan_partial_sums, _znidaric_partial_sums
@@ -123,21 +126,14 @@ class ErrorSweepReport:
 
 
 def _charlier_values(N: int, p: float, r: int, orders: tuple[int, ...]) -> list[float]:
-    """Expansion values for each order in ``orders`` from one Poisson kernel.
+    """Expansion values for each order in ``orders`` from one kernel at mu = N p.
 
-    Every order reads the same kernel at mu = N p: for r = 1 one set of
-    exact y(n) integers and one pair of fixed-point constants
-    (charlier_expansion._first_inverse_moments), for r >= 2 the
+    For every r, charlier_expansion._inverse_moments reads one set of
+    integer coefficients shared by the orders: at r = 1 with exact y(n)
+    integers and one pair of fixed-point constants, at r >= 2 with one
     shifted-moment table sized for the highest degree.
     """
-    if r == 1:
-        return _first_inverse_moments(N, p, orders)
-    if p == 0.0:
-        return [0.0] * len(orders)
-    mu = N * float(p)
-    polys = [binomial_barbour_polynomial(N, mu, m) for m in orders]
-    table = build_q_table(mu, r, max(poly.max_degree for poly in polys))
-    return [inverse_moment_estimate(poly, table) for poly in polys]
+    return _inverse_moments(N, p, r, orders)
 
 
 # each maps (N, p, term counts) to the series' value at every count, from one walk

@@ -428,7 +428,9 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
     sized so that an A-fold difference, which loses about
     A (1 + log2(mu) / 2) bits against the entries, still leaves a
     double's worth; a reader whose rounding it leaves undecided builds
-    a finer table itself (inverse_moment_estimate).
+    a finer table itself (inverse_moment_estimate, and the expansion
+    kernel charlier_expansion._inverse_moments, whose one rebuild
+    serves all its orders).
     """
     _check_mu(mu)
     _check_walk_mu(mu)

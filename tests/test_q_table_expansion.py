@@ -1,8 +1,9 @@
 """The expansion through the integer q table: every double against an independent reference.
 
 ``inverse_moment_estimate`` pairs exact Fraction coefficients with the
-table's exact integer differences and rounds once, so every value is
-the truncated series correctly rounded.  ``_series_reference``
+table's exact integer differences and rounds once, and the kernel behind
+``_charlier_values`` rounds the same interval from integer rows, so
+every value is the truncated series correctly rounded.  ``_series_reference``
 evaluates the same series from its definition: q(a) = E[1/(Q+a)**r] as
 direct mpmath sums at 100 digits or more, their alternating forward
 differences, the binomial coefficients (-1)**j alpha(k-j, j) / j!
@@ -31,7 +32,6 @@ from mpmath.libmp import (
 from invmoments import charlier_expansion, poisson_moments
 from invmoments.charlier_expansion import (
     binomial_barbour_polynomial,
-    first_inverse_moment_binomial,
     inverse_moment_estimate,
 )
 from invmoments.cli import GridSpec, _charlier_values
@@ -106,15 +106,37 @@ R1_PS = (
 )
 
 
-@pytest.mark.parametrize("N", [1, 2, 10, 100, 1000])
-def test_r1_table_route_equals_the_integer_kernel(N):
+def _per_order_values(N: int, p: float, r: int, orders) -> list[float]:
+    """The public route: one polynomial and one estimate per order, one shared table."""
+    table = build_q_table(N * p, r, 2 * max(orders) - 2)
+    return [inverse_moment_estimate(binomial_barbour_polynomial(N, N * p, m), table)
+            for m in orders]
+
+
+ORDERS = tuple(range(1, 9))
+ROUTES = [(N, r) for r in range(1, 7) for N in (1, 2, 10, 100, 1000)]
+
+
+# r = 1 keeps the bare N as its id, as when the test covered r = 1 alone
+@pytest.mark.parametrize("N, r", ROUTES,
+                         ids=[f"{N}" if r == 1 else f"{N}-r{r}" for N, r in ROUTES])
+def test_r1_table_route_equals_the_integer_kernel(N, r):
     # both routes give the truncated series correctly rounded, so they
-    # give one double
-    for p in R1_PS:
-        for m in range(1, 9):
-            poly = binomial_barbour_polynomial(N, N * p, m)
-            via_table = inverse_moment_estimate(poly, build_q_table(N * p, 1, 2 * m - 2))
-            assert via_table == first_inverse_moment_binomial(N, p, m), (p, m)
+    # give one double; every r reads the kernel's one set of row integers
+    for p in R1_PS + (1e-300,):
+        assert _charlier_values(N, p, r, ORDERS) == _per_order_values(N, p, r, ORDERS), p
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    N=st.integers(1, 10**4),
+    p=st.integers(1, 10**6).map(lambda i: i / 10**6),  # 1 - p is inexact
+    r=st.integers(1, 6),
+    orders=st.sets(st.integers(1, 8), min_size=1).map(sorted),
+)
+@example(N=10**4, p=0.123, r=2, orders=[1, 2, 3, 4, 5, 6])
+def test_kernel_equals_the_per_order_route(N, p, r, orders):
+    assert _charlier_values(N, p, r, tuple(orders)) == _per_order_values(N, p, r, orders)
 
 
 def test_undecided_rounding_rebuilds_the_table_finer(monkeypatch):
@@ -123,6 +145,8 @@ def test_undecided_rounding_rebuilds_the_table_finer(monkeypatch):
     poly = binomial_barbour_polynomial(N, mu, 6)
     want = inverse_moment_estimate(poly, build_q_table(mu, r, 10))
     coarse = poisson_moments._q_table(mu, r, 10, 8)
+    orders = tuple(range(1, 7))
+    want_all = _per_order_values(N, p, r, orders)
     seen = []
 
     def recording(*args):
@@ -132,6 +156,13 @@ def test_undecided_rounding_rebuilds_the_table_finer(monkeypatch):
     monkeypatch.setattr(charlier_expansion, "_q_table", recording)
     # 8 bits leave the rounding undecided; each rebuild doubles them
     assert inverse_moment_estimate(poly, coarse) == want
+    assert seen and seen == [(mu, r, 10, 8 << i) for i in range(1, len(seen) + 1)]
+    # the kernel from an 8-bit table: one doubling sequence for all six
+    # orders, not one per order
+    seen.clear()
+    monkeypatch.setattr(charlier_expansion, "build_q_table",
+                        lambda mu, r, A: poisson_moments._q_table(mu, r, A, 8))
+    assert _charlier_values(N, p, r, orders) == want_all
     assert seen and seen == [(mu, r, 10, 8 << i) for i in range(1, len(seen) + 1)]
 
 

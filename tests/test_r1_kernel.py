@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
 from invmoments import charlier_expansion
-from invmoments.charlier_expansion import _first_inverse_moments, _rounded_orders
+from invmoments.charlier_expansion import _inverse_moments, _rounded_orders
 from invmoments.poisson_moments import _er_from_ei
 from invmoments.special_numbers import alpha
 
@@ -98,7 +98,7 @@ _log_uniform_p = st.floats(math.log(1e-300), 0.0).map(lambda x: min(math.exp(x),
 @example(N=1, p=5e-324, orders=[8, 1, 8, 3])
 @example(N=10**5, p=1.0, orders=[8, 2, 5])
 def test_integer_kernel_matches_mpmath_kernel(N, p, orders):
-    assert _first_inverse_moments(N, p, orders) == _parent_first_inverse_moments(N, p, orders)
+    assert _inverse_moments(N, p, 1, orders) == _parent_first_inverse_moments(N, p, orders)
 
 
 def _series_at_100_digits(N: int, p: float, top: int) -> list[float]:
@@ -131,7 +131,7 @@ def test_integer_kernel_is_the_series_correctly_rounded():
     for N in (1, 10, 100, 1000):
         for p in (1e-6, 0.002, 0.05, 0.3, 0.77, 1.0):
             want = _series_at_100_digits(N, p, 8)
-            assert _first_inverse_moments(N, p, (1, 2, 3, 4, 5, 6, 7, 8)) == want, (N, p)
+            assert _inverse_moments(N, p, 1, (1, 2, 3, 4, 5, 6, 7, 8)) == want, (N, p)
 
 
 def test_undecided_rounding_retries_at_a_larger_precision(monkeypatch):
@@ -146,7 +146,7 @@ def test_undecided_rounding_retries_at_a_larger_precision(monkeypatch):
     monkeypatch.setattr(charlier_expansion, "_rounded_orders", at_an_eighth)
     # an eighth of each T leaves the first rounding undecided; the kernel
     # doubles T until even an eighth of it decides every order
-    assert _first_inverse_moments(N, p, orders) == want
+    assert _inverse_moments(N, p, 1, orders) == want
     rows, den, mu, T0 = seen[0]
     assert len(seen) >= 2 and [s[3] for s in seen] == [T0 * 2**i for i in range(len(seen))]
     assert _rounded_orders(rows, den, mu, 12) is None
