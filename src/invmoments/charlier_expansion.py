@@ -18,7 +18,8 @@ import mpmath
 from mpmath.libmp import to_fixed
 
 from .exact_oracle import (
-    DomainError, _check_mu, _check_walk_mu, _log2_jensen, _poisson_window, _round_once,
+    DomainError, _check_mu, _check_N, _check_walk_mu, _log2_jensen, _poisson_window,
+    _round_once,
 )
 from .poisson_moments import (
     ShiftedMomentTable, _er_from_ei, _q_table, _y_integers, build_q_table,
@@ -119,8 +120,7 @@ def binomial_cumulants(N: int, p, max_j: int) -> tuple:
     Entries are Fractions when p is a Fraction, keeping polynomial
     construction exact for rational p.
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
+    _check_N(N)
     if max_j < 1:
         raise DomainError("max_j must be a positive integer")
     if not 0 <= p <= 1:
@@ -145,8 +145,7 @@ def binomial_barbour_polynomial(N: int, mu, m: int) -> ExpansionPolynomial:
     binomial cumulants with p = mu / N; the two constructions share no
     code, which is what makes comparing them a real check.
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
+    _check_N(N)
     if not 1 <= m <= _ORDER_CAP:
         raise DomainError(f"order m must lie in 1..{_ORDER_CAP}")
     if not 0 <= mu < math.inf:
@@ -165,15 +164,17 @@ def expand_pdf(poly: ExpansionPolynomial, mu: float) -> list[float]:
     column rather than from the alternating binomial formula, so no
     large cancelling coefficients ever appear.  The Poisson column is
     the integer window of exact_oracle._poisson_window on the scale
-    2**140, each term rounded once, zero below the window and padded by
-    the polynomial degree in zeros, so every difference column ends on
-    0 and sums to 0: the mass is the column's, 1 to within 1e-16.
+    2**140, each term rounded once, padded by the polynomial degree in
+    zeros, so every difference column ends on 0 and sums to 0: the mass
+    is the column's, 1 to within 1e-16.  Below the window every column
+    is 0, so the columns are taken over the window only and g gets its
+    lo leading zeros once, at the end.
     """
     _check_mu(mu)
     _check_walk_mu(mu)
     dmax = poly.max_degree
     lo, terms, _ = _poisson_window(float(mu), 140, 64)
-    col = [0.0] * lo + [t / (1 << 140) for t in terms] + [0.0] * dmax
+    col = [t / (1 << 140) for t in terms] + [0.0] * dmax
     k_max = len(col) - 1
     g = list(col)  # degree 0 coefficient is pinned to 1
     for d in range(1, dmax + 1):
@@ -186,7 +187,7 @@ def expand_pdf(poly: ExpansionPolynomial, mu: float) -> list[float]:
             cf = float(c)
             for k in range(k_max + 1):
                 g[k] += cf * col[k]
-    return g
+    return [0.0] * lo + g
 
 
 def inverse_moment_estimate(poly: ExpansionPolynomial, q_table: ShiftedMomentTable) -> float:
@@ -234,8 +235,7 @@ def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:
     by 2 (|U| + |V|) 2**-T / D, and while that bound leaves the rounding
     undecided, T doubles.
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
+    _check_N(N)
     if m < 1:
         raise DomainError("order m must be a positive integer")
     if not 0 <= p <= 1:
@@ -379,8 +379,7 @@ def barbour_error_bound(N: int, p: float, m: int) -> float:
     where p**m is below the normal range, the product is formed in
     mpmath and rounded once, to inf if need be.
     """
-    if N < 1:
-        raise DomainError("N must be a positive integer")
+    _check_N(N)
     if m < 1:
         raise DomainError("order m must be a positive integer")
     if not 0.0 <= p <= 1.0:

@@ -28,7 +28,7 @@ from .charlier_expansion import (
     inverse_moment_estimate,
 )
 from .competing import _rempala_partial_sums, _stephan_partial_sums, _znidaric_partial_sums
-from .exact_oracle import Binomial, DomainError, exact_inverse_moment
+from .exact_oracle import Binomial, DomainError, _check_N, exact_inverse_moment
 from .poisson_moments import (
     CalibrationError,
     build_q_table,
@@ -90,8 +90,7 @@ class SweepConfig:
     terms: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise DomainError("N must be a positive integer")
+        _check_N(self.N)
         if self.r < 1:
             raise DomainError("moment order r must be a positive integer")
         if not self.orders or any(m < 1 for m in self.orders):
@@ -123,17 +122,6 @@ class ErrorSweepReport:
     config: SweepConfig
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
-
-
-def _charlier_values(N: int, p: float, r: int, orders: tuple[int, ...]) -> list[float]:
-    """Expansion values for each order in ``orders`` from one kernel at mu = N p.
-
-    For every r, charlier_expansion._inverse_moments reads one set of
-    integer coefficients shared by the orders: at r = 1 with exact y(n)
-    integers and one pair of fixed-point constants, at r >= 2 with one
-    shifted-moment table sized for the highest degree.
-    """
-    return _inverse_moments(N, p, r, orders)
 
 
 # each maps (N, p, term counts) to the series' value at every count, from one walk
@@ -171,7 +159,7 @@ def run_sweep(config: SweepConfig) -> ErrorSweepReport:
         exact = exact_inverse_moment(Binomial(config.N, p), config.r)
         values: dict[str, dict[int, float]] = {}  # method -> count -> value
         if "charlier" in config.methods:
-            values["charlier"] = dict(zip(config.orders, _charlier_values(
+            values["charlier"] = dict(zip(config.orders, _inverse_moments(
                 config.N, p, config.r, config.orders)))
         for name in config.methods:
             if name != "charlier":
@@ -251,7 +239,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         raise DomainError("--order must be a positive integer")
     spec = Binomial(args.N, args.p)
     exact = exact_inverse_moment(spec, args.r)
-    approx = _charlier_values(args.N, args.p, args.r, (args.order,))[0]
+    approx = _inverse_moments(args.N, args.p, args.r, (args.order,))[0]
     print(f"N={args.N} p={args.p:g} r={args.r} order={args.order}")
     print(f"exact          {exact:.17g}")
     print(f"approximation  {approx:.17g}")

@@ -10,14 +10,13 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from .exact_oracle import _MOMENT_CAP, DomainError, _scaled_central_moments
+from .exact_oracle import _MOMENT_CAP, DomainError, _check_N, _scaled_central_moments
 
 __all__ = ["stephan", "rempala", "znidaric"]
 
 
 def _check_args(N: int, p: float) -> None:
-    if N < 1:
-        raise DomainError("N must be a positive integer")
+    _check_N(N)
     if not 0.0 < p <= 1.0:
         raise DomainError("p must lie in (0, 1]")
 

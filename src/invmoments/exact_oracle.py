@@ -2,14 +2,15 @@
 
 Every routine here evaluates its target quantity from the defining sum,
 with non-negative terms wherever possible, and rounds the exact sum of
-its terms once: math.fsum adds rounded terms, and the binomial inverse
-moment and the Poisson moments past mu = 700 sum the terms of an
-exact-ratio integer walk from the mode (_ratio_walk), on one scale and
-stop (_walk_scale) under one error bound (_walk_sums), which the q table
-of poisson_moments takes too, so they are the moment itself, correctly
-rounded (_ziv).  The binomial central moments and factorial cumulants
-are exact, rounded once.  The faster or cleverer formulas elsewhere in
-the package are tested against these.
+its terms once: math.fsum adds rounded terms of E+[1/Q**r] up to mu =
+700, and the binomial inverse moment, the shifted Poisson moments and
+E+[1/Q**r] past 700 sum the terms of an exact-ratio integer walk from
+the mode (_ratio_walk), on one scale and stop (_walk_scale) under one
+error bound (_walk_sums), which the q table of poisson_moments takes
+too, so they are the moment itself, correctly rounded (_ziv).  The
+binomial central moments and factorial cumulants are exact, rounded
+once.  The faster or cleverer formulas elsewhere in the package are
+tested against these.
 """
 from __future__ import annotations
 
@@ -51,8 +52,7 @@ class Binomial:
     p: float
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise DomainError("N must be a positive integer")
+        _check_N(self.N)
         if not 0.0 <= self.p <= 1.0:
             raise DomainError("p must lie in [0, 1]")
 
@@ -87,6 +87,12 @@ class OracleValue:
 
     value: float
     tail_bound: float
+
+
+def _check_N(N: int, least: int = 1) -> None:
+    """Reject an N that is not an int (10.0 is not one) or lies below ``least``, 1 or 0."""
+    if not isinstance(N, int) or N < least:
+        raise DomainError(f"N must be a {'positive' if least else 'non-negative'} integer")
 
 
 def _check_mu(mu: float) -> None:
@@ -376,37 +382,35 @@ def _poisson_walk(mu: float, a: int, r: int, limit: float, prec: int) -> OracleV
 def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     """Sum of pi_mu(k) / (k+a)**r over k >= 0 (k >= 1 when a = 0).
 
-    Up to mu = 700 it is truncated and bounded as
-    poisson_inverse_moment_direct describes, for any a as 1/(k+a)**r <=
-    1: terms from pi *= mu / k, by _over_power where (k+a)**r overflows.
+    A shift a >= 1, and a = 0 past mu = 700, where e**-mu leaves the
+    normal range, is _poisson_walk (_ziv) from prec = max(64, 2 +
+    ceil(-log2 tol)): the moment correctly rounded, its err near
+    2**-prec, below tol L where the moment is within a few L.  Where tol
+    L underflows, err / 2**W must too: a wp past 1075.
 
-    The stop compares the majorant with tol * L, L the Jensen bound of
-    _log2_jensen, taken once per call.  The majorant is tested only
-    once pi <= 2 tol L.  That gate drops no stop: for k >= mu the
-    divisor rounds to at most k+1, so the rounded majorant is at least
-    the rounding of pi (1 - 2**-53), which is no less than pi / 2, and
-    a majorant at most tol L puts pi at most 2 tol L.  Both tests allow
-    equality, so where tol L underflows to 0 the walk still ends once
-    pi does.
-
-    Past mu = 700, where e**-mu leaves the normal range, it is
-    _poisson_walk (_ziv) from prec = max(64, 2 + ceil(-log2 tol)), whose
-    err is then near 2**-prec, below tol L where the moment is within a
-    few L.  Where tol L underflows, err / 2**W must too: a wp past 1075.
+    Otherwise it is E+[1/Q**r], truncated and bounded as
+    poisson_inverse_moment_direct describes: terms from pi *= mu / k,
+    by _over_power where k**r overflows, and 0.0 without forming k**r
+    once r log2 k passes 1080.  The stop compares the majorant with tol
+    * L, L the Jensen bound of _log2_jensen, taken once per call.  The
+    majorant is tested only once pi <= 2 tol L.  That gate drops no
+    stop: for k >= mu the divisor rounds to at most k+1, so the rounded
+    majorant is at least the rounding of pi (1 - 2**-53), which is no
+    less than pi / 2, and a majorant at most tol L puts pi at most 2 tol
+    L.  Both tests allow equality, so where tol L underflows to 0 the
+    walk still ends once pi does.
     """
     _check_walk_mu(mu)
     limit = tol * 2.0 ** _log2_jensen(mu, r, a)
-    if mu > 700.0:
+    if mu > 700.0 or a:
         prec = max(64, 2 + math.ceil(-math.log2(tol)))
         return _ziv(partial(_poisson_walk, mu, a, r, limit), prec)
     tail = math.inf
 
     def terms() -> Iterator[float]:
-        nonlocal tail
+        nonlocal tail, r
         pi = math.exp(-mu)
         gate = 2.0 * limit
-        if a:
-            yield _over_power(pi, a, r)
         for k in count(1):
             pi *= mu / k
             if k >= mu and pi <= gate:
@@ -414,9 +418,11 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
                 if tail <= limit:
                     return
             try:
-                t = pi / (k + a) ** r
-            except OverflowError:  # (k+a)**r past the double range
-                t = _over_power(pi, k + a, r)
+                t = pi / k**r
+            except OverflowError:  # k**r past the double range
+                t = _over_power(pi, k, r)
+                if r * math.log2(k) > 1080.0:
+                    r = math.inf  # pi / k**r is 0.0 from here on, as _over_power's
             yield t
 
     return OracleValue(math.fsum(terms()), tail)
@@ -446,12 +452,12 @@ def shifted_poisson_moment_direct(
     """E[1/(Q+a)**r] for Q ~ Poisson(mu), by direct summation.
 
     For a >= 1 the k = 0 term is included, so this is a plain (not
-    conditioned) expectation.  For a = 0 the sum starts at k = 1 and the
-    result is the positive-part moment; a = 0 with r = 0 is rejected
-    because that expectation has no finite defining sum to truncate.
-    The route, the stop and the ``tail_bound`` are
-    poisson_inverse_moment_direct's, with the Jensen bound (mu + a)**-r
-    for a >= 1, so ``tol`` is relative here too.
+    conditioned) expectation, correctly rounded at every mu from the
+    integer walk, and ``tail_bound``, at most tol (mu + a)**-r, Jensen's
+    bound, bounds its whole error (_direct_sum).  For a = 0 the sum
+    starts at k = 1 and the result is poisson_inverse_moment_direct's
+    positive-part moment; a = 0 with r = 0 is rejected because that
+    expectation has no finite defining sum to truncate.
     """
     _check_mu(mu)
     if a < 0:
@@ -480,8 +486,7 @@ def central_moment_binomial(N: int, p: float, i: int) -> float:
     DomainError.  N = 0 is accepted as the one-point distribution at
     zero; the shifted-sample consumers need that degenerate case.
     """
-    if N < 0:
-        raise DomainError("N must be non-negative")
+    _check_N(N, 0)
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
     if not 0 <= i <= _MOMENT_CAP:

@@ -10,16 +10,16 @@ relative error against the direct oracle.
 
 Shifted moments E[1/(Q+a)**r] come from one closed form in Stirling
 numbers, valid for every r, where that is numerically stable (small mu
-and a within the Stirling row cap) and from direct summation elsewhere.
-The closed form cancels heavily, so it runs at elevated precision
-through mpmath, as one mpmath.fdot rounded once.  The expansion's
-inputs need no mpmath sum.  The q table holds each E[1/(Q+a)**r] as an
-exact integer on one scale 2**S with its own error bound, so its
-alternating differences are exact integer sums (build_q_table).  Its
-Poisson terms, like the direct oracles' past mu = 700, come from the
-integer walk out from the mode by the pmf's exact ratios, on the one
-scale, stop and bound of every walk (exact_oracle._walk_scale), about
-2.3 sqrt(mu (S - B)) steps.  At r = 1, y(n), mu**n times the n-th
+and a within the Stirling row cap), and elsewhere from the direct sum's
+integer walk, correctly rounded.  The closed form cancels heavily, so
+it runs at elevated precision through mpmath, as one mpmath.fdot
+rounded once.  The expansion's inputs need no mpmath sum.  The q table
+holds each E[1/(Q+a)**r] as an exact integer on one scale 2**S with its
+own error bound, so its alternating differences are exact integer sums
+(build_q_table).  Its Poisson terms, like the direct oracles' for a >=
+1 or past mu = 700, come from the integer walk out from the mode by the
+pmf's exact ratios, on the one scale, stop and bound of every walk
+(exact_oracle._walk_scale), about 2.3 sqrt(mu (S - B)) steps.  At r = 1, y(n), mu**n times the n-th
 alternating forward difference of a -> E[1/(Q+a)], is exact integers
 times e**(-mu) Er(mu) and e**(-mu) (_y_integers).
 """
@@ -86,6 +86,8 @@ class CrossoverProfile:
     def __post_init__(self) -> None:
         if self.M1 < 1 or self.M2 < 1:
             raise DomainError("a profile needs at least one term in each series")
+        if not self.mu_star >= 0.0:  # NaN fails the test too
+            raise DomainError("mu_star must be non-negative")
 
 
 def er_function(mu: float) -> float:
@@ -141,8 +143,9 @@ def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
     """The terms pi(k) / k**r of the ascending series for k = 1 .. m1.
 
     With m1 None the walk never ends; its caller stops drawing.  These
-    are the oracle's own terms up to mu = 700 (exact_oracle._direct_sum),
-    and a k**r past the double range takes the term by _over_power.
+    are the oracle's own terms up to mu = 700 (exact_oracle._direct_sum):
+    a k**r past the double range takes the term by _over_power, and once
+    r log2 k passes 1080 every term is 0.0, k**r not formed.
     Past 700 e**-mu leaves the normal range: DomainError, reached only by
     a hand-made profile with mu_star > 700 (calibration stays below 210).
     """
@@ -155,6 +158,8 @@ def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
             t = pi / k**r
         except OverflowError:  # k**r past the double range
             t = _over_power(pi, k, r)
+            if r * math.log2(k) > 1080.0:
+                r = math.inf  # pi / k**r is 0.0 from here on, as _over_power's
         yield t
 
 
@@ -352,12 +357,11 @@ def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
     """E[1/(Q+a)**r] for Q ~ Poisson(mu), choosing the stable route.
 
     Small mu (2**-60 <= mu <= a + 5) goes through the closed form at
-    extended precision, where the direct sum would need many terms
-    relative to its size.  The direct sum takes large mu, where the
-    closed form cancels catastrophically, shifts past the Stirling row
-    cap, where it is relative-accurate anyway, and tiny mu, where
-    e**(-mu) rounds to 1 and two or three terms give the closed form's
-    double.  a = 0 returns the positive-part moment.
+    extended precision.  The direct sum, the moment correctly rounded
+    from the integer walk, takes large mu, where the closed form
+    cancels catastrophically, shifts past the Stirling row cap, and tiny
+    mu, where the closed form divides by mu**a.  a = 0 returns the
+    positive-part moment.
     """
     _check_mu(mu)
     if a < 0:

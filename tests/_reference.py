@@ -25,10 +25,11 @@ def mode_walk_pmf(mu):
     Independent of the library's walks: one log-gamma anchor at the mode,
     with ten digits more for the logs that cancel, then the pmf's ratios
     mu / (k+1) and k / mu in mpmath out to both sides.  For mu > 700 the
-    terms left out weigh below 1e-35 of E[1/(Q+a)**r] up to r = 40.
+    terms left out weigh below 1e-35 of E[1/(Q+a)**r] up to r = 40, and
+    so do they at every mu up to 1e7 for a >= 1 and r <= 8.
     """
     k0, pmf = int(mu), {}
-    with mpmath.workdps(65 + math.ceil(math.log10(mu * math.log(mu)))):
+    with mpmath.workdps(65 + math.ceil(math.log10(max(mu * math.log(mu), 10.0)))):
         x = mpf(mu)
         peak = mpmath.exp(k0 * mpmath.log(x) - x - mpmath.loggamma(k0 + 1))
     with mpmath.workdps(55):

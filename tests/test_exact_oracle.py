@@ -15,7 +15,13 @@ from mpmath import mpf
 
 from _reference import binomial_pmf, mode_walk_pmf, reference_moment
 from invmoments import exact_oracle
-from invmoments.charlier_expansion import ExpansionPolynomial, expand_pdf
+from invmoments.charlier_expansion import (
+    ExpansionPolynomial,
+    barbour_error_bound,
+    binomial_barbour_polynomial,
+    expand_pdf,
+    first_inverse_moment_binomial,
+)
 from invmoments.cli import GridSpec
 from invmoments.exact_oracle import (
     Binomial,
@@ -31,6 +37,7 @@ from invmoments.exact_oracle import (
     _ratio_walk,
 )
 from invmoments.poisson_moments import (
+    CrossoverProfile,
     _positive_moment_double,
     build_q_table,
     positive_poisson_inverse_moment,
@@ -489,6 +496,31 @@ def test_poisson_direct_domain():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: first_inverse_moment_binomial(10.0, 0.3, 3),
+        lambda: exact_inverse_moment(Binomial(1.5, 0.3), 1),
+        lambda: binomial_barbour_polynomial(2.5, 1.0, 3),
+        lambda: central_moment_binomial(2.5, 0.1, 3),
+        lambda: barbour_error_bound(2.5, 0.1, 3),
+        lambda: CrossoverProfile(1, 1e-5, math.nan, 10, 10),
+        lambda: CrossoverProfile(1, 1e-5, -1.0, 10, 10),
+    ],
+    ids=["first_inverse_moment", "binomial_oracle", "binomial_barbour", "central_moment",
+         "error_bound", "nan_mu_star", "negative_mu_star"],
+)
+def test_non_integer_N_and_a_bad_mu_star_raise_domain_error(call):
+    # a float N reached arithmetic that raised AttributeError or TypeError,
+    # or none at all, and a NaN mu_star sent every mu to the large-mu branch
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_a_zero_mu_star_is_a_valid_profile():
+    assert CrossoverProfile(1, 1e-5, 0.0, 1, 120).mu_star == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: poisson_inverse_moment_direct(2e8, 1),
         lambda: shifted_poisson_moment_direct(1e9, 1, 1),
         lambda: positive_poisson_inverse_moment(1e300, 1),
@@ -529,16 +561,16 @@ def _poisson_terms(mu):
         yield k, t
 
 
-def _ungated_direct(mu, a, r, tol):
-    """The direct sum with its majorant computed at every k >= mu."""
-    limit = tol * 2.0 ** _log2_jensen(mu, r, a)
-    terms = [math.exp(-mu) / a**r if a else 0.0]
+def _ungated_direct(mu, r, tol):
+    """The direct sum of E+[1/Q**r] with its majorant computed at every k >= mu."""
+    limit = tol * 2.0 ** _log2_jensen(mu, r, 0)
+    terms = []
     for k, pi in _poisson_terms(mu):
         if k >= mu:
             tail = pi * (k + 1) / (k + 1 - mu)
             if tail <= limit:
                 return math.fsum(terms).hex(), tail.hex()
-        terms.append(pi / (k + a) ** r)
+        terms.append(pi / k**r)
 
 
 def _ungated_ascending(mu, r):
@@ -564,31 +596,30 @@ MUS_PAST_700 = tuple(mu for mu in MUS_AROUND_700 if mu > 700.0)
         st.floats(math.log(1e-300), math.log(700.0)).map(lambda x: min(math.exp(x), 700.0)),
         st.sampled_from(MUS_UP_TO_700),
     ),
-    a=st.integers(0, 6),
     r=st.integers(1, 8),
     tol=st.sampled_from([1e-12, 1e-30]),
 )
-@example(mu=1e-300, a=0, r=1, tol=1e-30)
-@example(mu=700.0, a=3, r=8, tol=1e-12)
-def test_gated_stop_tests_equal_ungated_walks(mu, a, r, tol):
-    # the walks test pi alone before their tail majorant; that must move
-    # no stop, so value and tail bound keep every bit
-    want = _ungated_direct(mu, a, r, tol)
-    got = shifted_poisson_moment_direct(mu, a, r, tol)
-    assert (got.value.hex(), got.tail_bound.hex()) == want
-    if a == 0:
-        got = poisson_inverse_moment_direct(mu, r, tol)
+@example(mu=1e-300, r=1, tol=1e-30)
+@example(mu=700.0, r=8, tol=1e-12)
+def test_gated_stop_tests_equal_ungated_walks(mu, r, tol):
+    # the float walk of E+[1/Q**r] tests pi alone before its tail
+    # majorant; that must move no stop, so value and tail bound keep
+    # every bit (a shift a >= 1 takes the integer walk, tested below)
+    want = _ungated_direct(mu, r, tol)
+    for got in (shifted_poisson_moment_direct(mu, 0, r, tol),
+                poisson_inverse_moment_direct(mu, r, tol)):
         assert (got.value.hex(), got.tail_bound.hex()) == want
     assert _positive_moment_double(mu, r).hex() == _ungated_ascending(mu, r)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(
     mu=st.one_of(
         st.floats(math.log(700.0), math.log(1e7)).map(math.exp).filter(lambda mu: mu > 700.0),
-        st.sampled_from(MUS_PAST_700),
+        st.floats(math.log(1e-300), math.log(1e7)).map(math.exp),
+        st.sampled_from(MUS_PAST_700 + (1e-300, 1e-5, 0.37, 3.7, 10.9, 25.7, 150.0, 699.5, 700.0)),
     ),
-    a=st.integers(0, 6),
+    a=st.one_of(st.integers(0, 6), st.sampled_from([10**4, 10**6])),
     r=st.integers(1, 8),
     tol=st.sampled_from([1e-12, 1e-30]),
 )
@@ -597,9 +628,17 @@ def test_gated_stop_tests_equal_ungated_walks(mu, a, r, tol):
 @example(mu=950.0, a=0, r=40, tol=1e-18)
 @example(mu=1e5, a=0, r=40, tol=1e-18)
 @example(mu=1e7, a=6, r=8, tol=1e-30)
+@example(mu=1e-300, a=1, r=1, tol=1e-30)
+@example(mu=0.37, a=3, r=3, tol=1e-12)
+@example(mu=10.9, a=6, r=8, tol=1e-30)
+@example(mu=25.7, a=10**4, r=8, tol=1e-12)
+@example(mu=150.0, a=3, r=3, tol=1e-14)
+@example(mu=1e-300, a=10**6, r=8, tol=1e-30)
 def test_direct_sums_past_700_are_the_reference_rounded(mu, a, r, tol):
-    # past mu = 700 the direct oracles are the moment correctly rounded,
-    # with the walk's whole error bound at most tol times Jensen's bound
+    # past mu = 700, and for a shift a >= 1 at every mu, the direct
+    # oracles are the moment correctly rounded, with the walk's whole
+    # error bound at most tol times Jensen's bound
+    assume(mu > 700.0 or a)
     want = float(reference_moment(mode_walk_pmf(mu), a, r))
     got = shifted_poisson_moment_direct(mu, a, r, tol)
     assert got.value == want

@@ -25,6 +25,7 @@ import pytest
 from _reference import mode_walk_pmf, reference_moment
 
 from invmoments.charlier_expansion import (
+    _inverse_moments,
     barbour_polynomial,
     binomial_cumulants,
 )
@@ -35,7 +36,6 @@ from invmoments.exact_oracle import (
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
 )
-from invmoments.cli import _charlier_values
 from invmoments.poisson_moments import (
     _ascending_partial,
     calibrate_crossover,
@@ -122,7 +122,7 @@ def _charlier_r23():
     for N in (10, 100):
         for r in (2, 3):
             for p in CHARLIER_PS:
-                values = _charlier_values(N, p, r, (1, 2, 3, 4, 5, 6))
+                values = _inverse_moments(N, p, r, (1, 2, 3, 4, 5, 6))
                 out[f"{N} {p!r} {r}"] = [v.hex() for v in values]
     return out
 

@@ -1,9 +1,13 @@
 """Tests for the positive-support inverse moments and the crossover machinery."""
+import hashlib
+import importlib.util
 import math
 import sys
 import threading
+import time
 from fractions import Fraction
 from itertools import count
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -24,6 +28,7 @@ from invmoments.exact_oracle import (
 from invmoments.poisson_moments import (
     CalibrationError,
     CrossoverProfile,
+    _ascending_partial,
     _y_integers,
     build_q_table,
     calibrate_crossover,
@@ -345,6 +350,32 @@ def test_huge_r_sums_terms_past_the_double_range(call, want):
     assert abs(mpf(got) - want) <= 2.0**-52 * want, got
 
 
+# (value, tail_bound) of the direct sum at tol 1e-18, as the float walk
+# gave them when it formed k**r for every term: only pi(1) = mu e**-mu
+# is not 0.0, and where tol times Jensen's bound underflows so does the tail
+HUGE_R_FLOAT_SUMS = {
+    (0.37, 10**3): ("0x1.05b4969d42f7fp-2", "0x1.ab1a6257aee93p-323"),
+    (0.37, 10**5): ("0x1.05b4969d42f7fp-2", "0x0.0p+0"),
+    (3.0, 10**3): ("0x1.31e44999b0483p-3", "0x0.0p+0"),
+    (3.0, 10**5): ("0x1.31e44999b0483p-3", "0x0.0p+0"),
+    (150.0, 10**3): ("0x1.c5601f73d030fp-210", "0x0.0p+0"),
+    (150.0, 10**5): ("0x1.c5601f73d030fp-210", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("mu,r", sorted(HUGE_R_FLOAT_SUMS))
+def test_float_sums_at_huge_r_form_no_power_past_the_cutoff(mu, r):
+    # once r log2 k passes 1080 every term is 0.0 and k**r is not formed:
+    # with it, r = 10**5 took 4 s at mu = 3 and 50 s at mu = 150
+    value, tail = HUGE_R_FLOAT_SUMS[mu, r]
+    start = time.perf_counter()
+    got = poisson_inverse_moment_direct(mu, r, 1e-18)
+    assert (got.value.hex(), got.tail_bound.hex()) == (value, tail)
+    assert positive_poisson_inverse_moment(mu, r).hex() == value
+    assert _ascending_partial(mu, r, 300).hex() == value
+    assert time.perf_counter() - start < 0.5
+
+
 @pytest.mark.parametrize("r", [169, 400])
 def test_large_mu_series_past_row_cap_names_no_term(r):
     # the term count left for such an r is negative, and the error says
@@ -638,3 +669,21 @@ def test_large_mu_bracket_holds_on_grid(i, r):
 )
 def test_large_mu_bracket_holds_log_uniform(log_mu, r):
     _check_bracket(min(math.exp(log_mu), 150.0), r)
+
+
+# the last line of scripts/profile_digest.py: its 112 profiles, bit for bit
+PROFILE_SHA256 = "331cf85ef73149140fb4ddda2dceae860fa778e8903d024e558a36054908653a"
+
+
+def test_112_profile_digest():
+    # every calibration reads the float Poisson sum, so any double it moves
+    # shows in some profile line
+    path = Path(__file__).resolve().parent.parent / "scripts" / "profile_digest.py"
+    spec = importlib.util.spec_from_file_location("profile_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    digest = hashlib.sha256()
+    for r in range(1, 9):
+        for target in module.TARGETS:
+            digest.update(module.profile_line(r, target).encode() + b"\n")
+    assert digest.hexdigest() == PROFILE_SHA256

@@ -1,8 +1,8 @@
 """The expansion through the integer q table: every double against an independent reference.
 
 ``inverse_moment_estimate`` pairs exact Fraction coefficients with the
-table's exact integer differences and rounds once, and the kernel behind
-``_charlier_values`` rounds the same interval from integer rows, so
+table's exact integer differences and rounds once, and the kernel
+``_inverse_moments`` rounds the same interval from integer rows, so
 every value is the truncated series correctly rounded.  ``_series_reference``
 evaluates the same series from its definition: q(a) = E[1/(Q+a)**r] as
 direct mpmath sums at 100 digits or more, their alternating forward
@@ -31,10 +31,11 @@ from mpmath.libmp import (
 
 from invmoments import charlier_expansion, poisson_moments
 from invmoments.charlier_expansion import (
+    _inverse_moments,
     binomial_barbour_polynomial,
     inverse_moment_estimate,
 )
-from invmoments.cli import GridSpec, _charlier_values
+from invmoments.cli import GridSpec
 from invmoments.exact_oracle import _log2_jensen
 from invmoments.poisson_moments import ShiftedMomentTable, build_q_table
 from invmoments.special_numbers import alpha
@@ -95,7 +96,7 @@ _ps = st.one_of(
 @example(N=1000, p=1.0, r=6, orders=[8])
 @example(N=1, p=1e-12, r=2, orders=[1, 8])
 def test_r2_values_are_the_series_correctly_rounded(N, p, r, orders):
-    assert _charlier_values(N, p, r, tuple(orders)) == _series_reference(N, p, r, orders)
+    assert _inverse_moments(N, p, r, tuple(orders)) == _series_reference(N, p, r, orders)
 
 
 R1_PS = (
@@ -124,7 +125,7 @@ def test_r1_table_route_equals_the_integer_kernel(N, r):
     # both routes give the truncated series correctly rounded, so they
     # give one double; every r reads the kernel's one set of row integers
     for p in R1_PS + (1e-300,):
-        assert _charlier_values(N, p, r, ORDERS) == _per_order_values(N, p, r, ORDERS), p
+        assert _inverse_moments(N, p, r, ORDERS) == _per_order_values(N, p, r, ORDERS), p
 
 
 @settings(max_examples=25, deadline=None)
@@ -136,7 +137,7 @@ def test_r1_table_route_equals_the_integer_kernel(N, r):
 )
 @example(N=10**4, p=0.123, r=2, orders=[1, 2, 3, 4, 5, 6])
 def test_kernel_equals_the_per_order_route(N, p, r, orders):
-    assert _charlier_values(N, p, r, tuple(orders)) == _per_order_values(N, p, r, orders)
+    assert _inverse_moments(N, p, r, tuple(orders)) == _per_order_values(N, p, r, orders)
 
 
 def test_undecided_rounding_rebuilds_the_table_finer(monkeypatch):
@@ -162,7 +163,7 @@ def test_undecided_rounding_rebuilds_the_table_finer(monkeypatch):
     seen.clear()
     monkeypatch.setattr(charlier_expansion, "build_q_table",
                         lambda mu, r, A: poisson_moments._q_table(mu, r, A, 8))
-    assert _charlier_values(N, p, r, orders) == want_all
+    assert _inverse_moments(N, p, r, orders) == want_all
     assert seen and seen == [(mu, r, 10, 8 << i) for i in range(1, len(seen) + 1)]
 
 
@@ -239,4 +240,4 @@ def test_walk_from_the_mode_equals_the_float_walk_up_to_mu_1e5(mu, p, r):
 def test_large_mu_expansion_keeps_its_double():
     # the float walk's value at N = 10**6, from k = 0 past mu; the walk
     # from the mode takes about 3 sqrt(mu S) steps instead
-    assert _charlier_values(10**6, 0.5, 2, (3,)) == [4.00001200006e-12]
+    assert _inverse_moments(10**6, 0.5, 2, (3,)) == [4.00001200006e-12]

@@ -19,6 +19,10 @@ and the Poisson window past mu = 700 and the q table another way
 T = 0.  All three now take exact_oracle._walk_scale and _walk_sum.  The
 oracles are correctly rounded and the expansion values are the truncated
 series correctly rounded either way, so the doubles must be equal.
+
+expand_pdf once took its difference columns from k = 0 (_expand_pdf
+below); it now takes them over the Poisson window only, where every
+column below the window is 0, and must give the same doubles.
 """
 import math
 import random
@@ -33,7 +37,13 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import to_fixed
 
 from invmoments import charlier_expansion, exact_oracle, poisson_moments
-from invmoments.cli import GridSpec, _charlier_values
+from invmoments.charlier_expansion import (
+    ExpansionPolynomial,
+    _inverse_moments,
+    binomial_barbour_polynomial,
+    expand_pdf,
+)
+from invmoments.cli import GridSpec
 from invmoments.exact_oracle import (
     _EXACT_ANCHOR_BITS,
     Binomial,
@@ -431,6 +441,25 @@ def _q_table(mu: float, r: int, A: int, prec: int) -> ShiftedMomentTable:
     return ShiftedMomentTable(mu, r, totals, errs, S, prec)
 
 
+def _expand_pdf(poly: ExpansionPolynomial, mu: float) -> list[float]:
+    dmax = poly.max_degree
+    lo, terms, _ = exact_oracle._poisson_window(float(mu), 140, 64)
+    col = [0.0] * lo + [t / (1 << 140) for t in terms] + [0.0] * dmax
+    k_max = len(col) - 1
+    g = list(col)  # degree 0 coefficient is pinned to 1
+    for d in range(1, dmax + 1):
+        nxt = [col[0]]
+        for k in range(1, k_max + 1):
+            nxt.append(col[k] - col[k - 1])
+        col = nxt
+        c = poly.coefficient(d)
+        if c:
+            cf = float(c)
+            for k in range(k_max + 1):
+                g[k] += cf * col[k]
+    return g
+
+
 # ---- the differentials -----------------------------------------------------
 
 REPORT_GRID = GridSpec().points()[:-1]
@@ -541,10 +570,10 @@ def test_expansion_values_equal_the_fixed_scale_tables(N, r, monkeypatch):
     # every r >= 2 value is the truncated series correctly rounded, from
     # whichever table; the one that retries is patched too
     orders = range(1, 7)
-    got = [_charlier_values(N, p, r, orders) for p in REPORT_GRID]
+    got = [_inverse_moments(N, p, r, orders) for p in REPORT_GRID]
     monkeypatch.setattr(poisson_moments, "_q_table", _q_table)
     monkeypatch.setattr(charlier_expansion, "_q_table", _q_table)
-    assert got == [_charlier_values(N, p, r, orders) for p in REPORT_GRID]
+    assert got == [_inverse_moments(N, p, r, orders) for p in REPORT_GRID]
 
 
 # past 700 see test_exact_oracle's test_direct_sums_past_700_are_the_reference_rounded
@@ -571,3 +600,11 @@ MUS_UP_TO_700 = (699.0, 699.9999999999999, 700.0)
 def test_oracle_equals_the_ascending_sum(case):
     mu, r = case
     assert poisson_moments.positive_poisson_inverse_moment(mu, r) == _ascending_oracle(mu, r)
+
+
+@pytest.mark.parametrize("mu", [5e-324, 0.37, 25.7, 700.5, 1e3, 1e4])
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_expand_pdf_equals_the_columns_from_zero(mu, m):
+    poly = binomial_barbour_polynomial(max(10, math.ceil(3 * mu)), mu, m)
+    got = expand_pdf(poly, mu)
+    assert [x.hex() for x in got] == [x.hex() for x in _expand_pdf(poly, mu)]
