@@ -542,19 +542,21 @@ def factorial_cumulants_from_pdf(weights: Iterable[float], max_j: int) -> list[f
     The factorial moments G_n = sum_k f(k) k! / (k-n)! of the double
     weights are exact rationals, and so is kappa(n) = G_n - sum_{0<i<n}
     C(n-1, i-1) kappa(i) G_{n-i}, n! times the n-th coefficient of log
-    sum_k f(k) (1+x)**k (G_0, the mass, enters none).  A kappa past the
-    double range raises DomainError.
+    sum_k f(k) (1+x)**k (G_0, the mass, enters none).  Each G_n is
+    built as its kappa needs it, and each kappa is rounded as it is
+    made, so the first one past the double range raises DomainError.
     """
     if max_j < 1:
         raise DomainError("max_j must be a positive integer")
     pdf = ExplicitPdf(tuple(weights))
-    w = [Fraction(x) for x in pdf.weights]
-    G = [sum(f * math.perm(k, n) for k, f in enumerate(w[n:], n)) for n in range(max_j + 1)]
-    kappas = []
+    w = [(k, Fraction(x)) for k, x in enumerate(pdf.weights) if x]
+    G, kappas, rounded = [None], [], []
     for n in range(1, max_j + 1):
+        G.append(sum(f * math.perm(k, n) for k, f in w if k >= n))
         cross = (math.comb(n - 1, i - 1) * kappas[i - 1] * G[n - i] for i in range(1, n))
         kappas.append(G[n] - sum(cross))
-    try:
-        return [float(kappa) for kappa in kappas]
-    except OverflowError:
-        raise DomainError("a factorial cumulant passes the double range") from None
+        try:
+            rounded.append(float(kappas[-1]))
+        except OverflowError:
+            raise DomainError(f"factorial cumulant {n} passes the double range") from None
+    return rounded

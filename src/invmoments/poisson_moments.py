@@ -8,18 +8,15 @@ at a calibrated cross-over point.  ``calibrate_crossover`` finds that
 point, together with the term counts for both branches, by measuring
 relative error against the direct oracle.
 
-Shifted moments E[1/(Q+a)**r] come from one closed form in Stirling
-numbers, valid for every r, where that is numerically stable (small mu
-and a within the Stirling row cap), and elsewhere from the direct sum's
-integer walk, correctly rounded.  The closed form cancels heavily, so
-it runs at elevated precision through mpmath, as one mpmath.fdot
-rounded once.  The expansion's inputs need no mpmath sum.  The q table
-holds each E[1/(Q+a)**r] as an exact integer on one scale 2**S with its
-own error bound, so its alternating differences are exact integer sums
-(build_q_table).  Its Poisson terms, like the direct oracles' for a >=
-1 or past mu = 700, come from the integer walk out from the mode by the
-pmf's exact ratios, on the one scale, stop and bound of every walk
-(exact_oracle._walk_scale), about 2.3 sqrt(mu (S - B)) steps.  At r = 1, y(n), mu**n times the n-th
+Shifted moments E[1/(Q+a)**r] for a >= 1 come from the direct sum's
+integer walk, correctly rounded at every mu.  The expansion's inputs
+need no mpmath sum.  The q table holds each E[1/(Q+a)**r] as an exact
+integer on one scale 2**S with its own error bound, so its alternating
+differences are exact integer sums (build_q_table).  Its Poisson terms,
+like the direct oracles' for a >= 1 or past mu = 700, come from the
+integer walk out from the mode by the pmf's exact ratios, on the one
+scale, stop and bound of every walk (exact_oracle._walk_scale), about
+2.3 sqrt(mu (S - B)) steps.  At r = 1, y(n), mu**n times the n-th
 alternating forward difference of a -> E[1/(Q+a)], is exact integers
 times e**(-mu) Er(mu) and e**(-mu) (_y_integers).
 """
@@ -39,7 +36,7 @@ from .exact_oracle import (
     _over_power, _poisson_window, _power_cutoff, _walk_scale, _walk_sums,
     shifted_poisson_moment_direct,
 )
-from .special_numbers import _ROW_CAP, _stirling_entry, _stirling_row
+from .special_numbers import _stirling_row
 
 __all__ = [
     "CalibrationError",
@@ -173,7 +170,7 @@ _ASYM_ROW_CAP = 168
 def _asym_row(r: int) -> tuple[float, ...]:
     """|s(r+i, r)| as doubles for every i the row cap allows."""
     return tuple(
-        float(abs(_stirling_row(0, j)[r])) for j in range(r, _ASYM_ROW_CAP + 1)
+        float(abs(_stirling_row(j)[r])) for j in range(r, _ASYM_ROW_CAP + 1)
     )
 
 
@@ -338,30 +335,12 @@ def positive_poisson_inverse_moment(
         raise DomainError(f"r = {r} takes a term outside the double range") from None
 
 
-def _shifted_closed(x: mpf, a: int, r: int) -> mpf:
-    """E[1/(Q+a)**r] from the Stirling closed form, for 1 <= a <= 64.
-
-    One mpmath.fdot pairs the exact Stirling integers with their factors.
-    Each E+[1/Q**k] among them is the one entry of a q table at the
-    working precision (_q_table), rounded once.
-    """
-    pairs = [(_stirling_entry(0, a, r), -mpmath.expm1(-x))]
-    for k in range(1, r):
-        table = _q_table(float(x), k, 0, mpmath.mp.prec)
-        pairs.append((_stirling_entry(0, a, r - k), mpmath.ldexp(table.totals[0], -table.S)))
-    pairs += [(_stirling_entry(k, a - k, r), x**k) for k in range(1, a)]
-    return mpmath.fdot(pairs) / x**a
-
-
 def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
-    """E[1/(Q+a)**r] for Q ~ Poisson(mu), choosing the stable route.
+    """E[1/(Q+a)**r] for Q ~ Poisson(mu).
 
-    Small mu (2**-60 <= mu <= a + 5) goes through the closed form at
-    extended precision.  The direct sum, the moment correctly rounded
-    from the integer walk, takes large mu, where the closed form
-    cancels catastrophically, shifts past the Stirling row cap, and tiny
-    mu, where the closed form divides by mu**a.  a = 0 returns the
-    positive-part moment.
+    Every shift a >= 1 is the direct sum, the moment correctly rounded
+    from the integer walk at every mu.  a = 0 returns the positive-part
+    moment.
     """
     _check_mu(mu)
     if a < 0:
@@ -370,13 +349,6 @@ def shifted_inverse_moment(mu: float, a: int, r: int) -> float:
         raise DomainError("moment order r must be a positive integer")
     if a == 0:
         return positive_poisson_inverse_moment(mu, r)
-    if a <= _ROW_CAP and 2.0**-60 <= mu <= a + 5:
-        # the closed form divides by mu**a, a digits per decade below 1,
-        # and cancels Stirling numbers as large as a!
-        dps = 40 + int(mu) + (a * math.ceil(-math.log10(mu)) if mu < 1.0 else 0)
-        dps += math.ceil(math.lgamma(a + 1) / math.log(10))
-        with mpmath.workdps(dps):
-            return float(_shifted_closed(mpf(mu), a, r))
     return shifted_poisson_moment_direct(mu, a, r, tol=1e-14).value
 
 

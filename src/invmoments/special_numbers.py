@@ -1,14 +1,16 @@
 """Exact rational combinatorics shared by the rest of the library.
 
-Stirling numbers of the first kind (plain and shifted) and the alpha
-coefficients that drive the binomial expansion polynomial.  Everything
-in this module is integer or Fraction arithmetic; nothing rounds until
-a caller converts to float.
+Stirling numbers of the first kind and the alpha coefficients that
+drive the binomial expansion polynomial.  Everything in this module is
+integer or Fraction arithmetic; nothing rounds until a caller converts
+to float.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+
+from .exact_oracle import DomainError
 
 __all__ = [
     "stirling_first",
@@ -20,43 +22,32 @@ _ROW_CAP = 64
 
 
 @cache
-def _stirling_row(shift: int, j: int) -> tuple[int, ...]:
-    """Row j of the signed Stirling triangle of the first kind, exactly.
+def _stirling_row(j: int) -> tuple[int, ...]:
+    """Row j >= 1 of the signed Stirling triangle of the first kind, exactly.
 
-    Entry k is the coefficient of x**k in
-
-        x * (x - (shift + 1)) * (x - (shift + 2)) * ... * (x - (shift + j - 1)),
-
-    which for ``shift == 0`` reduces to the usual falling-factorial
-    coefficients; entry 0 is always zero.  Rows are memoized and built
-    from the one above.  The row cap is checked by ``_stirling_entry``,
-    not here, because the large-mu series reads rows past it.
+    Entry k is s(j, k), the coefficient of x**k in x (x - 1) ... (x - j + 1);
+    entry 0 is always zero.  Rows are memoized and built from the one
+    above.  The row cap is checked by ``stirling_first``, not here,
+    because the large-mu series reads rows past it.
     """
     if j == 1:
         return (0, 1)
-    prev = _stirling_row(shift, j - 1) + (0,)
-    step = j - 1 + shift
-    return (0,) + tuple(prev[k - 1] - step * prev[k] for k in range(1, j + 1))
-
-
-def _stirling_entry(shift: int, j: int, k: int) -> int:
-    """Capped entry (j, k) of ``_stirling_row``; zero outside 1 <= k <= j."""
-    if j < 1:
-        raise ValueError("row index j must be positive")
-    if j > _ROW_CAP:
-        raise ValueError(f"j={j} exceeds the table cap {_ROW_CAP}")
-    if k < 1 or k > j:
-        return 0
-    return _stirling_row(shift, j)[k]
+    prev = _stirling_row(j - 1) + (0,)
+    return (0,) + tuple(prev[k - 1] - (j - 1) * prev[k] for k in range(1, j + 1))
 
 
 def stirling_first(j: int, k: int) -> Fraction:
     """Signed Stirling number of the first kind, s(j, k), exactly.
 
     Satisfies s(j+1, k) = s(j, k-1) - j*s(j, k) with s(1, 1) = 1, and is
-    zero outside 1 <= k <= j.
+    zero outside 1 <= k <= j.  A row j < 1 or past the cap raises
+    DomainError.
     """
-    return Fraction(_stirling_entry(0, j, k))
+    if j < 1:
+        raise DomainError("row index j must be positive")
+    if j > _ROW_CAP:
+        raise DomainError(f"j={j} exceeds the table cap {_ROW_CAP}")
+    return Fraction(_stirling_row(j)[k] if 1 <= k <= j else 0)
 
 
 @cache

@@ -1,9 +1,11 @@
 """Reference pmfs and Poisson moments in mpmath, independent of the library's walks.
 
 Shared by the oracle tests, the expansion tests and the pin checks past
-mu = 700.
+mu = 700, and the Stirling closed form for shifted Poisson moments that
+criterion 08 holds the library's route against.
 """
 import math
+from functools import cache
 
 import mpmath
 from mpmath import mpf
@@ -49,3 +51,42 @@ def reference_moment(pmf, a, r):
     """E[1/(Q+a)**r], k >= 1 at a = 0, summed from mode_walk_pmf's terms at 55 digits."""
     with mpmath.workdps(55):
         return mpmath.fsum(pi / (k + a) ** r for k, pi in pmf.items() if k + a)
+
+
+@cache
+def shifted_stirling_row(shift, j):
+    """Coefficients of x (x - (shift+1)) (x - (shift+2)) ... (x - (shift+j-1)), exactly.
+
+    Entry k is the coefficient of x**k, for k = 0..j; entry 0 is always
+    zero.  At shift 0 these are the signed Stirling numbers of the first
+    kind.  Built from the row above by the recurrence, one row per j >= 1.
+    """
+    if j == 1:
+        return (0, 1)
+    prev = shifted_stirling_row(shift, j - 1) + (0,)
+    step = j - 1 + shift
+    return (0,) + tuple(prev[k - 1] - step * prev[k] for k in range(1, j + 1))
+
+
+def shifted_stirling(shift, j, k):
+    """Entry k of shifted_stirling_row(shift, j); zero outside 1 <= k <= j."""
+    return shifted_stirling_row(shift, j)[k] if 1 <= k <= j else 0
+
+
+def shifted_closed_form(mu, a, r):
+    """E[1/(Q+a)**r] for Q ~ Poisson(mu) and a >= 1, from the Stirling closed form at 55 digits.
+
+    mu**a E[1/(Q+a)**r] = s(a, r) (1 - e**-mu) + sum_{0<k<r} s(a, r-k) E+[1/Q**k]
+    + sum_{0<k<a} s_k(a-k, r) mu**k, with s_k the rows shifted by k
+    (shifted_stirling) and each E+[1/Q**k] from reference_moment over
+    mode_walk_pmf.  The sum loses up to about log10(a!) + mu digits to
+    cancellation, and a more per decade of mu below 1, so at 55 digits it
+    serves moderate mu and a only, such as criterion 08's grid.
+    """
+    pmf = mode_walk_pmf(mu)
+    with mpmath.workdps(55):
+        x = mpf(mu)
+        terms = [shifted_stirling(0, a, r) * -mpmath.expm1(-x)]
+        terms += [shifted_stirling(0, a, r - k) * reference_moment(pmf, 0, k) for k in range(1, r)]
+        terms += [shifted_stirling(k, a - k, r) * x**k for k in range(1, a)]
+        return mpmath.fsum(terms) / x**a

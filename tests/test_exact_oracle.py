@@ -756,3 +756,12 @@ def test_factorial_cumulants_past_the_double_range_raise(L, max_j):
     # ValueError from fsum at (400, 300) and OverflowError at (1031, 500)
     with pytest.raises(DomainError):
         factorial_cumulants_from_pdf([0.0] * L + [1.0], max_j)
+
+
+def test_factorial_cumulants_stop_at_the_first_kappa_out_of_range():
+    # kappa(171) = 1031 * 170! is the first past the double range: the
+    # builder raises there, not after forming every G_n and kappa to 500
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="factorial cumulant 171 "):
+        factorial_cumulants_from_pdf([0.0] * 1031 + [1.0], 500)
+    assert time.perf_counter() - start < 0.5

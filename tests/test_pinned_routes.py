@@ -4,8 +4,8 @@ The report CSVs under tests/data fix ``_positive_moment_double``, the
 competing series and the exact binomial oracle for N <= 100.  This file
 fixes the rest of the summed routes: the direct Poisson oracles
 (value and tail bound), the truncated ascending series, the binomial
-oracle's integer walk for N > 300, the cross-over calibration, the routes
-of ``shifted_inverse_moment`` (closed form and direct sum), the r >= 2
+oracle's integer walk for N > 300, the cross-over calibration,
+``shifted_inverse_moment`` (the direct sum at every shift), the r >= 2
 expansion values (shifted-moment table and its differences) and the
 coefficients of ``barbour_polynomial``.  Each value is stored as
 ``float.hex`` (exact coefficients as ``str(Fraction)``) in

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
+from _reference import mode_walk_pmf, reference_moment
 from invmoments import exact_oracle, poisson_moments
 
 from invmoments.charlier_expansion import _rounded_orders, binomial_barbour_polynomial, expand_pdf
@@ -127,10 +128,10 @@ def test_shifted_unit_shift_lowers_order():
 
 
 def test_shifted_large_mu_route_consistency():
-    # mu = 30 goes through the series-free branch; compare to the slow sum
-    direct = shifted_poisson_moment_direct(30.0, 2, 2, tol=1e-16).value
+    # mu = 30, well past the shift: compare to the 55-digit mpmath sum
+    want = float(reference_moment(mode_walk_pmf(30.0), 2, 2))
     got = shifted_inverse_moment(30.0, 2, 2)
-    assert abs(got - direct) <= 1e-10 * direct
+    assert abs(got - want) <= 1e-10 * want
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,10 +145,11 @@ def test_shifted_large_mu_route_consistency():
 @example(-50.0, 3, 3)
 @example(-200.0, 6, 4)
 def test_shifted_tiny_mu_matches_direct(log10_mu, a, r):
-    # the closed form divides by mu**a, so its working precision has to
-    # grow by a digits per decade of mu below 1
+    # at tiny mu the k = 0 term, e**-mu / a**r, is nearly the whole moment
+    # and the walk's scale must still resolve the terms past it; the
+    # reference is the 55-digit mpmath sum, independent of the walk
     mu = 10.0**log10_mu
-    want = shifted_poisson_moment_direct(mu, a, r, tol=1e-30).value
+    want = float(reference_moment(mode_walk_pmf(mu), a, r))
     got = shifted_inverse_moment(mu, a, r)
     assert abs(1.0 - got / want) <= 1e-12, (mu, a, r)
 
@@ -155,10 +157,10 @@ def test_shifted_tiny_mu_matches_direct(log10_mu, a, r):
 @pytest.mark.parametrize("a", [20, 45, 60, 64, 65, 100])
 @pytest.mark.parametrize("r", [1, 2, 4])
 def test_shifted_large_shift_matches_direct(a, r):
-    # the closed form cancels Stirling numbers as large as a!, so it needs
-    # log10(a!) guard digits; past the Stirling row cap the direct sum serves
+    # shifts up to 100, with mu from far below the shift to past it,
+    # against the 55-digit mpmath sum, independent of the walk
     for mu in (1e-300, 1e-3, 0.5, 5.0, a + 4.0):
-        want = shifted_poisson_moment_direct(mu, a, r, tol=1e-30).value
+        want = float(reference_moment(mode_walk_pmf(mu), a, r))
         got = shifted_inverse_moment(mu, a, r)
         assert abs(1.0 - got / want) <= 1e-12, (mu, a, r)
 

@@ -2,7 +2,9 @@
 
 The generating-function tests rebuild each number from its defining
 polynomial product with Fraction coefficients, so they are independent
-of the recurrences used in the module.
+of the recurrences used in the module.  The shifted Stirling rows live
+in tests/_reference.py, beside the closed form that reads them, and are
+checked here against the same products.
 """
 import math
 from fractions import Fraction
@@ -11,9 +13,10 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from _reference import shifted_stirling
+from invmoments.exact_oracle import DomainError
 from invmoments.special_numbers import (
     _ROW_CAP,
-    _stirling_entry,
     alpha,
     stirling_first,
 )
@@ -40,14 +43,14 @@ def test_stirling_fixed_values():
     assert stirling_first(3, 1) == 2
     assert stirling_first(3, 2) == -3
     assert stirling_first(3, 3) == 1
-    assert _stirling_entry(1, 2, 1) == -2
-    assert _stirling_entry(5, 1, 1) == 1
+    assert shifted_stirling(1, 2, 1) == -2
+    assert shifted_stirling(5, 1, 1) == 1
 
 
 def test_stirling_outside_triangle_is_zero():
     assert stirling_first(3, 0) == 0
     assert stirling_first(3, 4) == 0
-    assert _stirling_entry(3, 2, 5) == 0
+    assert shifted_stirling(3, 2, 5) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -62,7 +65,7 @@ def test_stirling_generating_function(n):
 def test_noncentral_generating_function(n, l):
     coeffs = falling_coeffs(n, l)
     for k in range(1, n + 1):
-        assert _stirling_entry(l, n, k) == coeffs[k]
+        assert shifted_stirling(l, n, k) == coeffs[k]
 
 
 @pytest.mark.parametrize("j", range(1, _ROW_CAP + 1))
@@ -70,7 +73,7 @@ def test_noncentral_generating_function(n, l):
 def test_noncentral_shift_zero_matches_central(j, k):
     # mpmath's own integer recurrence is the independent reference, over
     # every entry up to the row cap, the zeros above the diagonal included
-    assert _stirling_entry(0, j, k) == mpmath.stirling1(j, k, exact=True)
+    assert stirling_first(j, k) == mpmath.stirling1(j, k, exact=True)
 
 
 @given(st.integers(min_value=1, max_value=20))
@@ -81,17 +84,17 @@ def test_first_column_explicit(j):
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=8))
 def test_noncentral_first_column_explicit(j, l):
     expected = (-1) ** (j - 1) * Fraction(math.factorial(j + l - 1), math.factorial(l))
-    assert _stirling_entry(l, j, 1) == expected
+    assert shifted_stirling(l, j, 1) == expected
 
 
 def test_table_cap_enforced():
     stirling_first(64, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         stirling_first(65, 3)
 
 
 def test_table_rejects_bad_row():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         stirling_first(0, 0)
 
 
