@@ -35,7 +35,7 @@ from .poisson_moments import (
     calibrate_crossover,
     positive_poisson_inverse_moment,
 )
-from .special_numbers import alpha
+from .special_numbers import _ORDER_CAP, alpha
 
 __all__ = [
     "GridSpec",
@@ -293,8 +293,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_alpha_table(args: argparse.Namespace) -> int:
     top = args.max
-    if top < 1:
-        raise DomainError("--max must be a positive integer")
+    if not 1 <= top <= _ORDER_CAP - 2:  # the table reads l + j <= max + 1
+        raise DomainError(f"--max must lie in 1..{_ORDER_CAP - 2}")
     width = 12
     header = "l\\j".ljust(6) + "".join(str(j).rjust(width) for j in range(top + 2))
     print(header)

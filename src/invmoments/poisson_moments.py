@@ -22,6 +22,7 @@ times e**(-mu) Er(mu) and e**(-mu) (_y_integers).
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -194,14 +195,98 @@ def _asymptotic_partial(mu: float, r: int, m2: int) -> float:
     return math.fsum(terms)
 
 
-# Relative slack of _large_mu_bracket, 9007 units of 2**-53: the oracle
-# errs by at most 1006 units and the bracket's own rounding by at most
-# 853 (see there), so it covers both with a factor 4.8 to spare.
-_BRACKET_SLACK = 1e-12
+def _bracket_slack(mu: float, n: int) -> float:
+    """Relative slack of a large-mu bracket of the oracle at mu or below, mu <= 700.
+
+    In units of 2**-53 it is 2 m + 5 n + 24, m = mu / (1 - e**-mu),
+    which covers, for a bracket or series over indices up to n:
+
+    * the oracle's error, at most 2 m + 6.  Its float walk (mu <= 700)
+      puts at most 2k + 4 roundings in term k (exp, two per step of pi,
+      k**r and the division) and one in its fsum, and its stop at 1e-18
+      of Jensen's bound adds under 0.01.  The index k rises while
+      1/k**r falls, so by Chebyshev's sum inequality over the weights
+      pi(k), k >= 1, the terms' mean index is at most E[Q | Q >= 1] =
+      m.  Terms below the normal range err by under 2**-1074 each,
+      nothing against the sum, at least pi(1) >= 700 e**-700;
+    * the bracket's or series' own rounding, at most 5 n + 15: 2n + 4
+      roundings in c_n, 2n + 7 more in a lower-bound term, one per
+      addition, and four in the final products and differences.
+
+    An ascending partial is a prefix of the oracle's walk, so it errs by
+    at most as much as the oracle: twice the slack at n = 0 covers both.
+    """
+    return (2.0 * mu / -math.expm1(-mu) + 5.0 * n + 24.0) * 2.0**-53
+
+
+def _large_mu_sums(
+    mu_a: float, mu_b: float, r: int, m2: int
+) -> tuple[int, float, float, float, float]:
+    """(n, head, rest, upper, lower) of the large-mu series over [mu_a, mu_b].
+
+    With c_n = |s(n,r)| / mu**n, every mu in the interval and b_n =
+    min(1, pi_a(n) mu_a / (mu_a - n)) (1 for n >= mu_a), which bounds
+    P(Q <= n) at mu_a and so at every larger mu:
+
+    * head >= sum_{n < r+m2} c_n P(Q <= n), as c_n(mu_a) b_n;
+    * rest >= sum_{n >= r+m2} c_n P(Q >= n+1): the c_n(mu_a) from r+m2
+      to n, where they stop falling or drop below 1e-20 of the sum,
+      plus twice the middle and far tails of _large_mu_bracket, taken
+      with N = floor(mu_b) + 2 and each factor at its worse end;
+    * upper = sum c_n(mu_b) and lower = sum c_n(mu_b) (1 - b_n), both
+      over the indices below n, so lower <= E+[1/Q**r].
+
+    c_n and P(Q <= n) fall with mu and P(Q >= n+1) rises, so each end
+    bounds its factor over the interval.  For the far tail e**-mu mu
+    falls for mu >= 1 and (N+2) / (N+2-mu) rises.  The sums are the
+    doubles as computed, within _bracket_slack(mu_b, n) of the exact
+    ones.
+    """
+    row = _asym_row(r)
+    xa, xb = 1.0 / mu_a, 1.0 / mu_b
+    pa, pb = xa**r, xb**r
+    pi = math.exp(-mu_a)
+    for k in range(1, r + 1):
+        pi *= mu_a / k
+    head = rest = upper = lower = 0.0
+    c_prev = math.inf
+    split = r + m2
+    n = r
+    for s_n in row:
+        c = s_n * pa
+        if n >= split:
+            if c >= c_prev or c < 1e-20 * rest:
+                break
+            rest += c
+        cb = s_n * pb
+        upper += cb
+        b = 1.0
+        if n < mu_a:
+            b = pi * mu_a / (mu_a - n)
+            if b < 1.0:
+                lower += cb * (1.0 - b)
+            else:
+                b = 1.0
+            pi *= mu_a / (n + 1)
+        if n < split:
+            head += c * b
+        c_prev = c
+        n += 1
+        pa *= xa
+        pb *= xb
+    big_n = math.floor(mu_b) + 2
+    tail = 2.0**r * math.sqrt(math.e) * math.exp(-mu_a) * mu_a * (big_n + 2) / (
+        (big_n + 2 - mu_b) * math.sqrt(big_n - 1)
+    )
+    if n < big_n:  # the middle terms n .. N-1
+        log_end = max(math.lgamma(j) - j * math.log(mu_a) for j in (n, big_n - 1))
+        log_h = (r - 1) * math.log1p(math.log(big_n)) - math.lgamma(r)
+        tail += (big_n - n) * math.exp(log_end + log_h)
+    return n, head, rest + 2.0 * tail, upper, lower
 
 
 def _large_mu_bracket(mu: float, r: int) -> tuple[float, float] | None:
-    """(lo, hi) with lo <= _positive_moment_double(mu, r) <= hi, 1 <= mu <= 150.
+    """(lo, hi) with lo <= _positive_moment_double(mu, r) <= hi, 1 <= mu <= 700.
 
     From 1/k**r = sum_{n>=r} |s(n,r)| k! / (n+k)!,
 
@@ -209,7 +294,8 @@ def _large_mu_bracket(mu: float, r: int) -> tuple[float, float] | None:
 
     a sum of non-negative terms whose first M terms without the P factor
     are the large-mu series.  M stops at the smallest c_n, or once c_n
-    drops below 1e-20 of the sum.  With N = floor(mu) + 2:
+    drops below 1e-20 of the sum.  With N = floor(mu) + 2
+    (_large_mu_sums at mu_a = mu_b = mu and m2 = 0):
 
     * lo sums c_n (1 - P(Q <= n)) for n < r+M, where
       P(Q <= n) <= pi(n) mu / (mu - n) for n < mu;
@@ -221,54 +307,60 @@ def _large_mu_bracket(mu: float, r: int) -> tuple[float, float] | None:
       give 2**r sqrt(e) e**(-mu) mu (N+2) / ((N+2-mu) sqrt(N-1)).  The
       tails are doubled to cover their rounding.
 
-    Both ends then widen by _BRACKET_SLACK of hi, which covers, in
-    units of 2**-53, the oracle's error and the bracket's rounding.  The
-    oracle errs by at most 1006 for mu <= 150: 2k + 4 roundings in term
-    k <= 500, 1 in its fsum, under 0.01 from its stop at 1e-18 of
-    Jensen's bound, and under 0.01 from the terms past k = 500, however
-    far a large r runs the walk, since t(k) / t(1) <= 150**(k-1) / k!
-    is 6e-49 at k = 500 and shrinks by 0.3 per step.  Absolute roundings
-    below 2**-1074 vanish against the sum, at least pi(1) >= 150
-    e**-150.  Each c_n carries at most 2n + 4 <= 340 roundings, each
-    lower-bound term 2n + 7 more, and each sum 170.  None when the
-    bracket would be empty or 1/mu**r could leave the normal range.
+    Both ends then widen by _bracket_slack of hi, which covers the
+    oracle's error and the bracket's rounding.  None when the bracket
+    would be empty or 1/mu**r could leave the normal range.
     """
-    if not 1.0 <= mu <= 150.0 or r * math.log2(mu) > 1000.0 or r > _ASYM_ROW_CAP:
+    if not 1.0 <= mu <= 700.0 or r * math.log2(mu) > 1000.0 or r > _ASYM_ROW_CAP:
         return None
-    row = _asym_row(r)
-    x = 1.0 / mu
-    xp = x**r
-    pi = math.exp(-mu)
-    for k in range(1, r + 1):
-        pi *= mu / k
-    upper = lower = 0.0
-    c_prev = math.inf
-    n = r
-    for s_n in row:
-        c = s_n * xp
-        if c >= c_prev or c < 1e-20 * upper:
-            break
-        upper += c
-        if n < mu:
-            b = pi * mu / (mu - n)  # bounds P(Q <= n)
-            if b < 1.0:
-                lower += c * (1.0 - b)
-        c_prev = c
-        n += 1
-        xp *= x
-        pi *= mu / n
-    big_n = math.floor(mu) + 2
-    log_mu = math.log(mu)
-    tail = 2.0**r * math.sqrt(math.e) * math.exp(-mu) * mu * (big_n + 2) / (
-        (big_n + 2 - mu) * math.sqrt(big_n - 1)
+    n, _, hi, _, lower = _large_mu_sums(mu, mu, r, 0)
+    slack = _bracket_slack(mu, n)
+    lo = lower - slack * hi
+    return (lo, hi * (1.0 + slack)) if lo > 0.0 else None
+
+
+def _large_mu_interval_bound(mu_a: float, mu_b: float, r: int, m2: int) -> float:
+    """A bound on the rounded abs(1 - a / _positive_moment_double(mu, r)).
+
+    a = _asymptotic_partial(mu, r, m2), and the bound holds at every
+    double mu in [mu_a, mu_b], 1 <= mu_a <= mu_b <= 700; inf elsewhere,
+    where 1/mu**r could leave the normal range, or where the bound on
+    the moment below is not positive.
+
+    The m2-term partial differs from E = E+[1/Q**r] by D2 - D1, with
+    D1 = sum_{n < r+m2} c_n P(Q <= n) and D2 = sum_{n >= r+m2} c_n
+    P(Q >= n+1) both non-negative (_large_mu_bracket), so
+    |1 - a/E| <= R = max(D1, D2) / E, and _large_mu_sums bounds D1,
+    D2 and E over the whole interval.  The computed error is at most
+    (R + (1 + R) eta)(1 + 2**-53), eta the relative error of the
+    partial (2 (r+m2) + 3 units of 2**-53), the oracle's and the
+    division's, which _bracket_slack covers, as it covers the sums'
+    own rounding.
+    """
+    if not 1.0 <= mu_a <= mu_b <= 700.0 or r * math.log2(mu_b) > 1000.0:
+        return math.inf
+    if r + m2 - 1 > _ASYM_ROW_CAP:
+        return math.inf
+    n, head, rest, upper, lower = _large_mu_sums(mu_a, mu_b, r, m2)
+    slack = _bracket_slack(mu_b, n)
+    den = lower - slack * upper
+    if not den > 0.0:
+        return math.inf
+    rel = max(head, rest) * (1.0 + slack) / den
+    return (rel + slack * (1.0 + rel)) * (1.0 + slack)
+
+
+def _log_ascending_tail(mu: float, r: int, m1: int) -> float:
+    """log T, T = pi(m1+1) / (m1+1)**r * (m1+2) / (m1+2-mu), for m1 + 2 > mu.
+
+    T bounds the terms of the ascending series past m1: each is at most
+    the one before times mu / (m1+2).  In log space, so it stays finite
+    where T underflows; the exponent errs by far less than ln 2.
+    """
+    return (
+        (m1 + 1) * math.log(mu) - mu - math.lgamma(m1 + 2)
+        - r * math.log(m1 + 1) + math.log((m1 + 2) / (m1 + 2 - mu))
     )
-    if n < big_n:  # the middle terms n .. N-1
-        log_end = max(math.lgamma(j) - j * log_mu for j in (n, big_n - 1))
-        log_h = (r - 1) * math.log1p(math.log(big_n)) - math.lgamma(r)
-        tail += (big_n - n) * math.exp(log_end + log_h)
-    hi = upper + 2.0 * tail
-    lo = lower - _BRACKET_SLACK * hi
-    return (lo, hi * (1.0 + _BRACKET_SLACK)) if lo > 0.0 else None
 
 
 def _ascending_bracket(
@@ -276,32 +368,47 @@ def _ascending_bracket(
 ) -> tuple[float, float] | None:
     """(lo, hi) with lo <= _positive_moment_double(mu, r) <= hi.
 
-    For 0.05 <= mu <= 150 and mu - 2 < m1 <= 500; None elsewhere, or
-    when lo would not be positive.
+    For 0.05 <= mu <= 700 and m1 > mu - 2; None elsewhere, or when lo
+    would not be positive.
 
     ``partial`` is _ascending_partial(mu, r, m1).  The terms past m1 are
-    non-negative, and for k > m1 each is at most the one before times
-    mu / (m1+2), so with m1+2 > mu the exact sum lies in [A, A + T],
-
-        T = pi(m1+1) / (m1+1)**r * (m1+2) / (m1+2-mu),
-
-    where A is the exact m1-term partial.  T is evaluated in log space,
-    whose exponent errs by far less than ln 2, and doubled.  The ends
-    widen by _BRACKET_SLACK of hi as in _large_mu_bracket: the oracle
-    errs by at most 1006 units of 2**-53 for mu <= 150, and the partial,
-    a prefix of the same walk, by at most 2 m1 + 5 <= 1005.
-    Absolute roundings of T below 2**-1074 vanish against that slack,
-    since A >= pi(1) >= 150 e**-150 there.
+    non-negative, so with m1+2 > mu the exact sum lies in [A, A + T],
+    A the exact m1-term partial and T the tail bound of
+    _log_ascending_tail, here doubled.  The ends widen by twice
+    _bracket_slack(mu, 0) of hi, which covers the oracle's error and the
+    partial's.  Absolute roundings of T below 2**-1074 vanish against
+    it, since A >= pi(1) >= 700 e**-700 there.
     """
-    if not (0.05 <= mu <= 150.0 and mu < m1 + 2 and m1 <= 500):
+    if not (0.05 <= mu <= 700.0 and mu < m1 + 2):
         return None
-    log_t = (
-        (m1 + 1) * math.log(mu) - mu - math.lgamma(m1 + 2)
-        - r * math.log(m1 + 1) + math.log((m1 + 2) / (m1 + 2 - mu))
-    )
-    hi = partial + 2.0 * math.exp(log_t)
-    lo = partial - _BRACKET_SLACK * hi
-    return (lo, hi * (1.0 + _BRACKET_SLACK)) if lo > 0.0 else None
+    hi = partial + 2.0 * math.exp(_log_ascending_tail(mu, r, m1))
+    slack = 2.0 * _bracket_slack(mu, 0)
+    lo = partial - slack * hi
+    return (lo, hi * (1.0 + slack)) if lo > 0.0 else None
+
+
+def _ascending_interval_bound(mu_a: float, mu_b: float, r: int, m1: int) -> float:
+    """A bound on the rounded abs(1 - A / _positive_moment_double(mu, r)).
+
+    A = _ascending_partial(mu, r, m1), and the bound holds at every
+    double mu in [mu_a, mu_b], 0.05 <= mu_a <= mu_b <= m1 + 1 and
+    mu_b <= 700; inf elsewhere.
+
+    The exact partial falls short of E = E+[1/Q**r] by at most T(mu) of
+    _ascending_bracket.  Each factor of T rises with mu while mu <= m1
+    + 1, so T(mu_b) bounds it on the interval.  E is at least Jensen's
+    bound P(Q >= 1)**(r+1) / mu**r, which rises and then falls with mu,
+    so the smaller of its end values bounds it.  The ratio is taken in
+    log space and doubled; the rounding of the partial, the oracle and
+    the division is covered by twice _bracket_slack(mu_b, 0), as in
+    _large_mu_interval_bound.
+    """
+    if not 0.05 <= mu_a <= mu_b <= min(700.0, m1 + 1.0):
+        return math.inf
+    log_l = math.log(2.0) * min(_log2_jensen(mu, r, 0) for mu in (mu_a, mu_b))
+    rel = 2.0 * math.exp(_log_ascending_tail(mu_b, r, m1) - log_l)
+    slack = 2.0 * _bracket_slack(mu_b, 0)
+    return (rel + slack * (1.0 + rel)) * (1.0 + slack)
 
 
 def positive_poisson_inverse_moment(
@@ -451,27 +558,43 @@ def _y_integers(mu: float, n_max: int) -> list[tuple[int, int, int]]:
     return ys
 
 
-def _largest_failing_index(fails, start: int, cap: int) -> int:
+def _largest_failing_index(fails, passes, start: int, cap: int) -> int:
     """Grid index where a linear walk from start meets the failure boundary.
 
-    Reads only ``fails(i)``, whether the error at grid index i reaches
-    the target, so any predicate that agrees with the error may stand in
-    for it.  From a failing start the walk climbs while the next index
-    fails and returns the last failing one; from a passing start it
-    descends while the previous index passes and returns the index below
-    the last passing one (0 when even i = 1 passes).  The error need not
-    be monotone, so the result depends on start: it is the first
-    boundary the walk meets, not the largest failing index overall.
-    ``fails(cap)`` must be False; the walk then terminates.
+    Reads ``fails(i)``, whether the error at grid index i reaches the
+    target, so any predicate that agrees with the error may stand in for
+    it, and ``passes(lo, hi)``, which may be True only if every index in
+    lo .. hi passes.  From a failing start the walk climbs while the
+    next index fails and returns the last failing one; from a passing
+    start it descends while the previous index passes and returns the
+    index below the last passing one (0 when even i = 1 passes).  The
+    error need not be monotone, so the result depends on start: it is
+    the first boundary the walk meets, not the largest failing index
+    overall.  ``fails(cap)`` must be False; the walk then terminates.
+
+    The climb reads one index at a time.  The descent steps over whole
+    blocks that pass: the block just below the current index doubles
+    from one index until a block does not pass, then halves at each
+    block that does not, and a block of one index is read by ``fails``.
+    Every index skipped passes, so the result is the linear walk's.
     """
     i = min(max(start, 1), cap)
     if fails(i):
         while i < cap and fails(i + 1):
             i += 1
         return i
-    while i > 1 and not fails(i - 1):
-        i -= 1
-    return i - 1
+    width, grow = 1, True
+    while i > 1:
+        width = min(width, i - 1)
+        if width > 1 and not passes(i - width, i - 1):
+            width, grow = width // 2, False
+            continue
+        if width == 1 and fails(i - 1):
+            return i - 1
+        i -= width
+        if grow:
+            width *= 2
+    return 0
 
 
 def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
@@ -484,21 +607,28 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
        grid from the previous M2's failure boundary (from mu = 150 for
        the first) to where the series starts to meet the target.  Keep
        the M2 that pushes this failure boundary lowest (smallest M2 on
-       ties).  The walk asks the oracle only at grid points where the
-       rigorous bracket of _large_mu_bracket cannot decide.
+       ties).  Descending, the walk steps over whole blocks of grid
+       points that _large_mu_interval_bound proves to pass, and halves
+       a block it cannot prove down to single points
+       (_largest_failing_index); climbing, it reads point by point.  A
+       single point asks the oracle only where the rigorous bracket of
+       _large_mu_bracket cannot decide it.
     2. One grid step inside that boundary, take M1 as the smallest
        ascending-series length that meets the target there.
     3. Place the cross-over mu_star where the two branch errors balance,
        found by bisection; to its left the ascending branch is the more
        accurate one, to its right the large-mu branch is.
     4. Record the worst relative error of the chosen strategy over the
-       grid points in (0, 2 * mu_star].  Each point first gets an upper
-       bound on its error from a rigorous bracket of the oracle, by
-       _ascending_bracket up to mu_star and _large_mu_bracket beyond,
-       or inf where neither applies.  The points are visited in
-       descending order of that bound, and the oracle runs only while
-       the bound exceeds the worst error so far; every point skipped
-       errs by at most the maximum already seen, so the recorded
+       grid points in (0, 2 * mu_star].  A max-heap holds blocks of
+       grid points, each keyed by a rigorous bound on the error of
+       every point in it: _ascending_interval_bound up to mu_star and
+       _large_mu_interval_bound beyond, and for a single point the
+       error range from _ascending_bracket or _large_mu_bracket, or inf
+       where no bound applies.  The sweep pops the block with the
+       largest bound while that bound exceeds the worst error so far,
+       splits it in two (a block under 16 points into its points), and
+       runs the oracle on single points only.  Every point left in the
+       heap errs by at most the worst already seen, so the recorded
        maximum is the one an oracle call at every point would give.
 
     Raises CalibrationError when the large-mu series cannot reach the
@@ -564,7 +694,9 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
         if e_cap >= target:
             continue  # this length never reaches the target below the cap
         t_idx = _largest_failing_index(
-            lambda i: asym_fails(i * step, m2), start, cap_idx
+            lambda i: asym_fails(i * step, m2),
+            lambda lo, hi: _large_mu_interval_bound(lo * step, hi * step, r, m2) < target,
+            start, cap_idx,
         )
         start = max(t_idx, 1)
         if best_t is None or t_idx < best_t:
@@ -608,21 +740,40 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
             hi = mid
     mu_star = 0.5 * (lo + hi)
 
-    sweep = []
-    for i in range(1, int(2.0 * mu_star / step) + 1):
-        mu = i * step
+    heap = []  # (-bound, lo, hi, approx): grid points lo .. hi err by at most bound
+
+    def push(lo: int, hi: int) -> None:
+        mu, approx = hi * step, None
         if mu <= mu_star:
-            approx = _ascending_partial(mu, r, m1)
-            b = _ascending_bracket(mu, r, m1, approx)
+            if lo < hi:
+                bound = _ascending_interval_bound(lo * step, mu, r, m1)
+            else:
+                approx = _ascending_partial(mu, r, m1)
+                bound = err_range(approx, _ascending_bracket(mu, r, m1, approx))[1]
+        elif lo < hi:
+            bound = _large_mu_interval_bound(lo * step, mu, r, m2)
         else:
             approx = _asymptotic_partial(mu, r, m2)
-            b = bracket(mu)
-        sweep.append((err_range(approx, b)[1], mu, approx))
-    sweep.sort(key=lambda point: point[0], reverse=True)
+            bound = err_range(approx, bracket(mu))[1]
+        heapq.heappush(heap, (-bound, lo, hi, approx))
+
+    top = int(2.0 * mu_star / step)
+    # the last grid index on the ascending side, i * step <= mu_star
+    last = next(i for i in count(int(mu_star / step) - 1) if (i + 1) * step > mu_star)
+    push(1, last)
+    if last < top:
+        push(last + 1, top)
     worst = 0.0
-    for bound, mu, approx in sweep:
-        if bound <= worst:
-            break  # this point and all after it err by at most worst
-        worst = max(worst, abs(1.0 - approx / exact(mu)))
+    while heap and -heap[0][0] > worst:  # all else errs by at most worst
+        _, lo, hi, approx = heapq.heappop(heap)
+        if hi - lo >= 16:
+            mid = (lo + hi) // 2
+            push(lo, mid)
+            push(mid + 1, hi)
+        elif lo < hi:  # a bound costs about two points' brackets: read short blocks by point
+            for j in range(lo, hi + 1):
+                push(j, j)
+        else:
+            worst = max(worst, abs(1.0 - approx / exact(lo * step)))
 
     return CrossoverProfile(r, target, mu_star, m1, m2, validated_max_rel_error=worst)

@@ -50,15 +50,40 @@ def stirling_first(j: int, k: int) -> Fraction:
     return Fraction(_stirling_row(j)[k] if 1 <= k <= j else 0)
 
 
+# The expansion of order m reads alpha(l, j) only for l + j <= m - 1, and
+# charlier_expansion refuses orders past this cap, so alpha refuses
+# l + j >= _ORDER_CAP.  Cold _part_coefficients builds take 0.07 s at
+# m = 40, 1.84 s at 120, 3.66 s at 160.
+_ORDER_CAP = 120
+
+# Column j of the alpha triangle, alpha(l, j) for l = 0 .. len - 1.  Each
+# column is a tuple, replaced whole when a call grows it, so a thread
+# reads either the old column or the new one, both exact.
+_alpha_columns = [(Fraction(1),) + (Fraction(0),) * (_ORDER_CAP - 1)] + [()] * (_ORDER_CAP - 1)
+
+
 @cache
 def alpha(l: int, j: int) -> Fraction:
     """Coefficient of x**(2j + l) in (sum_{k>=2} x**k / k) ** j, exactly.
 
     Computed by alpha(l, j) = sum_{k=0..l} alpha(k, j-1) / (l - k + 2)
-    from alpha(0, 0) = 1.  Results are memoized.
+    from alpha(0, 0) = 1, without recursion: columns 1 .. j are grown in
+    turn, each only as far as l, and kept for later calls.  Results are
+    memoized.  l + j >= _ORDER_CAP raises DomainError.
     """
     if l < 0 or j < 0:
         raise ValueError("alpha indices must be non-negative")
-    if j == 0:
-        return Fraction(1) if l == 0 else Fraction(0)
-    return sum(alpha(k, j - 1) / (l - k + 2) for k in range(l + 1))
+    if l + j >= _ORDER_CAP:
+        raise DomainError(
+            f"alpha({l}, {j}) lies past l + j = {_ORDER_CAP - 1}, the most the expansion reads"
+        )
+    prev = _alpha_columns[0]
+    for jj in range(1, j + 1):
+        col = _alpha_columns[jj]
+        if len(col) <= l:
+            col += tuple(
+                sum(prev[k] / (m - k + 2) for k in range(m + 1)) for m in range(len(col), l + 1)
+            )
+            _alpha_columns[jj] = col
+        prev = col
+    return prev[l]

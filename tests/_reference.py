@@ -2,7 +2,8 @@
 
 Shared by the oracle tests, the expansion tests and the pin checks past
 mu = 700, and the Stirling closed form for shifted Poisson moments that
-criterion 08 holds the library's route against.
+criterion 08 holds the library's route against, and the plain linear
+walk that calibration's certified descent must agree with.
 """
 import math
 from functools import cache
@@ -90,3 +91,21 @@ def shifted_closed_form(mu, a, r):
         terms += [shifted_stirling(0, a, r - k) * reference_moment(pmf, 0, k) for k in range(1, r)]
         terms += [shifted_stirling(k, a - k, r) * x**k for k in range(1, a)]
         return mpmath.fsum(terms) / x**a
+
+
+def linear_failing_index(fails, start, cap):
+    """The M2 walk of calibration, one grid index at a time.
+
+    From a failing start, climb while the next index fails and return
+    the last failing one; from a passing start, descend while the
+    previous index passes and return the index below the last passing
+    one (0 when even index 1 passes).  fails(cap) must be False.
+    """
+    i = min(max(start, 1), cap)
+    if fails(i):
+        while i < cap and fails(i + 1):
+            i += 1
+        return i
+    while i > 1 and not fails(i - 1):
+        i -= 1
+    return i - 1

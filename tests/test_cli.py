@@ -288,6 +288,20 @@ def test_python_m_invmoments_exit_codes():
         bad = run(module, "poisson-table", "--mu", "nan")
         assert bad.returncode == 2, module
         assert "domain error" in bad.stderr, module
+    # once 46 s at --max 300 and a traceback from about 14300
+    big = run("invmoments", "alpha-table", "--max", "14300")
+    assert (big.returncode, big.stdout) == (2, ""), big.stderr
+    assert big.stderr == "domain error: --max must lie in 1..118\n"
+
+
+@pytest.mark.parametrize("top", ["119", "300", "14300"])
+def test_alpha_table_past_the_cap_exits_2_at_once(capsys, top):
+    start = time.perf_counter()
+    assert main(["alpha-table", "--max", top]) == 2
+    assert time.perf_counter() - start < 0.1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max must lie in 1..118" in captured.err
 
 
 def test_long_znidaric_series_exit_2(capsys, tmp_path):

@@ -98,7 +98,8 @@ def _oracle_large_n():
 def _calibration():
     out = {}
     # (3, 5e-11), (4, 1e-2) and (5, 1e-8) are the profiles a galloping M2
-    # walk would change; at (1, 1e-13) no bracket decides a sweep point
+    # walk would change; at (1, 1e-13) the brackets' slack is close to the
+    # target
     cases = ((1, 1e-5), (2, 1e-10), (3, 5e-11), (4, 1e-2), (5, 1e-8), (1, 1e-13), (8, 1e-5))
     for r, target in cases:
         prof = calibrate_crossover(r, target)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
-from _reference import mode_walk_pmf, reference_moment
+from _reference import linear_failing_index, mode_walk_pmf, reference_moment
 from invmoments import exact_oracle, poisson_moments
 
 from invmoments.charlier_expansion import _rounded_orders, binomial_barbour_polynomial, expand_pdf
@@ -596,7 +596,8 @@ def test_calibration_calls_oracle_at_few_grid_points(monkeypatch):
 )
 def test_certified_sweep_equals_oracle_at_every_point(r, target):
     # the sweep as it ran before the certificate: the oracle at every
-    # grid point of (0, 2 mu*]; at 1e-13 no bracket decides a point
+    # grid point of (0, 2 mu*]; at 1e-13 the brackets' slack is close to
+    # the target, so most points near mu* reach the oracle
     prof = calibrate_crossover(r, target)
     worst = 0.0
     for i in range(1, int(2.0 * prof.mu_star / 0.05) + 1):
@@ -671,6 +672,96 @@ def test_large_mu_bracket_holds_on_grid(i, r):
 )
 def test_large_mu_bracket_holds_log_uniform(log_mu, r):
     _check_bracket(min(math.exp(log_mu), 150.0), r)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.floats(min_value=math.log(150.0), max_value=math.log(700.0)),
+    st.integers(min_value=1, max_value=20),
+)
+@example(math.log(700.0), 1)
+@example(math.log(215.0), 20)
+def test_large_mu_bracket_holds_past_150(log_mu, r):
+    _check_bracket(min(math.exp(log_mu), 700.0), r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=20, max_value=3000),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=120),
+)
+@example(274, 16, 1, 10)  # (1, 1e-5): M2 = 10 just above its boundary near mu = 13.7
+@example(520, 32, 1, 20)  # (1, 1e-10)
+@example(900, 64, 6, 53)  # (6, 1e-10)
+@example(2999, 1, 8, 120)
+def test_large_mu_interval_bound_holds_on_grid(lo, width, r, m2):
+    # every grid point inside the interval errs, as the point test
+    # computes it, by at most the interval's bound
+    hi = min(lo + width, 3000)
+    bound = poisson_moments._large_mu_interval_bound(lo * 0.05, hi * 0.05, r, m2)
+    assert bound >= 0.0
+    if bound == math.inf:
+        return
+    for i in range(lo, hi + 1):
+        mu = i * 0.05
+        approx = poisson_moments._asymptotic_partial(mu, r, m2)
+        err = abs(1.0 - approx / poisson_moments._positive_moment_double(mu, r))
+        assert err <= bound, (mu, r, m2, err, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=0, max_value=64),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=150),
+)
+@example(200, 73, 1, 17)  # (1, 1e-5): M1 = 31 up to mu* = 13.67
+@example(600, 71, 6, 58)  # (6, 1e-10): M1 = 90 up to mu* = 47.07
+@example(1, 0, 8, 0)
+@example(200, 16, 1, 36)  # the tail is below the rounding: only the slack covers it
+def test_ascending_interval_bound_holds_on_grid(lo, width, r, extra):
+    # the same for the M1-term ascending partial, any m1 >= mu_b - 1
+    hi = min(lo + width, 3000)
+    m1 = math.ceil(hi * 0.05) + extra
+    bound = poisson_moments._ascending_interval_bound(lo * 0.05, hi * 0.05, r, m1)
+    assert bound >= 0.0
+    if bound == math.inf:
+        return
+    for i in range(lo, hi + 1):
+        mu = i * 0.05
+        approx = poisson_moments._ascending_partial(mu, r, m1)
+        err = abs(1.0 - approx / poisson_moments._positive_moment_double(mu, r))
+        assert err <= bound, (mu, r, m1, err, bound)
+
+
+PUBLISHED_ROWS = tuple((r, t) for t in (1e-5, 1e-10) for r in range(1, 7))
+
+
+def test_certified_descent_equals_linear_walk(monkeypatch):
+    # every M2 walk returns the index the one-point-at-a-time walk
+    # returns, while reading far fewer points
+    certified = poisson_moments._largest_failing_index
+    reads = {"certified": 0, "linear": 0}
+
+    def counted(fails, key):
+        def f(i):
+            reads[key] += 1
+            return fails(i)
+        return f
+
+    def both(fails, passes, start, cap):
+        got = certified(counted(fails, "certified"), passes, start, cap)
+        assert got == linear_failing_index(counted(fails, "linear"), start, cap), (start, cap)
+        return got
+
+    monkeypatch.setattr(poisson_moments, "_largest_failing_index", both)
+    rows = PUBLISHED_ROWS + tuple((r, t) for r in range(1, 9) for t in (1e-2, 5e-11, 1e-13))
+    for r, target in rows:
+        calibrate_crossover(r, target)
+    assert reads["certified"] * 3 < reads["linear"], reads
 
 
 # the last line of scripts/profile_digest.py: its 112 profiles, bit for bit

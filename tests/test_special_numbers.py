@@ -7,6 +7,9 @@ in tests/_reference.py, beside the closed form that reads them, and are
 checked here against the same products.
 """
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +18,9 @@ from hypothesis import given, strategies as st
 
 from _reference import shifted_stirling
 from invmoments.exact_oracle import DomainError
+from invmoments import special_numbers
 from invmoments.special_numbers import (
+    _ORDER_CAP,
     _ROW_CAP,
     alpha,
     stirling_first,
@@ -152,3 +157,54 @@ def test_alpha_rejects_negative_indices():
         alpha(-1, 2)
     with pytest.raises(ValueError):
         alpha(0, -3)
+
+
+def test_alpha_at_the_cap_edge():
+    # l + j = _ORDER_CAP - 1 is the largest sum the expansion reads
+    assert alpha(0, _ORDER_CAP - 1) == Fraction(1, 2 ** (_ORDER_CAP - 1))
+    assert alpha(_ORDER_CAP - 2, 1) == Fraction(1, _ORDER_CAP)
+
+
+@pytest.mark.parametrize(
+    "l, j", [(1500, 1500), (10**6, 1), (0, _ORDER_CAP), (_ORDER_CAP - 1, 1), (10**18, 10**18)]
+)
+def test_alpha_refuses_past_the_cap_at_once(l, j):
+    # alpha(1500, 1500) once overflowed the recursion, and alpha(10**6, 1)
+    # took seconds; both lie past anything the expansion reads
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        alpha(l, j)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_alpha_columns_concurrent_fill():
+    # threads that grow the same columns at once, one replacing a column
+    # another has just grown, must each read exact values
+    want = {(l, j): alpha(l, j) for l in range(30) for j in range(30)}
+    keys = sorted(want)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            alpha.cache_clear()
+            special_numbers._alpha_columns[1:] = [()] * (_ORDER_CAP - 1)
+            got, errors = {}, []
+
+            def fill(order):
+                try:
+                    for key in order:
+                        got[key] = alpha(*key)
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=fill, args=(keys[w::3] if w % 2 else keys[::-1],))
+                       for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert got == want
+    finally:
+        sys.setswitchinterval(old)
