@@ -18,9 +18,9 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import count, islice, repeat
-from operator import floordiv
+from functools import lru_cache, partial
+from itertools import chain, count, islice, repeat
+from operator import floordiv, truediv
 from typing import Callable, Iterable, Iterator, Union
 
 import mpmath
@@ -389,43 +389,77 @@ def _direct_sum(mu: float, a: int, r: int, tol: float) -> OracleValue:
     L underflows, err / 2**W must too: a wp past 1075.
 
     Otherwise it is E+[1/Q**r], truncated and bounded as
-    poisson_inverse_moment_direct describes: terms from pi *= mu / k,
-    by _over_power where k**r overflows, and 0.0 without forming k**r
-    once r log2 k passes 1080.  The stop compares the majorant with tol
-    * L, L the Jensen bound of _log2_jensen, taken once per call.  The
-    majorant is tested only once pi <= 2 tol L.  That gate drops no
-    stop: for k >= mu the divisor rounds to at most k+1, so the rounded
-    majorant is at least the rounding of pi (1 - 2**-53), which is no
-    less than pi / 2, and a majorant at most tol L puts pi at most 2 tol
-    L.  Both tests allow equality, so where tol L underflows to 0 the
-    walk still ends once pi does.
+    poisson_inverse_moment_direct describes: the fsum of _float_terms,
+    whose stop compares the majorant with tol * L, L the Jensen bound of
+    _log2_jensen, taken once per call.  The majorant is tested only
+    once pi <= 2 tol L.  That gate drops no stop: for k >= mu the
+    divisor rounds to at most k+1, so the rounded majorant is at least
+    the rounding of pi (1 - 2**-53), which is no less than pi / 2, and
+    a majorant at most tol L puts pi at most 2 tol L.  Both tests allow
+    equality, so where tol L underflows to 0 the walk still ends once pi
+    does.
     """
     _check_walk_mu(mu)
     limit = tol * 2.0 ** _log2_jensen(mu, r, a)
     if mu > 700.0 or a:
         prec = max(64, 2 + math.ceil(-math.log2(tol)))
         return _ziv(partial(_poisson_walk, mu, a, r, limit), prec)
-    tail = math.inf
+    terms, tail = _float_terms(mu, r, limit)
+    return OracleValue(math.fsum(terms), tail)
 
-    def terms() -> Iterator[float]:
-        nonlocal tail, r
-        pi = math.exp(-mu)
-        gate = 2.0 * limit
-        for k in count(1):
-            pi *= mu / k
-            if k >= mu and pi <= gate:
-                tail = pi * (k + 1) / (k + 1 - mu)
-                if tail <= limit:
-                    return
-            try:
-                t = pi / k**r
-            except OverflowError:  # k**r past the double range
-                t = _over_power(pi, k, r)
-                if r * math.log2(k) > 1080.0:
-                    r = math.inf  # pi / k**r is 0.0 from here on, as _over_power's
-            yield t
 
-    return OracleValue(math.fsum(terms()), tail)
+def _float_terms(
+    mu: float, r: int, limit: float = 0.0, m1: int | None = None
+) -> tuple[Iterator[float], float]:
+    """(terms, tail): pi(k) / k**r for k = 1, 2, ..., and the tail majorant; mu <= 700.
+
+    The one float walk of E+[1/Q**r]: pi = e**-mu, then pi *= mu / k.
+    Below k = ceil(mu) it tests nothing.  From there on it stops as
+    _direct_sum says, also after m1 terms if given; a limit of 0.0 stops
+    it only once pi is 0.0, so it drops only terms that are 0.0.  Past k =
+    2 mu each step at least halves pi, so pi is 0.0 within 1075 more:
+    every walk ends before k = 2476 (the longest, at mu = 700, has 1942
+    terms).  Term k is pi / float(k**r), the double CPython divides by
+    in pi / k**r (_float_powers), and _over_power past the double range.
+    """
+    pi, pis = math.exp(-mu), []
+    append = pis.append
+    free = math.ceil(mu) if m1 is None else min(math.ceil(mu), m1 + 1)
+    for k in range(1, free):
+        pi *= mu / k
+        append(pi)
+    gate, tail = 2.0 * limit, math.inf
+    for k in count(free) if m1 is None else range(free, m1 + 1):
+        pi *= mu / k
+        if pi <= gate:
+            tail = pi * (k + 1) / (k + 1 - mu)
+            if tail <= limit:
+                break
+        append(pi)
+    P = _float_powers(r, 1 << (len(pis) - 1).bit_length())
+    terms = map(truediv, pis, P)
+    if len(P) < len(pis):
+        terms = chain(terms, map(_over_power, pis[len(P):], count(len(P) + 1), repeat(r)))
+    return terms, tail
+
+
+@lru_cache(maxsize=64)
+def _float_powers(r: int, size: int) -> tuple[float, ...]:
+    """float(k**r) for k = 1 .. size, up to the first k**r past the double range.
+
+    size is a float walk's length rounded up to a power of two, so at
+    most 4096 (2048 up to the longest walk), and the cache holds at most
+    64 (r, size) pairs.
+    """
+    powers = []
+    for k in range(1, size + 1):
+        if r * math.log2(k) > 1025.0:  # k**r >= 2**1024, not formed
+            break
+        try:
+            powers.append(float(k**r))
+        except OverflowError:
+            break
+    return tuple(powers)
 
 
 def poisson_inverse_moment_direct(mu: float, r: int, tol: float = 1e-12) -> OracleValue:
@@ -536,6 +570,14 @@ def _scaled_polynomial(c: list[int], a: int, s: int) -> int:
     return h
 
 
+# The expansion of order m reads alpha(l, j) only for l + j <= m - 1 and
+# cumulants only up to m, and charlier_expansion refuses orders past this
+# cap, so special_numbers.alpha refuses l + j >= _ORDER_CAP and the
+# cumulant builder max_j past it.  Cold _part_coefficients builds take
+# 0.07 s at m = 40, 1.84 s at 120, 3.66 s at 160.
+_ORDER_CAP = 120
+
+
 def factorial_cumulants_from_pdf(weights: Iterable[float], max_j: int) -> list[float]:
     """Factorial cumulants kappa(1)..kappa(max_j) of an explicit pdf, each rounded once.
 
@@ -544,10 +586,11 @@ def factorial_cumulants_from_pdf(weights: Iterable[float], max_j: int) -> list[f
     C(n-1, i-1) kappa(i) G_{n-i}, n! times the n-th coefficient of log
     sum_k f(k) (1+x)**k (G_0, the mass, enters none).  Each G_n is
     built as its kappa needs it, and each kappa is rounded as it is
-    made, so the first one past the double range raises DomainError.
+    made, so the first one past the double range raises DomainError, as
+    does max_j past _ORDER_CAP, at once.
     """
-    if max_j < 1:
-        raise DomainError("max_j must be a positive integer")
+    if not 1 <= max_j <= _ORDER_CAP:
+        raise DomainError(f"max_j must lie in 1..{_ORDER_CAP}")
     pdf = ExplicitPdf(tuple(weights))
     w = [(k, Fraction(x)) for k, x in enumerate(pdf.weights) if x]
     G, kappas, rounded = [None], [], []

@@ -27,14 +27,13 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import count
-from typing import Iterator
 
 import mpmath
 from mpmath import mpf
 
 from .exact_oracle import (
-    _WALK_GUARD, DomainError, _check_mu, _check_walk_mu, _direct_sum, _log2_jensen,
-    _over_power, _poisson_window, _power_cutoff, _walk_scale, _walk_sums,
+    _WALK_GUARD, DomainError, _check_mu, _check_walk_mu, _direct_sum, _float_terms,
+    _log2_jensen, _poisson_window, _power_cutoff, _walk_scale, _walk_sums,
     shifted_poisson_moment_direct,
 )
 from .special_numbers import _stirling_row
@@ -133,32 +132,14 @@ def _positive_moment_double(mu: float, r: int) -> float:
 
 
 def _ascending_partial(mu: float, r: int, m1: int) -> float:
-    """First m1 >= 1 terms of the ascending series."""
-    return math.fsum(_ascending_terms(mu, r, m1))
-
-
-def _ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
-    """The terms pi(k) / k**r of the ascending series for k = 1 .. m1.
-
-    With m1 None the walk never ends; its caller stops drawing.  These
-    are the oracle's own terms up to mu = 700 (exact_oracle._direct_sum):
-    a k**r past the double range takes the term by _over_power, and once
-    r log2 k passes 1080 every term is 0.0, k**r not formed.
-    Past 700 e**-mu leaves the normal range: DomainError, reached only by
-    a hand-made profile with mu_star > 700 (calibration stays below 210).
+    """First m1 >= 1 terms of the ascending series, the oracle's own terms
+    (exact_oracle._float_terms).  Past mu = 700 e**-mu leaves the normal
+    range: DomainError, reached only by a hand-made profile with mu_star
+    > 700 (calibration stays below 210).
     """
     if mu > 700.0:
         raise DomainError(f"the ascending series takes mu <= 700, not {mu:g}")
-    pi = math.exp(-mu)
-    for k in count(1) if m1 is None else range(1, m1 + 1):
-        pi *= mu / k
-        try:
-            t = pi / k**r
-        except OverflowError:  # k**r past the double range
-            t = _over_power(pi, k, r)
-            if r * math.log2(k) > 1080.0:
-                r = math.inf  # pi / k**r is 0.0 from here on, as _over_power's
-        yield t
+    return math.fsum(_float_terms(mu, r, m1=m1)[0])
 
 
 # The large-mu series needs |s(r+i, r)| for i = 0 .. M2-1.  Entries stay
@@ -713,14 +694,10 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
 
     mu_eval = max(step, (best_t - 1) * step)
     fx = exact(mu_eval)
-    # The oracle's own terms: the fsum of all of them is fx itself, so
-    # some prefix meets the target and the search cannot come up empty.
-    prefix = []
-    for t in _ascending_terms(mu_eval, r, None):
-        prefix.append(t)
-        if abs(1.0 - math.fsum(prefix) / fx) < target:
-            break
-    m1 = len(prefix)
+    # The walk to where pi underflows: its prefix of the oracle's own
+    # terms sums to fx itself, so the search cannot come up empty.
+    terms = list(_float_terms(mu_eval, r)[0])
+    m1 = next(n for n in count(1) if abs(1.0 - math.fsum(terms[:n]) / fx) < target)
 
     def branch_gap(mu: float) -> float:
         asc = abs(1.0 - _ascending_partial(mu, r, m1) / exact(mu))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .exact_oracle import DomainError
+from .exact_oracle import _ORDER_CAP, DomainError
 
 __all__ = [
     "stirling_first",
@@ -49,12 +49,6 @@ def stirling_first(j: int, k: int) -> Fraction:
         raise DomainError(f"j={j} exceeds the table cap {_ROW_CAP}")
     return Fraction(_stirling_row(j)[k] if 1 <= k <= j else 0)
 
-
-# The expansion of order m reads alpha(l, j) only for l + j <= m - 1, and
-# charlier_expansion refuses orders past this cap, so alpha refuses
-# l + j >= _ORDER_CAP.  Cold _part_coefficients builds take 0.07 s at
-# m = 40, 1.84 s at 120, 3.66 s at 160.
-_ORDER_CAP = 120
 
 # Column j of the alpha triangle, alpha(l, j) for l = 0 .. len - 1.  Each
 # column is a tuple, replaced whole when a call grows it, so a thread

@@ -33,11 +33,13 @@ from invmoments.exact_oracle import (
     poisson_inverse_moment_direct,
     shifted_poisson_moment_direct,
     _binomial_walk,
+    _float_powers,
     _log2_jensen,
     _ratio_walk,
 )
 from invmoments.poisson_moments import (
     CrossoverProfile,
+    _ascending_partial,
     _positive_moment_double,
     build_q_table,
     positive_poisson_inverse_moment,
@@ -612,6 +614,46 @@ def test_gated_stop_tests_equal_ungated_walks(mu, r, tol):
     assert _positive_moment_double(mu, r).hex() == _ungated_ascending(mu, r)
 
 
+@pytest.mark.parametrize("r", [1, 3, 40, 116, 150, 400, 10**5])
+def test_float_powers_stop_at_the_double_range(r):
+    # each entry is the double that pi / k**r divides by, and the list
+    # ends at its size or at the first k**r that does not convert
+    for size in (1, 2, 64, 2048):
+        powers = _float_powers(r, size)
+        assert powers == tuple(float(k**r) for k in range(1, len(powers) + 1))
+        assert all(math.isfinite(x) for x in powers)
+        if len(powers) < size:
+            with pytest.raises(OverflowError):
+                float((len(powers) + 1) ** r)
+
+
+def test_float_walks_ask_for_at_most_2048_powers(monkeypatch):
+    # every float walk ends by k = 1942 (mu = 700, where it runs until pi
+    # underflows), so no size passes 2048, even for an m1 of a million
+    sizes = []
+
+    def recording(r, size):
+        sizes.append(size)
+        return _float_powers(r, size)
+
+    monkeypatch.setattr(exact_oracle, "_float_powers", recording)
+    for mu in (5e-324, 29.2, 350.0, 699.9999999999999, 700.0):
+        for r in (1, 116, 400):
+            poisson_inverse_moment_direct(mu, r, 1e-300)
+            start = time.perf_counter()
+            assert _ascending_partial(mu, r, 10**6) == _ascending_partial(mu, r, 1942)
+            assert time.perf_counter() - start < 0.1
+    assert max(sizes) == 2048
+
+
+def test_float_power_cache_holds_a_bounded_number_of_pairs():
+    # one (r, size) entry per r and walk length, 64 at most
+    assert _float_powers.cache_info().maxsize == 64
+    for r in range(1, 200):
+        poisson_inverse_moment_direct(1.0, r, 1e-12)
+    assert _float_powers.cache_info().currsize <= 64
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     mu=st.one_of(
@@ -740,7 +782,7 @@ def test_factorial_cumulants_degenerate_at_zero():
     assert factorial_cumulants_from_pdf((1.0,), 4) == [0.0, 0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("L,max_j", [(20, 40), (50, 40), (200, 150)])
+@pytest.mark.parametrize("L,max_j", [(20, 40), (50, 40), (200, 120)])
 def test_factorial_cumulants_of_a_point_mass_are_exact(L, max_j):
     # log (1+x)**L = L log(1+x): kappa(n) = L (-1)**(n+1) (n-1)!, also
     # past n = L where every factorial moment is 0; a float recursion
@@ -750,18 +792,30 @@ def test_factorial_cumulants_of_a_point_mass_are_exact(L, max_j):
                       for n in range(1, max_j + 1)]
 
 
-@pytest.mark.parametrize("L,max_j", [(400, 300), (1031, 500)])
-def test_factorial_cumulants_past_the_double_range_raise(L, max_j):
-    # 299! and 499! pass the double range; a float recursion leaked
-    # ValueError from fsum at (400, 300) and OverflowError at (1031, 500)
-    with pytest.raises(DomainError):
-        factorial_cumulants_from_pdf([0.0] * L + [1.0], max_j)
+@pytest.mark.parametrize("top,first", [(200, 101), (400, 93)])
+def test_factorial_cumulants_past_the_double_range_raise(top, first):
+    # the uniform pdf on {0..top} has kappas that pass the double range
+    # below the order cap: the builder raises at the first such one
+    with pytest.raises(DomainError, match=f"factorial cumulant {first} "):
+        factorial_cumulants_from_pdf([1.0 / (top + 1)] * (top + 1), 120)
 
 
 def test_factorial_cumulants_stop_at_the_first_kappa_out_of_range():
-    # kappa(171) = 1031 * 170! is the first past the double range: the
-    # builder raises there, not after forming every G_n and kappa to 500
+    # kappa(101) of the uniform pdf on {0..200} is the first past the
+    # double range: the builder raises there (about 0.23 s), not after
+    # forming every G_n and kappa to 120
     start = time.perf_counter()
-    with pytest.raises(DomainError, match="factorial cumulant 171 "):
-        factorial_cumulants_from_pdf([0.0] * 1031 + [1.0], 500)
+    with pytest.raises(DomainError, match="factorial cumulant 101 "):
+        factorial_cumulants_from_pdf([1.0 / 201] * 201, 120)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("L,max_j", [(0, 1000), (0, 121), (400, 300), (1031, 500)])
+def test_factorial_cumulants_refuse_past_the_cap_at_once(L, max_j):
+    # the expansion reads cumulants only up to its order, at most
+    # _ORDER_CAP = 120; ((1.0,), 1000) once ran 4.6 s, and (1031, 500)
+    # formed every G_n up to kappa(171) before it raised
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="max_j must lie in 1..120"):
+        factorial_cumulants_from_pdf([0.0] * L + [1.0], max_j)
+    assert time.perf_counter() - start < 0.1

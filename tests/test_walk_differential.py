@@ -23,6 +23,13 @@ series correctly rounded either way, so the doubles must be equal.
 expand_pdf once took its difference columns from k = 0 (_expand_pdf
 below); it now takes them over the Poisson window only, where every
 column below the window is 0, and must give the same doubles.
+
+The float sum of E+[1/Q**r] up to mu = 700 and the ascending partial
+once walked in two generators that formed k**r at every term
+(_generator_direct_sum, _generator_ascending_terms below).  Both now
+read exact_oracle._float_terms, one loop over pi(k) divided by a cached
+float(k**r).  The terms are the same doubles and fsum rounds their exact
+sum, so every value and tail bound must keep every bit.
 """
 import math
 import random
@@ -47,6 +54,7 @@ from invmoments.cli import GridSpec
 from invmoments.exact_oracle import (
     _EXACT_ANCHOR_BITS,
     Binomial,
+    DomainError,
     OracleValue,
     _check_walk_mu,
     _log2_jensen,
@@ -58,7 +66,7 @@ from invmoments.exact_oracle import (
     exact_inverse_moment,
     shifted_poisson_moment_direct,
 )
-from invmoments.poisson_moments import ShiftedMomentTable
+from invmoments.poisson_moments import ShiftedMomentTable, _ascending_partial
 
 # ---- reference copies, verbatim ---------------------------------------------
 
@@ -608,3 +616,103 @@ def test_expand_pdf_equals_the_columns_from_zero(mu, m):
     poly = binomial_barbour_polynomial(max(10, math.ceil(3 * mu)), mu, m)
     got = expand_pdf(poly, mu)
     assert [x.hex() for x in got] == [x.hex() for x in _expand_pdf(poly, mu)]
+
+
+# ---- the float walk before one loop: verbatim, but for the names and the
+# direct sum's integer branch, which this walk never reaches ----
+
+
+def _generator_direct_sum(mu: float, r: int, tol: float) -> OracleValue:
+    """exact_oracle._direct_sum(mu, 0, r, tol) for mu <= 700, as it was."""
+    _check_walk_mu(mu)
+    limit = tol * 2.0 ** _log2_jensen(mu, r, 0)
+    tail = math.inf
+
+    def terms() -> Iterator[float]:
+        nonlocal tail, r
+        pi = math.exp(-mu)
+        gate = 2.0 * limit
+        for k in count(1):
+            pi *= mu / k
+            if k >= mu and pi <= gate:
+                tail = pi * (k + 1) / (k + 1 - mu)
+                if tail <= limit:
+                    return
+            try:
+                t = pi / k**r
+            except OverflowError:  # k**r past the double range
+                t = _over_power(pi, k, r)
+                if r * math.log2(k) > 1080.0:
+                    r = math.inf  # pi / k**r is 0.0 from here on, as _over_power's
+            yield t
+
+    return OracleValue(math.fsum(terms()), tail)
+
+
+def _generator_ascending_terms(mu: float, r: int, m1: int | None) -> Iterator[float]:
+    """The terms pi(k) / k**r of the ascending series for k = 1 .. m1.
+
+    With m1 None the walk never ends; its caller stops drawing.  These
+    are the oracle's own terms up to mu = 700 (exact_oracle._direct_sum):
+    a k**r past the double range takes the term by _over_power, and once
+    r log2 k passes 1080 every term is 0.0, k**r not formed.
+    Past 700 e**-mu leaves the normal range: DomainError, reached only by
+    a hand-made profile with mu_star > 700 (calibration stays below 210).
+    """
+    if mu > 700.0:
+        raise DomainError(f"the ascending series takes mu <= 700, not {mu:g}")
+    pi = math.exp(-mu)
+    for k in count(1) if m1 is None else range(1, m1 + 1):
+        pi *= mu / k
+        try:
+            t = pi / k**r
+        except OverflowError:  # k**r past the double range
+            t = _over_power(pi, k, r)
+            if r * math.log2(k) > 1080.0:
+                r = math.inf  # pi / k**r is 0.0 from here on, as _over_power's
+        yield t
+
+
+def _assert_walks_equal(mu: float, r: int, tols, m1s) -> None:
+    for tol in tols:
+        want = _generator_direct_sum(mu, r, tol)
+        got = exact_oracle._direct_sum(mu, 0, r, tol)
+        assert (got.value.hex(), got.tail_bound.hex()) == (
+            want.value.hex(), want.tail_bound.hex()), (mu, r, tol)
+    for m1 in m1s:
+        want = math.fsum(_generator_ascending_terms(mu, r, m1))
+        assert _ascending_partial(mu, r, m1).hex() == want.hex(), (mu, r, m1)
+
+
+# the twelve published rows, (r, target) -> (mu_star, M1)
+PUBLISHED_PROFILES = {
+    (1, 1e-5): (13.671, 31), (2, 1e-5): (17.061, 35), (3, 1e-5): (20.544, 39),
+    (4, 1e-5): (24.775, 44), (5, 1e-5): (28.966, 49), (6, 1e-5): (32.969, 53),
+    (1, 1e-10): (25.734, 63), (2, 1e-10): (29.206, 67), (3, 1e-10): (33.998, 74),
+    (4, 1e-10): (37.903, 79), (5, 1e-10): (42.573, 85), (6, 1e-10): (47.068, 90),
+}
+
+
+@pytest.mark.parametrize("r,target", sorted(PUBLISHED_PROFILES))
+def test_float_walk_equals_the_generators_on_the_published_grids(r, target):
+    # every 9th point of the grid i 0.05 up to 2 mu*, from an offset of
+    # the row's own, at the oracle's 1e-18 and the re-validation's 1e-30
+    mu_star, m1 = PUBLISHED_PROFILES[r, target]
+    for i in range(1 + r + (target < 1e-7) * 4, int(2.0 * mu_star / 0.05) + 1, 9):
+        _assert_walks_equal(i * 0.05, r, (1e-18, 1e-30), (m1,))
+
+
+WALK_RS = (*range(1, 9), 40, 116, 150, 400)  # k**116 passes 2**1024 at k = 456, 2**1080 at 637
+WALK_TOLS = (1e3, 1e-3, 1e-12, 1e-18, 1e-30)  # 1e3 stops at k = ceil(mu), the first k tested
+_walk_rng = random.Random(2028)
+WALK_MUS = (
+    5e-324, 1e-300, 0.05, 1.0, 29.2, 150.0, 455.5, 636.75, 699.9999999999999, 700.0,
+    *(float(f"{_walk_rng.uniform(0.001, 700.0):.{d}f}") for d in (1, 2, 3) for _ in range(3)),
+    *(math.exp(_walk_rng.uniform(math.log(5e-324), math.log(700.0))) for _ in range(9)),
+)
+
+
+@pytest.mark.parametrize("mu", WALK_MUS)
+def test_float_walk_equals_the_generators(mu):
+    for r in WALK_RS:
+        _assert_walks_equal(mu, r, WALK_TOLS, (1, 7, 60, 500))
