@@ -132,10 +132,11 @@ def _positive_moment_double(mu: float, r: int) -> float:
 
 
 def _ascending_partial(mu: float, r: int, m1: int) -> float:
-    """First m1 >= 1 terms of the ascending series, the oracle's own terms
-    (exact_oracle._float_terms).  Past mu = 700 e**-mu leaves the normal
-    range: DomainError, reached only by a hand-made profile with mu_star
-    > 700 (calibration stays below 210).
+    """First m1 >= 1 terms of the ascending series, the oracle's own (exact_oracle._float_terms).
+
+    Past mu = 700 e**-mu leaves the normal range: DomainError, reached
+    only by a hand-made profile with mu_star > 700 (calibration stays
+    below 210).
     """
     if mu > 700.0:
         raise DomainError(f"the ascending series takes mu <= 700, not {mu:g}")
