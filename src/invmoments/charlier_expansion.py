@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from operator import mul
 
 import mpmath
 from mpmath.libmp import to_fixed
@@ -22,7 +23,7 @@ from .exact_oracle import (
     _round_once,
 )
 from .poisson_moments import (
-    ShiftedMomentTable, _er_from_ei, _q_table, _y_integers, build_q_table,
+    ShiftedMomentTable, _er_from_ei, _q_table, build_q_table,
 )
 from .special_numbers import _ORDER_CAP, alpha
 
@@ -229,7 +230,9 @@ def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:
     integers U, V, W, D, G = e**(-mu) Er(mu) and E0 = e**(-mu) are taken
     to within 2 units of 2**-T, which bounds the error before rounding
     by 2 (|U| + |V|) 2**-T / D, and while that bound leaves the rounding
-    undecided, T doubles.
+    undecided, T doubles.  While mu <= T both constants come from one
+    exact integer series for e**mu and 2**P Er(mu), with no exp, log or
+    Ei; past that from mpmath's Ei (_scaled_g_e0 has the bound).
     """
     _check_N(N)
     if m < 1:
@@ -248,7 +251,8 @@ def _part_coefficients(top: int) -> tuple[int, tuple]:
     return F, tuple(tuple(c.numerator * (F // c.denominator) for c in row) for row in rows)
 
 
-def _order_rows(N: int, orders) -> tuple[int, list[list[int]]]:
+@lru_cache(maxsize=64)
+def _order_rows(N: int, orders: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(den, rows): orders[i]'s coefficient of y(n) is rows[i][n] / den.
 
     Order m sums parts k = 0 .. m-1 of one series in y(n) = mu**n
@@ -257,7 +261,8 @@ def _order_rows(N: int, orders) -> tuple[int, list[list[int]]]:
     (F, c) = _part_coefficients(top), top = max(orders), every
     coefficient is an integer over den = F N**(top-1): rows[i][0] = den
     and rows[i][n] = sum over k < m, j + k = n of c[k-1][j-1]
-    N**(top-1-k), for n = 0 .. 2 (m-1).
+    N**(top-1-k), for n = 0 .. 2 (m-1).  The rows are tuples, cached
+    per (N, orders), which every reader shares.
     """
     top = max(orders)
     F, coefs = _part_coefficients(top)
@@ -269,7 +274,31 @@ def _order_rows(N: int, orders) -> tuple[int, list[list[int]]]:
         for j, c in enumerate(coefs[k - 1], 1):
             row[j + k] += c * w
         prefixes.append(row[:2 * k + 1])
-    return den, [prefixes[m - 1] for m in orders]
+    return den, tuple(tuple(prefixes[m - 1]) for m in orders)
+
+
+@lru_cache(maxsize=64)
+def _r1_rows(N: int, orders: tuple[int, ...]) -> tuple[int, tuple]:
+    """(den, ((R, cv, cw), ...)): the r = 1 kernel's coefficients per order.
+
+    y(n) = mu**n G + E0 P_n(mu) - R_n(mu) with G = e**(-mu) Er(mu), E0 =
+    e**(-mu), P_n = sum_{l=1..n} (l-1)! C(n, l) mu**(n-l) and R_n =
+    sum_{l=1..n} (l-1)! mu**(n-l) is mu**n times the n-th alternating
+    forward difference of a -> E[1/(Q+a)].  So an order with row R of
+    _order_rows is (U G + V E0 - W) / den with U = sum_i R[i] mu**i, V =
+    sum_i cv[i] mu**i and W = sum_i cw[i] mu**i, where cv[i] = sum_{n>i}
+    R[n] C(n, i) (n-i-1)! and cw[i] = sum_{n>i} R[n] (n-i-1)!, exact
+    integers that depend on (N, orders) alone.
+    """
+    den, rows = _order_rows(N, orders)
+    out = []
+    for R in rows:
+        cv = tuple(sum(R[n] * math.comb(n, i) * math.factorial(n - i - 1)
+                       for n in range(i + 1, len(R))) for i in range(len(R)))
+        cw = tuple(sum(R[n] * math.factorial(n - i - 1)
+                       for n in range(i + 1, len(R))) for i in range(len(R)))
+        out.append((R, cv, cw))
+    return den, tuple(out)
 
 
 def _inverse_moments(N: int, p: float, r: int, orders) -> list[float]:
@@ -281,9 +310,13 @@ def _inverse_moments(N: int, p: float, r: int, orders) -> list[float]:
     returns zeros.  Orders past _ORDER_CAP raise DomainError before any
     build; other arguments are the caller's to validate.
 
-    r = 1: y(n) comes from poisson_moments._y_integers, so order m is
-    (U G + V E0 - W) / D for exact integers U, V, W, D, rounded by
-    _rounded_orders from G and E0 at T bits.  The first T is 77 bits
+    r = 1: y(n) is exact integers times G = e**(-mu) Er(mu) and E0 =
+    e**(-mu), so order m is (U G + V E0 - W) / D for exact integers U,
+    V, W, D.  The double mu is exactly a / 2**s, so with t_i = a**i
+    2**(s (A-i)) each of U, V, W is one integer dot product of a cached
+    coefficient vector of _r1_rows with t, and D = den 2**(s A).
+    _rounded_orders rounds them from G and E0 at T bits, taken by one
+    integer series while mu <= T (_scaled_g_e0).  The first T is 77 bits
     (the double's 53 and 24 to spare) past the cancellation from
     (|U| + |V|) / D down to the Jensen bound of E+[1/Q] at mu = N p.
 
@@ -297,33 +330,27 @@ def _inverse_moments(N: int, p: float, r: int, orders) -> list[float]:
     While any order's rounding is undecided, T doubles, or one table at
     twice the precision serves every order (Ziv's scheme).
     """
+    orders = tuple(orders)
     if max(orders) > _ORDER_CAP:
         raise DomainError(f"order m must lie in 1..{_ORDER_CAP}")
     p = float(p)
     if p == 0.0:
         return [0.0] * len(orders)
     mu = N * p
-    den, rows = _order_rows(N, orders)
     A = 2 * (max(orders) - 1)  # alpha(0, j) = 2**-j, so no row ends in 0
+    a, b = mu.as_integer_ratio()
+    s = b.bit_length() - 1
+    scale = [a**n << s * (A - n) for n in range(A + 1)]
     if r == 1:
-        ys = _y_integers(mu, A)
-        den *= ys[0][0]
-        sums = []
-        for row in rows:
-            U = V = W = 0
-            for c, (u, v, w) in zip(row, ys):
-                if c:
-                    U, V, W = U + c * u, V + c * v, W + c * w
-            sums.append((U, V, W))
-        rows = sums
+        den, rows = _r1_rows(N, orders)
+        den <<= s * A
+        rows = [[sum(map(mul, c, scale)) for c in row] for row in rows]
         big = max(abs(U) + abs(V) for U, V, _ in rows)
         T = big.bit_length() - den.bit_length() + 77 - math.floor(_log2_jensen(mu, 1, 0))
         while (values := _rounded_orders(rows, den, mu, T)) is None:
             T *= 2
         return values
-    a, b = mu.as_integer_ratio()
-    s = b.bit_length() - 1
-    scale = [a**n << s * (A - n) for n in range(A + 1)]
+    den, rows = _order_rows(N, orders)
     rows = [[(n, c * scale[n]) for n, c in enumerate(row) if c] for row in rows]
     den <<= s * A
     table = build_q_table(mu, r, A)
@@ -353,18 +380,62 @@ def _round_rows(rows, terms, den: int) -> list[float] | None:
 def _rounded_orders(rows, den: int, mu: float, T: int) -> list[float] | None:
     """(U G + V E0 - W) / den rounded once for each row, None if undecided.
 
-    G = e**(-mu) Er(mu) and E0 = e**(-mu) lie in (0, 1), so at T + 8
-    bits mpmath's few-ulp error is far below 2**-T, and their floors on
-    the scale 2**T are within 2 units each.  A row's exact numerator on
-    that scale is then within 2 (|U| + |V|) of the computed one
-    (_round_rows).
+    G = e**(-mu) Er(mu) and E0 = e**(-mu) come within 2 units each on
+    the scale 2**T (_scaled_g_e0), so a row's exact numerator on that
+    scale is within 2 (|U| + |V|) of the computed one (_round_rows).
     """
+    g, e0 = _scaled_g_e0(mu, T)
+    rows = [((0, U), (1, V), (2, -W)) for U, V, W in rows]
+    return _round_rows(rows, ((g, 2), (e0, 2), (1 << T, 0)), den << T)
+
+
+def _scaled_g_e0(mu: float, T: int) -> tuple[int, int]:
+    """(g, e0) within 2 units each of 2**T G and 2**T E0, G = e**(-mu) Er(mu), E0 = e**(-mu).
+
+    While mu <= T, one integer series and two divisions, no exp, log or
+    Ei.  The double mu is exactly a / 2**s.  The walk t_0 = 2**P, t_i =
+    ((t_{i-1} a) >> s) // i = floor(t_{i-1} mu / i) stops at the first
+    t_j = 0 (every later t is 0 too) and gives E = sum_i t_i and R =
+    sum_{i>=1} t_i // i; then g = (R << T) // E and e0 = 2**(P+T) // E.
+    With tau_i = 2**P mu**i / i!, the terms of E* = 2**P e**mu, and
+    delta_i = tau_i - t_i:
+
+    * 0 <= delta_i <= delta_{i-1} mu / i + 1, so delta_i <= sum_{j=1..i}
+      mu**(i-j) j! / i! <= sum_{k<i} mu**k / k! < e**mu;
+    * for i >= 6 mu, mu**i / i! <= (e mu / i)**i < 2**-i, so t_i = 0
+      once also i > P.  Read the walk as going on through zeros, which
+      changes neither sum, to the first j >= 2 mu with t_j = 0: then j <=
+      max(6 mu, P + 1) <= 6 T + 7 (P + 1 <= 6 T + 7 for T >= 1), so it
+      reads at most n = 6 T + 8 indices, and past j each tau at least
+      halves, so the tail after j is at most tau_j = delta_j < e**mu;
+    * so 0 <= E* - E and 0 <= R* - R, R* = 2**P Er(mu), are each below
+      (2n + 2) e**mu = eta E*, eta = (2n + 2) 2**-P (R drops at most 1
+      more per floor division by i).
+
+    Then G - eta <= R / E <= G / (1 - eta) <= G + 2 eta and 0 <= 2**P /
+    E - E0 <= 2 eta, and P = T + 2 + bit_length(2n + 2) makes 2**T 2 eta
+    < 1/2: each floor is within 3/2 of its scaled constant.  The walk
+    costs O(mu + T) terms of P bits, so past mu = T the two constants
+    come from mpmath at T + 8 bits instead (its Ei turns to its
+    asymptotic series near mu = 0.69 T + 36): their few-ulp error is far
+    below 2**-T and the floors on the scale 2**T are within 2 units each.
+    """
+    if mu <= T:
+        P = T + 2 + (12 * T + 18).bit_length()  # 2n + 2 = 12 T + 18
+        a, b = mu.as_integer_ratio()
+        s = b.bit_length() - 1
+        t = E = 1 << P
+        R = i = 0
+        while t:
+            i += 1
+            t = (t * a >> s) // i
+            E += t
+            R += t // i
+        return (R << T) // E, (1 << P + T) // E
     with mpmath.workprec(T + 8):
         e0 = mpmath.exp(-mpmath.mpf(mu))
         g = e0 * _er_from_ei(mu)
-    g, e0 = to_fixed(g._mpf_, T), to_fixed(e0._mpf_, T)
-    rows = [((0, U), (1, V), (2, -W)) for U, V, W in rows]
-    return _round_rows(rows, ((g, 2), (e0, 2), (1 << T, 0)), den << T)
+    return to_fixed(g._mpf_, T), to_fixed(e0._mpf_, T)
 
 
 def barbour_error_bound(N: int, p: float, m: int) -> float:

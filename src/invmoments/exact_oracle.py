@@ -420,7 +420,10 @@ def _float_terms(
     2 mu each step at least halves pi, so pi is 0.0 within 1075 more:
     every walk ends before k = 2476 (the longest, at mu = 700, has 1942
     terms).  Term k is pi / float(k**r), the double CPython divides by
-    in pi / k**r (_float_powers), and _over_power past the double range.
+    in pi / k**r (_float_powers), and _over_power past the double range,
+    up to the first k with r log2 k > 1080: from there on every term is
+    0.0 (_over_power), so none is formed, which changes no sum of a
+    prefix of the terms.
     """
     pi, pis = math.exp(-mu), []
     append = pis.append
@@ -439,7 +442,10 @@ def _float_terms(
     P = _float_powers(r, 1 << (len(pis) - 1).bit_length())
     terms = map(truediv, pis, P)
     if len(P) < len(pis):
-        terms = chain(terms, map(_over_power, pis[len(P):], count(len(P) + 1), repeat(r)))
+        k = len(P) + 1
+        while k <= len(pis) and r * math.log2(k) <= 1080.0:
+            k += 1
+        terms = chain(terms, map(_over_power, pis[len(P):k - 1], count(len(P) + 1), repeat(r)))
     return terms, tail
 
 

@@ -18,7 +18,10 @@ integer walk out from the mode by the pmf's exact ratios, on the one
 scale, stop and bound of every walk (exact_oracle._walk_scale), about
 2.3 sqrt(mu (S - B)) steps.  At r = 1, y(n), mu**n times the n-th
 alternating forward difference of a -> E[1/(Q+a)], is exact integers
-times e**(-mu) Er(mu) and e**(-mu) (_y_integers).
+times e**(-mu) Er(mu) and e**(-mu), which the expansion kernel takes
+from one integer series while mu is at most its working precision in
+bits, and from _er_from_ei past that (charlier_expansion._r1_rows and
+_scaled_g_e0).
 """
 from __future__ import annotations
 
@@ -519,25 +522,6 @@ def _q_table(mu: float, r: int, A: int, prec: int) -> ShiftedMomentTable:
     lo, terms, F = _poisson_window(mu, W, wp, 1 << B, _power_cutoff(W, r))
     totals, errs = zip(*_walk_sums(lo, terms, F, r, range(A + 1), W, wp))
     return ShiftedMomentTable(mu, r, totals, errs, W, prec)
-
-
-def _y_integers(mu: float, n_max: int) -> list[tuple[int, int, int]]:
-    """(u, v, w) per n = 0 .. n_max with y(n) = (u G + v E0 - w) / u(0).
-
-    y(n) = mu**n G + E0 P_n(mu) - R_n(mu), G = e**(-mu) Er(mu),
-    E0 = e**(-mu), P_n = sum_{l=1..n} (l-1)! C(n, l) mu**(n-l) and
-    R_n = sum_{l=1..n} (l-1)! mu**(n-l), is mu**n times the n-th
-    alternating forward difference of a -> E[1/(Q+a)].  The double mu
-    is exactly a / 2**s, so on the common scale u(0) = 2**(s n_max)
-    every coefficient is an exact integer; only G and E0 are not.
-    """
-    a, b = mu.as_integer_ratio()
-    t = [a**i * b ** (n_max - i) for i in range(n_max + 1)]  # mu**i u(0)
-    ys = []
-    for n in range(n_max + 1):
-        terms = [math.factorial(l - 1) * t[n - l] for l in range(1, n + 1)]
-        ys.append((t[n], sum(math.comb(n, l) * x for l, x in enumerate(terms, 1)), sum(terms)))
-    return ys
 
 
 def _largest_failing_index(fails, passes, start: int, cap: int) -> int:

@@ -3,7 +3,8 @@
 Shared by the oracle tests, the expansion tests and the pin checks past
 mu = 700, and the Stirling closed form for shifted Poisson moments that
 criterion 08 holds the library's route against, and the plain linear
-walk that calibration's certified descent must agree with.
+walk that calibration's certified descent must agree with, and the
+per-n y(n) integers the r = 1 kernel once summed row by row.
 """
 import math
 from functools import cache
@@ -109,3 +110,22 @@ def linear_failing_index(fails, start, cap):
     while i > 1 and not fails(i - 1):
         i -= 1
     return i - 1
+
+
+def _y_integers(mu: float, n_max: int) -> list[tuple[int, int, int]]:
+    """(u, v, w) per n = 0 .. n_max with y(n) = (u G + v E0 - w) / u(0).
+
+    y(n) = mu**n G + E0 P_n(mu) - R_n(mu), G = e**(-mu) Er(mu),
+    E0 = e**(-mu), P_n = sum_{l=1..n} (l-1)! C(n, l) mu**(n-l) and
+    R_n = sum_{l=1..n} (l-1)! mu**(n-l), is mu**n times the n-th
+    alternating forward difference of a -> E[1/(Q+a)].  The double mu
+    is exactly a / 2**s, so on the common scale u(0) = 2**(s n_max)
+    every coefficient is an exact integer; only G and E0 are not.
+    """
+    a, b = mu.as_integer_ratio()
+    t = [a**i * b ** (n_max - i) for i in range(n_max + 1)]  # mu**i u(0)
+    ys = []
+    for n in range(n_max + 1):
+        terms = [math.factorial(l - 1) * t[n - l] for l in range(1, n + 1)]
+        ys.append((t[n], sum(math.comb(n, l) * x for l, x in enumerate(terms, 1)), sum(terms)))
+    return ys

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
-from _reference import linear_failing_index, mode_walk_pmf, reference_moment
+from _reference import _y_integers, linear_failing_index, mode_walk_pmf, reference_moment
 from invmoments import exact_oracle, poisson_moments
 
 from invmoments.charlier_expansion import _rounded_orders, binomial_barbour_polynomial, expand_pdf
@@ -30,7 +30,6 @@ from invmoments.poisson_moments import (
     CalibrationError,
     CrossoverProfile,
     _ascending_partial,
-    _y_integers,
     build_q_table,
     calibrate_crossover,
     er_function,
@@ -174,8 +173,9 @@ def test_positive_moment_tiny_mu_returns(mu, r):
 
 
 def _y(mu, n):
-    # y(n) = mu**n G + E0 P_n - R_n as the r = 1 kernel forms it: exact
-    # integers over u(0), G and E0 at 200 bits, rounded once
+    # y(n) = mu**n G + E0 P_n - R_n as the r = 1 kernel once formed it
+    # (_reference._y_integers): exact integers over u(0), G and E0 at
+    # 200 bits, rounded once
     ys = _y_integers(mu, n)
     return _rounded_orders([ys[n]], ys[0][0], mu, 200)[0]
 

@@ -7,15 +7,23 @@ mu and the top order).  The integer kernel must give the same doubles.
 A second reference evaluates the truncated series from its definition
 at 100 digits, with y(n) taken as mu**n times the alternating forward
 differences of direct 100-digit sums E[1/(Q+a)], and rounds it once.
+
+The kernel's integers U, V, W, D must equal those of the per-row sums
+over _reference._y_integers that it once formed, and its two constants
+G and E0 must lie within 2 units of a (2T + 64)-bit mpmath reference.
 """
 import math
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
+from _reference import _y_integers
 from invmoments import charlier_expansion
-from invmoments.charlier_expansion import _inverse_moments, _rounded_orders
+from invmoments.charlier_expansion import (
+    _inverse_moments, _order_rows, _rounded_orders, _scaled_g_e0,
+)
 from invmoments.poisson_moments import _er_from_ei
 from invmoments.special_numbers import alpha
 
@@ -82,12 +90,14 @@ def _parent_first_inverse_moments(N: int, p: float, orders) -> list[float]:
 
 
 _log_uniform_p = st.floats(math.log(1e-300), 0.0).map(lambda x: min(math.exp(x), 1.0))
+# decimal p, whose 1 - p does not round exactly
+_decimal_p = st.integers(1, 1000).map(lambda i: i / 1000)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(
     N=st.integers(1, 10**5),
-    p=st.one_of(_log_uniform_p, st.just(1.0), st.just(5e-324)),
+    p=st.one_of(_log_uniform_p, _decimal_p, st.just(1.0), st.just(5e-324)),
     orders=st.lists(st.integers(1, 8), min_size=1, max_size=10),
 )
 # the examples of test_first_inverse_moment_tiny_mu
@@ -97,6 +107,16 @@ _log_uniform_p = st.floats(math.log(1e-300), 0.0).map(lambda x: min(math.exp(x),
 @example(N=10, p=10.0**-301.0, orders=[3])
 @example(N=1, p=5e-324, orders=[8, 1, 8, 3])
 @example(N=10**5, p=1.0, orders=[8, 2, 5])
+# N p just below and just above the first T, where G and E0 leave the
+# integer series for mpmath's Ei (T = 84, 89, 94 and 98 for these orders)
+@example(N=100, p=0.835, orders=[1])
+@example(N=100, p=0.845, orders=[1])
+@example(N=100, p=0.885, orders=[2])
+@example(N=100, p=0.895, orders=[2])
+@example(N=100, p=0.935, orders=[3])
+@example(N=100, p=0.945, orders=[3])
+@example(N=100, p=0.975, orders=[4, 1])
+@example(N=100, p=0.985, orders=[4, 1])
 def test_integer_kernel_matches_mpmath_kernel(N, p, orders):
     assert _inverse_moments(N, p, 1, orders) == _parent_first_inverse_moments(N, p, orders)
 
@@ -151,3 +171,105 @@ def test_undecided_rounding_retries_at_a_larger_precision(monkeypatch):
     assert len(seen) >= 2 and [s[3] for s in seen] == [T0 * 2**i for i in range(len(seen))]
     assert _rounded_orders(rows, den, mu, 12) is None
     assert _rounded_orders(rows, den, mu, T0) == want
+
+
+def _reference_g_e0(mu: float, T: int) -> tuple[int, int]:
+    """floor(2**T G) and floor(2**T E0), G = e**(-mu) Er(mu), E0 = e**(-mu), at 2T + 64 bits.
+
+    Er(mu) is its own series, sum mu**i / (i i!) over i >= 1, summed
+    until past 2 mu a term drops below 2**-(2T + 64) of the sum.
+    """
+    with mpmath.workprec(2 * T + 64):
+        x = mpf(mu)
+        er, term, i = mpf(0), mpf(1), 0
+        while True:
+            i += 1
+            term = term * x / i
+            er += term / i
+            if i > 2 * x and term < er * mpf(2) ** -(2 * T + 64):
+                break
+        e0 = mpmath.exp(-x)
+        return int(mpmath.floor(mpmath.ldexp(e0 * er, T))), int(mpmath.floor(mpmath.ldexp(e0, T)))
+
+
+def _no_ei(*args, **kwargs):
+    raise AssertionError("mpmath.ei was called")
+
+
+@pytest.mark.parametrize("T", [12, 77, 100, 200, 400])
+def test_g_and_e0_are_within_two_units(T, monkeypatch):
+    decimals = [float(f"{T * f:.3f}") for f in (0.1, 0.37, 0.5, 0.77, 0.999)]
+    decimals += [0.002, 0.037, 0.5, 1.3, 2.718, 9.99]
+    dyadics = [2.0**-1074, 2.0**-40, 2.0**-20, 0.5, 1.0, 3.25, T / 2, T - 2.0**-10]
+    series = [5e-324, 1e-300, 1e-5, *decimals, *dyadics, float(T)]
+    monkeypatch.setattr(mpmath, "ei", _no_ei)  # mu <= T takes the series alone
+    for mu in series:
+        assert 0.0 < mu <= T
+        g, e0 = _scaled_g_e0(mu, T)
+        want_g, want_e0 = _reference_g_e0(mu, T)
+        assert abs(g - want_g) <= 2 and abs(e0 - want_e0) <= 2, (mu, T)
+    monkeypatch.undo()
+    for mu in (T + 0.001, 1.5 * T, 2.0 * T + 0.37):  # mpmath's Ei past mu = T
+        g, e0 = _scaled_g_e0(mu, T)
+        want_g, want_e0 = _reference_g_e0(mu, T)
+        assert abs(g - want_g) <= 2 and abs(e0 - want_e0) <= 2, (mu, T)
+
+
+def test_the_kernel_takes_no_ei_while_mu_is_at_most_T(monkeypatch):
+    want = _series_at_100_digits(10, 0.3, 6)
+    monkeypatch.setattr(mpmath, "ei", _no_ei)
+    assert _inverse_moments(10, 0.3, 1, range(1, 7)) == want
+    with pytest.raises(AssertionError):  # mu = 84.5 past its T = 84: Ei's route
+        _inverse_moments(100, 0.845, 1, [1])
+
+
+@pytest.mark.parametrize("below,above,orders,T", [
+    (0.835, 0.845, [1], 84), (0.885, 0.895, [2], 89),
+    (0.935, 0.945, [3], 94), (0.975, 0.985, [4, 1], 98),
+])
+def test_the_examples_straddle_the_first_T(below, above, orders, T, monkeypatch):
+    # the N = 100 examples of test_integer_kernel_matches_mpmath_kernel
+    # lie on both sides of the rule mu <= T
+    seen = []
+
+    def record(rows, den, mu, T):
+        seen.append(T)
+        return _rounded_orders(rows, den, mu, T)
+
+    monkeypatch.setattr(charlier_expansion, "_rounded_orders", record)
+    for p in (below, above):
+        _inverse_moments(100, p, 1, orders)
+    assert seen == [T, T] and 100 * below <= T < 100 * above
+
+
+def _parent_sums(N: int, p: float, orders) -> tuple[int, list[tuple[int, int, int]]]:
+    """(D, [(U, V, W), ...]) as the kernel once summed them, row by row over the y(n) integers."""
+    mu = N * p
+    den, rows = _order_rows(N, tuple(orders))
+    A = 2 * (max(orders) - 1)
+    ys = _y_integers(mu, A)
+    den *= ys[0][0]
+    sums = []
+    for row in rows:
+        U = V = W = 0
+        for c, (u, v, w) in zip(row, ys):
+            if c:
+                U, V, W = U + c * u, V + c * v, W + c * w
+        sums.append((U, V, W))
+    return den, sums
+
+
+@pytest.mark.parametrize("N", [1, 10, 100, 10**5])
+@pytest.mark.parametrize("orders", [(1, 2, 3, 4, 5, 6), (3,), (1, 8), tuple(range(1, 13)), (20,)])
+def test_cached_rows_give_the_per_row_sums(N, orders, monkeypatch):
+    seen = []
+
+    def record(rows, den, mu, T):
+        seen.append((den, [tuple(row) for row in rows]))
+        return [0.0] * len(rows)
+
+    monkeypatch.setattr(charlier_expansion, "_rounded_orders", record)
+    for p in (0.001, 0.3, 0.77, 0.999, 1.0, 1e-7, 1e-300, 5e-324):
+        seen.clear()
+        _inverse_moments(N, p, 1, orders)
+        assert seen == [_parent_sums(N, p, orders)], (N, p, orders)

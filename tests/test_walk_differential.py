@@ -29,15 +29,18 @@ once walked in two generators that formed k**r at every term
 (_generator_direct_sum, _generator_ascending_terms below).  Both now
 read exact_oracle._float_terms, one loop over pi(k) divided by a cached
 float(k**r).  The terms are the same doubles and fsum rounds their exact
-sum, so every value and tail bound must keep every bit.
+sum, so every value and tail bound must keep every bit.  That walk once
+took every term past the double range by _over_power (_mapped_float_terms
+below); it now stops at the first k with r log2 k > 1080, so its terms
+must be the copy's up to there and the copy's must be 0.0 after it.
 """
 import math
 import random
 
 import mpmath
 import pytest
-from itertools import count, repeat
-from operator import floordiv
+from itertools import chain, count, repeat
+from operator import floordiv, truediv
 from typing import Iterable, Iterator
 
 from hypothesis import example, given, settings, strategies as st
@@ -58,6 +61,7 @@ from invmoments.exact_oracle import (
     OracleValue,
     _check_walk_mu,
     _log2_jensen,
+    _float_powers,
     _log2_jensen_binomial,
     _over_power,
     _ratio_walk,
@@ -716,3 +720,45 @@ WALK_MUS = (
 def test_float_walk_equals_the_generators(mu):
     for r in WALK_RS:
         _assert_walks_equal(mu, r, WALK_TOLS, (1, 7, 60, 500))
+
+
+def _mapped_float_terms(
+    mu: float, r: int, limit: float = 0.0, m1: int | None = None
+) -> tuple[Iterator[float], float]:
+    """exact_oracle._float_terms as it was, _over_power on every term past the double range."""
+    pi, pis = math.exp(-mu), []
+    append = pis.append
+    free = math.ceil(mu) if m1 is None else min(math.ceil(mu), m1 + 1)
+    for k in range(1, free):
+        pi *= mu / k
+        append(pi)
+    gate, tail = 2.0 * limit, math.inf
+    for k in count(free) if m1 is None else range(free, m1 + 1):
+        pi *= mu / k
+        if pi <= gate:
+            tail = pi * (k + 1) / (k + 1 - mu)
+            if tail <= limit:
+                break
+        append(pi)
+    P = _float_powers(r, 1 << (len(pis) - 1).bit_length())
+    terms = map(truediv, pis, P)
+    if len(P) < len(pis):
+        terms = chain(terms, map(_over_power, pis[len(P):], count(len(P) + 1), repeat(r)))
+    return terms, tail
+
+
+@pytest.mark.parametrize("mu", [0.37, 150.0, 700.0])
+@pytest.mark.parametrize("r", [116, 400, 1075, 1081, 10**5])
+def test_float_walk_stops_where_every_term_is_zero(mu, r):
+    dropped = 0
+    for tol in (None, 1e-18, 1e-30):
+        limit = 0.0 if tol is None else tol * 2.0 ** _log2_jensen(mu, r, 0)
+        for m1 in (None, 1, 7, 60, 500):
+            got, got_tail = exact_oracle._float_terms(mu, r, limit, m1)
+            want, want_tail = _mapped_float_terms(mu, r, limit, m1)
+            got, want = list(got), list(want)
+            assert got == want[:len(got)] and not any(want[len(got):]), (tol, m1)
+            assert (math.fsum(got).hex(), got_tail.hex()) == (
+                math.fsum(want).hex(), want_tail.hex()), (tol, m1)
+            dropped += len(want) - len(got)
+    assert dropped or mu < 700.0  # at mu = 700 every r here walks past its cut
