@@ -85,10 +85,11 @@ def barbour_polynomial(cumulants, m: int) -> ExpansionPolynomial:
     m - 1.  A degree-d term of P**j has order d - j, and every factor of
     P raises the order, so each power is truncated as it is built.  The
     result reaches difference degree 2*(m-1); a Poisson's cumulants give
-    the identity at every order.
+    the identity at every order.  Orders past _ORDER_CAP raise
+    DomainError at once, as binomial_barbour_polynomial's do.
     """
-    if m < 1:
-        raise DomainError("order m must be a positive integer")
+    if not 1 <= m <= _ORDER_CAP:
+        raise DomainError(f"order m must lie in 1..{_ORDER_CAP}")
     if len(cumulants) < m:
         raise DomainError(
             f"order {m} needs cumulants through {m}, have {len(cumulants)}"
@@ -119,11 +120,13 @@ def binomial_cumulants(N: int, p, max_j: int) -> tuple:
     """Factorial cumulants -N * (j-1)! * (-p)**j of Binomial(N, p), j = 1..max_j.
 
     Entries are Fractions when p is a Fraction, keeping polynomial
-    construction exact for rational p.
+    construction exact for rational p.  max_j past _ORDER_CAP, the most
+    an expansion reads, raises DomainError at once, as it does in
+    exact_oracle.factorial_cumulants_from_pdf.
     """
     _check_N(N)
-    if max_j < 1:
-        raise DomainError("max_j must be a positive integer")
+    if not 1 <= max_j <= _ORDER_CAP:
+        raise DomainError(f"max_j must lie in 1..{_ORDER_CAP}")
     if not 0 <= p <= 1:
         raise DomainError("p must lie in [0, 1]")
     return tuple(-N * math.factorial(j - 1) * (-p) ** j for j in range(1, max_j + 1))

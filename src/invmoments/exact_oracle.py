@@ -133,11 +133,7 @@ def exact_inverse_moment(spec: DistributionSpec, r: int) -> float:
         return _ziv(partial(_binomial_walk, N, p, r), 56)
     if not isinstance(spec, ExplicitPdf):
         raise DomainError(f"unsupported distribution spec: {spec!r}")
-    pairs = lambda: zip(count(1), spec.weights[1:])
-    try:
-        return math.fsum(w / k**r for k, w in pairs())
-    except OverflowError:  # k**r past the double range
-        return math.fsum(_over_power(w, k, r) for k, w in pairs())
+    return math.fsum(_over_power(w, k, r) for k, w in zip(count(1), spec.weights[1:]))
 
 
 def _over_power(w: float, k: int, r: int) -> float:

@@ -181,10 +181,10 @@ def _asymptotic_partial(mu: float, r: int, m2: int) -> float:
 
 
 def _bracket_slack(mu: float, n: int) -> float:
-    """Relative slack of a large-mu bracket of the oracle at mu or below, mu <= 700.
+    """Relative slack of an interval bound at mu or below, mu <= 700.
 
     In units of 2**-53 it is 2 m + 5 n + 24, m = mu / (1 - e**-mu),
-    which covers, for a bracket or series over indices up to n:
+    which covers, for the sums of _large_mu_sums over indices up to n:
 
     * the oracle's error, at most 2 m + 6.  Its float walk (mu <= 700)
       puts at most 2k + 4 roundings in term k (exp, two per step of pi,
@@ -194,12 +194,13 @@ def _bracket_slack(mu: float, n: int) -> float:
       pi(k), k >= 1, the terms' mean index is at most E[Q | Q >= 1] =
       m.  Terms below the normal range err by under 2**-1074 each,
       nothing against the sum, at least pi(1) >= 700 e**-700;
-    * the bracket's or series' own rounding, at most 5 n + 15: 2n + 4
-      roundings in c_n, 2n + 7 more in a lower-bound term, one per
-      addition, and four in the final products and differences.
+    * the sums' own rounding, at most 5 n + 15: 2n + 4 roundings in
+      c_n, 2n + 7 more in a term of the lower bound, one per addition,
+      and four in the final products and differences.
 
     An ascending partial is a prefix of the oracle's walk, so it errs by
-    at most as much as the oracle: twice the slack at n = 0 covers both.
+    at most as much as the oracle: twice the slack at n = 0 covers both
+    (_ascending_interval_bound).
     """
     return (2.0 * mu / -math.expm1(-mu) + 5.0 * n + 24.0) * 2.0**-53
 
@@ -209,15 +210,25 @@ def _large_mu_sums(
 ) -> tuple[int, float, float, float, float]:
     """(n, head, rest, upper, lower) of the large-mu series over [mu_a, mu_b].
 
-    With c_n = |s(n,r)| / mu**n, every mu in the interval and b_n =
-    min(1, pi_a(n) mu_a / (mu_a - n)) (1 for n >= mu_a), which bounds
-    P(Q <= n) at mu_a and so at every larger mu:
+    From 1/k**r = sum_{n>=r} |s(n,r)| k! / (n+k)!,
+
+        E+[1/Q**r] = sum_{n>=r} c_n P(Q >= n+1),  c_n = |s(n,r)| / mu**n,
+
+    a sum of non-negative terms whose first m2 terms without the P
+    factor are the m2-term large-mu series.  With mu anywhere in the
+    interval and b_n = min(1, pi_a(n) mu_a / (mu_a - n)) (1 for n >=
+    mu_a), which bounds P(Q <= n) at mu_a and so at every larger mu:
 
     * head >= sum_{n < r+m2} c_n P(Q <= n), as c_n(mu_a) b_n;
     * rest >= sum_{n >= r+m2} c_n P(Q >= n+1): the c_n(mu_a) from r+m2
       to n, where they stop falling or drop below 1e-20 of the sum,
-      plus twice the middle and far tails of _large_mu_bracket, taken
-      with N = floor(mu_b) + 2 and each factor at its worse end;
+      plus a middle and a far tail, doubled to cover their rounding.
+      With N = floor(mu_b) + 2: for n <= j < N, |s(j,r)| <= (j-1)!
+      H_{j-1}**(r-1) / (r-1)! and the log-convexity of (j-1)!/mu**j
+      bound each term by its larger end value times (1 + ln N)**(r-1) /
+      (r-1)!.  For j >= N, P(Q >= j+1) <= pi(j+1) (j+2) / (j+2-mu) and
+      H**(r-1)/(r-1)! <= 2**(r-1) e**(H/2) give the far tail 2**r
+      sqrt(e) e**(-mu) mu (N+2) / ((N+2-mu) sqrt(N-1));
     * upper = sum c_n(mu_b) and lower = sum c_n(mu_b) (1 - b_n), both
       over the indices below n, so lower <= E+[1/Q**r].
 
@@ -270,40 +281,6 @@ def _large_mu_sums(
     return n, head, rest + 2.0 * tail, upper, lower
 
 
-def _large_mu_bracket(mu: float, r: int) -> tuple[float, float] | None:
-    """(lo, hi) with lo <= _positive_moment_double(mu, r) <= hi, 1 <= mu <= 700.
-
-    From 1/k**r = sum_{n>=r} |s(n,r)| k! / (n+k)!,
-
-        E+[1/Q**r] = sum_{n>=r} c_n P(Q >= n+1),  c_n = |s(n,r)| / mu**n,
-
-    a sum of non-negative terms whose first M terms without the P factor
-    are the large-mu series.  M stops at the smallest c_n, or once c_n
-    drops below 1e-20 of the sum.  With N = floor(mu) + 2
-    (_large_mu_sums at mu_a = mu_b = mu and m2 = 0):
-
-    * lo sums c_n (1 - P(Q <= n)) for n < r+M, where
-      P(Q <= n) <= pi(n) mu / (mu - n) for n < mu;
-    * hi sums c_n for n < r+M and adds two tails.  For r+M <= n < N,
-      |s(n,r)| <= (n-1)! H_{n-1}**(r-1) / (r-1)! and the log-convexity of
-      (n-1)!/mu**n bound each term by its larger end value times
-      (1 + ln N)**(r-1) / (r-1)!.  For n >= N, P(Q >= n+1) <=
-      pi(n+1) (n+2) / (n+2-mu) and H**(r-1)/(r-1)! <= 2**(r-1) e**(H/2)
-      give 2**r sqrt(e) e**(-mu) mu (N+2) / ((N+2-mu) sqrt(N-1)).  The
-      tails are doubled to cover their rounding.
-
-    Both ends then widen by _bracket_slack of hi, which covers the
-    oracle's error and the bracket's rounding.  None when the bracket
-    would be empty or 1/mu**r could leave the normal range.
-    """
-    if not 1.0 <= mu <= 700.0 or r * math.log2(mu) > 1000.0 or r > _ASYM_ROW_CAP:
-        return None
-    n, _, hi, _, lower = _large_mu_sums(mu, mu, r, 0)
-    slack = _bracket_slack(mu, n)
-    lo = lower - slack * hi
-    return (lo, hi * (1.0 + slack)) if lo > 0.0 else None
-
-
 def _large_mu_interval_bound(mu_a: float, mu_b: float, r: int, m2: int) -> float:
     """A bound on the rounded abs(1 - a / _positive_moment_double(mu, r)).
 
@@ -314,7 +291,7 @@ def _large_mu_interval_bound(mu_a: float, mu_b: float, r: int, m2: int) -> float
 
     The m2-term partial differs from E = E+[1/Q**r] by D2 - D1, with
     D1 = sum_{n < r+m2} c_n P(Q <= n) and D2 = sum_{n >= r+m2} c_n
-    P(Q >= n+1) both non-negative (_large_mu_bracket), so
+    P(Q >= n+1) both non-negative (_large_mu_sums), so
     |1 - a/E| <= R = max(D1, D2) / E, and _large_mu_sums bounds D1,
     D2 and E over the whole interval.  The computed error is at most
     (R + (1 + R) eta)(1 + 2**-53), eta the relative error of the
@@ -348,30 +325,6 @@ def _log_ascending_tail(mu: float, r: int, m1: int) -> float:
     )
 
 
-def _ascending_bracket(
-    mu: float, r: int, m1: int, partial: float
-) -> tuple[float, float] | None:
-    """(lo, hi) with lo <= _positive_moment_double(mu, r) <= hi.
-
-    For 0.05 <= mu <= 700 and m1 > mu - 2; None elsewhere, or when lo
-    would not be positive.
-
-    ``partial`` is _ascending_partial(mu, r, m1).  The terms past m1 are
-    non-negative, so with m1+2 > mu the exact sum lies in [A, A + T],
-    A the exact m1-term partial and T the tail bound of
-    _log_ascending_tail, here doubled.  The ends widen by twice
-    _bracket_slack(mu, 0) of hi, which covers the oracle's error and the
-    partial's.  Absolute roundings of T below 2**-1074 vanish against
-    it, since A >= pi(1) >= 700 e**-700 there.
-    """
-    if not (0.05 <= mu <= 700.0 and mu < m1 + 2):
-        return None
-    hi = partial + 2.0 * math.exp(_log_ascending_tail(mu, r, m1))
-    slack = 2.0 * _bracket_slack(mu, 0)
-    lo = partial - slack * hi
-    return (lo, hi * (1.0 + slack)) if lo > 0.0 else None
-
-
 def _ascending_interval_bound(mu_a: float, mu_b: float, r: int, m1: int) -> float:
     """A bound on the rounded abs(1 - A / _positive_moment_double(mu, r)).
 
@@ -379,14 +332,16 @@ def _ascending_interval_bound(mu_a: float, mu_b: float, r: int, m1: int) -> floa
     double mu in [mu_a, mu_b], 0.05 <= mu_a <= mu_b <= m1 + 1 and
     mu_b <= 700; inf elsewhere.
 
-    The exact partial falls short of E = E+[1/Q**r] by at most T(mu) of
-    _ascending_bracket.  Each factor of T rises with mu while mu <= m1
-    + 1, so T(mu_b) bounds it on the interval.  E is at least Jensen's
-    bound P(Q >= 1)**(r+1) / mu**r, which rises and then falls with mu,
-    so the smaller of its end values bounds it.  The ratio is taken in
-    log space and doubled; the rounding of the partial, the oracle and
-    the division is covered by twice _bracket_slack(mu_b, 0), as in
-    _large_mu_interval_bound.
+    The terms of E = E+[1/Q**r] past m1 are non-negative, so with m1
+    + 2 > mu, E lies in [A, A + T(mu)], A here the exact m1-term partial
+    and T the tail bound of _log_ascending_tail.  Each factor of T rises
+    with mu while mu <= m1 + 1, so T(mu_b) bounds it on the interval.  E
+    is at least Jensen's bound P(Q >= 1)**(r+1) / mu**r, which rises and
+    then falls with mu, so the smaller of its end values bounds it.  The
+    ratio is taken in log space and doubled; the rounding of the
+    partial, the oracle and the division is covered by twice
+    _bracket_slack(mu_b, 0), as in _large_mu_interval_bound.  A ratio
+    that underflows errs by under 2**-1074, nothing against the slack.
     """
     if not 0.05 <= mu_a <= mu_b <= min(700.0, m1 + 1.0):
         return math.inf
@@ -577,8 +532,7 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
        points that _large_mu_interval_bound proves to pass, and halves
        a block it cannot prove down to single points
        (_largest_failing_index); climbing, it reads point by point.  A
-       single point asks the oracle only where the rigorous bracket of
-       _large_mu_bracket cannot decide it.
+       single point is read from the oracle.
     2. One grid step inside that boundary, take M1 as the smallest
        ascending-series length that meets the target there.
     3. Place the cross-over mu_star where the two branch errors balance,
@@ -588,14 +542,13 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
        grid points in (0, 2 * mu_star].  A max-heap holds blocks of
        grid points, each keyed by a rigorous bound on the error of
        every point in it: _ascending_interval_bound up to mu_star and
-       _large_mu_interval_bound beyond, and for a single point the
-       error range from _ascending_bracket or _large_mu_bracket, or inf
-       where no bound applies.  The sweep pops the block with the
-       largest bound while that bound exceeds the worst error so far,
-       splits it in two (a block under 16 points into its points), and
-       runs the oracle on single points only.  Every point left in the
-       heap errs by at most the worst already seen, so the recorded
-       maximum is the one an oracle call at every point would give.
+       _large_mu_interval_bound beyond (inf where neither applies).
+       The sweep pops the block with the largest bound while that bound
+       exceeds the worst error so far, splits it in two, and reads a
+       block of at most 16 points from the oracle point by point.
+       Every point left in the heap errs by at most the worst already
+       seen, so the recorded maximum is the one an oracle call at every
+       point would give.
 
     Raises CalibrationError when the large-mu series cannot reach the
     target anywhere below mu = 150 for any M2 <= 120.  Raises
@@ -621,34 +574,6 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     def asym_err(mu: float, m2: int) -> float:
         return abs(1.0 - _asymptotic_partial(mu, r, m2) / exact(mu))
 
-    @cache
-    def bracket(mu: float) -> tuple[float, float] | None:
-        return _large_mu_bracket(mu, r)
-
-    def err_range(approx: float, b: tuple[float, float] | None) -> tuple[float, float]:
-        """(low, high) around the rounded abs(1 - approx/exact(mu)), exact(mu) in b.
-
-        Rounded division and subtraction are monotone, so for every d in
-        [lo, hi] the rounded |1 - approx/d| lies between its values at lo
-        and hi when approx is outside (lo, hi), and below the larger one
-        always.
-        """
-        if b is None:
-            return 0.0, math.inf
-        lo, hi = b
-        e_lo, e_hi = abs(1.0 - approx / lo), abs(1.0 - approx / hi)
-        return (0.0 if lo < approx < hi else min(e_lo, e_hi)), max(e_lo, e_hi)
-
-    def asym_fails(mu: float, m2: int) -> bool:
-        """asym_err(mu, m2) >= target; the oracle runs only where the bracket cannot decide."""
-        a = _asymptotic_partial(mu, r, m2)
-        low, high = err_range(a, bracket(mu))
-        if high < target:
-            return False
-        if low >= target:
-            return True
-        return abs(1.0 - a / exact(mu)) >= target
-
     cap_idx = int(round(mu_cap / step))
     best_t: int | None = None
     best_m2 = 0
@@ -660,7 +585,7 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
         if e_cap >= target:
             continue  # this length never reaches the target below the cap
         t_idx = _largest_failing_index(
-            lambda i: asym_fails(i * step, m2),
+            lambda i: asym_err(i * step, m2) >= target,
             lambda lo, hi: _large_mu_interval_bound(lo * step, hi * step, r, m2) < target,
             start, cap_idx,
         )
@@ -684,9 +609,11 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
     terms = list(_float_terms(mu_eval, r)[0])
     m1 = next(n for n in count(1) if abs(1.0 - math.fsum(terms[:n]) / fx) < target)
 
+    def asc_err(mu: float) -> float:
+        return abs(1.0 - _ascending_partial(mu, r, m1) / exact(mu))
+
     def branch_gap(mu: float) -> float:
-        asc = abs(1.0 - _ascending_partial(mu, r, m1) / exact(mu))
-        return asc - asym_err(mu, m2)
+        return asc_err(mu) - asym_err(mu, m2)
 
     lo = mu_eval
     hi = best_t * step + 0.5
@@ -702,22 +629,18 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
             hi = mid
     mu_star = 0.5 * (lo + hi)
 
-    heap = []  # (-bound, lo, hi, approx): grid points lo .. hi err by at most bound
+    heap = []  # (-bound, lo, hi): grid points lo .. hi err by at most bound
 
     def push(lo: int, hi: int) -> None:
-        mu, approx = hi * step, None
-        if mu <= mu_star:
-            if lo < hi:
-                bound = _ascending_interval_bound(lo * step, mu, r, m1)
-            else:
-                approx = _ascending_partial(mu, r, m1)
-                bound = err_range(approx, _ascending_bracket(mu, r, m1, approx))[1]
-        elif lo < hi:
-            bound = _large_mu_interval_bound(lo * step, mu, r, m2)
+        if hi * step <= mu_star:
+            bound = _ascending_interval_bound(lo * step, hi * step, r, m1)
         else:
-            approx = _asymptotic_partial(mu, r, m2)
-            bound = err_range(approx, bracket(mu))[1]
-        heapq.heappush(heap, (-bound, lo, hi, approx))
+            bound = _large_mu_interval_bound(lo * step, hi * step, r, m2)
+        heapq.heappush(heap, (-bound, lo, hi))
+
+    def err(i: int) -> float:
+        mu = i * step
+        return asc_err(mu) if mu <= mu_star else asym_err(mu, m2)
 
     top = int(2.0 * mu_star / step)
     # the last grid index on the ascending side, i * step <= mu_star
@@ -727,15 +650,12 @@ def calibrate_crossover(r: int, target_rel_error: float) -> CrossoverProfile:
         push(last + 1, top)
     worst = 0.0
     while heap and -heap[0][0] > worst:  # all else errs by at most worst
-        _, lo, hi, approx = heapq.heappop(heap)
+        _, lo, hi = heapq.heappop(heap)
         if hi - lo >= 16:
             mid = (lo + hi) // 2
             push(lo, mid)
             push(mid + 1, hi)
-        elif lo < hi:  # a bound costs about two points' brackets: read short blocks by point
-            for j in range(lo, hi + 1):
-                push(j, j)
-        else:
-            worst = max(worst, abs(1.0 - approx / exact(lo * step)))
+        else:  # a bound costs about as much as a few oracle reads
+            worst = max(worst, *map(err, range(lo, hi + 1)))
 
     return CrossoverProfile(r, target, mu_star, m1, m2, validated_max_rel_error=worst)

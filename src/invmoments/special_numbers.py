@@ -63,10 +63,11 @@ def alpha(l: int, j: int) -> Fraction:
     Computed by alpha(l, j) = sum_{k=0..l} alpha(k, j-1) / (l - k + 2)
     from alpha(0, 0) = 1, without recursion: columns 1 .. j are grown in
     turn, each only as far as l, and kept for later calls.  Results are
-    memoized.  l + j >= _ORDER_CAP raises DomainError.
+    memoized.  A negative index or l + j >= _ORDER_CAP raises
+    DomainError.
     """
     if l < 0 or j < 0:
-        raise ValueError("alpha indices must be non-negative")
+        raise DomainError("alpha indices must be non-negative")
     if l + j >= _ORDER_CAP:
         raise DomainError(
             f"alpha({l}, {j}) lies past l + j = {_ORDER_CAP - 1}, the most the expansion reads"

@@ -1,5 +1,6 @@
 """Tests for the difference-operator expansion around a Poisson base."""
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -287,6 +288,36 @@ def test_order_cap_admits_120_and_refuses_121(monkeypatch):
     assert charlier_expansion._ORDER_CAP == 120
     with pytest.raises(DomainError):  # refused before the p = 0 shortcut
         first_inverse_moment_binomial(10, 0.0, 121)
+
+
+# Binomial(10, 0.01)'s factorial cumulants through 171, the last whose
+# (j-1)! still converts to a double
+_KAPPAS_171 = [-10 * math.factorial(j - 1) * (-0.01) ** j for j in range(1, 172)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: binomial_cumulants(10, 0.5, 172),
+        lambda: binomial_cumulants(10, 0.5, 121),
+        lambda: barbour_polynomial(_KAPPAS_171, 171),
+        lambda: barbour_polynomial(_KAPPAS_171, 121),
+    ],
+    ids=["cumulants-172", "cumulants-121", "polynomial-171", "polynomial-121"],
+)
+def test_cumulant_route_refuses_orders_past_the_cap_at_once(call):
+    # past 170, (j-1)! and k! have no double, so the cap must refuse
+    # before any is formed
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="must lie in 1..120"):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_cumulant_route_admits_order_120():
+    assert len(binomial_cumulants(10, 0.5, 120)) == 120
+    poisson = barbour_polynomial((2.0,) + (0.0,) * 119, 120)
+    assert set(poisson.coefficients) == {0}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -394,6 +394,39 @@ def test_exact_inverse_moment_explicit_pdf():
     assert exact_inverse_moment(pdf, 2) == 0.5 + 0.25 / 4
 
 
+def _explicit_two_routes(weights, r):
+    """The explicit-pdf sum as it once ran: plain quotients, or _over_power
+    for every term once some k**r overflows."""
+    pairs = lambda: zip(range(1, len(weights)), weights[1:])
+    try:
+        return math.fsum(w / k**r for k, w in pairs())
+    except OverflowError:
+        return math.fsum(exact_oracle._over_power(w, k, r) for k, w in pairs())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=400),
+)
+@example([0.25, 0.5, 0.25], 1024)  # 2**1024 just past the double range
+@example([1.0] * 40, 194)  # 39**194 overflows, 38**194 not
+def test_explicit_pdf_one_route_keeps_the_two_routes_doubles(raw, r):
+    total = math.fsum(raw)
+    assume(total > 0.0)
+    pdf = ExplicitPdf(tuple(w / total for w in raw[:-1]) + (1.0 - math.fsum(w / total for w in raw[:-1]),))
+    assume(pdf.weights[-1] >= 0.0)
+    assert exact_inverse_moment(pdf, r) == _explicit_two_routes(pdf.weights, r)
+
+
+def test_explicit_pdf_at_a_huge_order_forms_no_huge_power():
+    # the k = 2 term rounds to 0.0, so no 10**9-bit 2**(10**9) may be
+    # formed for it
+    start = time.perf_counter()
+    assert exact_inverse_moment(ExplicitPdf((0.25, 0.5, 0.25)), 10**9) == 0.5
+    assert time.perf_counter() - start < 0.1
+
+
 def test_exact_inverse_moment_rounds_the_sum_once():
     # terms 0.5, 2**-54 and 2**-107: the exact sum lies just above the
     # tie between 0.5 and its successor, so it rounds up; a sum that

@@ -574,8 +574,8 @@ def test_asym_coefficients_concurrent_fill():
 
 
 def test_calibration_calls_oracle_at_few_grid_points(monkeypatch):
-    # the M2 walk and the validation sweep decide most grid points from
-    # the certified brackets; only undecided points, the M1 search and
+    # the M2 walk and the validation sweep step over most grid points on
+    # interval bounds; only points those cannot prove, the M1 search and
     # the bisection reach the oracle
     seen = set()
     oracle = poisson_moments._positive_moment_double
@@ -592,12 +592,13 @@ def test_calibration_calls_oracle_at_few_grid_points(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "r, target", [(1, 1e-2), (2, 1e-10), (1, 1e-13), (8, 1e-5), (6, 1e-10)]
+    "r, target", [(1, 1e-2), (2, 1e-10), (1, 1e-13), (8, 1e-5), (6, 1e-10), (20, 1e-5)]
 )
 def test_certified_sweep_equals_oracle_at_every_point(r, target):
     # the sweep as it ran before the certificate: the oracle at every
-    # grid point of (0, 2 mu*]; at 1e-13 the brackets' slack is close to
-    # the target, so most points near mu* reach the oracle
+    # grid point of (0, 2 mu*]; at 1e-13 the interval bounds' slack is
+    # close to the target, so most points near mu* reach the oracle, and
+    # (20, 1e-5), mu* near 107.5, sweeps past mu = 150
     prof = calibrate_crossover(r, target)
     worst = 0.0
     for i in range(1, int(2.0 * prof.mu_star / 0.05) + 1):
@@ -617,19 +618,20 @@ def test_certified_sweep_equals_oracle_at_every_point(r, target):
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=0, max_value=350),
 )
-@example(math.log(13.65), 1, 17)  # (1, 1e-5): M1 = 31 at the last point below mu*
+@example(math.log(13.65), 1, 17)  # m1 = 29
+@example(math.log(13.65), 1, 19)  # (1, 1e-5): M1 = 31 at the last point below mu*
 @example(math.log(150.0), 1, 350)  # more terms than the oracle takes
 @example(math.log(0.05), 12, 0)
-def test_ascending_bracket_holds(log_mu, r, extra):
+def test_ascending_point_bound_holds(log_mu, r, extra):
+    # the one-point interval bound covers the partial's error against the
+    # double oracle, as calibration computes it, and against a 40-digit sum
     mu = min(max(math.exp(log_mu), 0.05), 150.0)
-    m1 = max(1, math.floor(mu) - 1 + extra)  # any length with m1 + 2 > mu
-    partial = poisson_moments._ascending_partial(mu, r, m1)
-    bracket = poisson_moments._ascending_bracket(mu, r, m1, partial)
-    if bracket is None:
+    m1 = max(1, math.floor(mu) - 1 + extra)  # the bound is inf for m1 + 1 < mu
+    bound = poisson_moments._ascending_interval_bound(mu, mu, r, m1)
+    if bound == math.inf:
         return
-    lo, hi = bracket
-    assert lo <= poisson_moments._positive_moment_double(mu, r) <= hi, (mu, r, m1)
-    assert lo <= _positive_moment_mp(mu, r) <= hi, (mu, r, m1)
+    approx = poisson_moments._ascending_partial(mu, r, m1)
+    _check_point_bound(mu, r, approx, bound)
 
 
 def _positive_moment_mp(mu: float, r: int):
@@ -647,13 +649,22 @@ def _positive_moment_mp(mu: float, r: int):
                 return total
 
 
-def _check_bracket(mu: float, r: int) -> None:
-    bracket = poisson_moments._large_mu_bracket(mu, r)
-    if bracket is None:
-        return
-    lo, hi = bracket
-    assert lo <= poisson_moments._positive_moment_double(mu, r) <= hi, (mu, r)
-    assert lo <= _positive_moment_mp(mu, r) <= hi, (mu, r)
+def _check_point_bound(mu: float, r: int, approx: float, bound: float, refs=None) -> None:
+    exact, ref = refs or (poisson_moments._positive_moment_double(mu, r), _positive_moment_mp(mu, r))
+    assert abs(1.0 - approx / exact) <= bound, (mu, r, approx, bound)
+    with mpmath.workdps(40):
+        assert abs(1 - approx / ref) <= bound, (mu, r, approx, bound)
+
+
+def _check_large_mu_point_bounds(mu: float, r: int) -> None:
+    # the one-point interval bound of every length M2 the row cap allows
+    refs = None
+    for m2 in range(1, min(120, 169 - r) + 1):
+        bound = poisson_moments._large_mu_interval_bound(mu, mu, r, m2)
+        if bound < math.inf:
+            refs = refs or (poisson_moments._positive_moment_double(mu, r), _positive_moment_mp(mu, r))
+            approx = poisson_moments._asymptotic_partial(mu, r, m2)
+            _check_point_bound(mu, r, approx, bound, refs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -661,8 +672,8 @@ def _check_bracket(mu: float, r: int) -> None:
 @example(3000, 1)
 @example(600, 2)
 @example(1, 12)
-def test_large_mu_bracket_holds_on_grid(i, r):
-    _check_bracket(i * 0.05, r)
+def test_large_mu_point_bound_holds_on_grid(i, r):
+    _check_large_mu_point_bounds(i * 0.05, r)
 
 
 @settings(max_examples=150, deadline=None)
@@ -670,8 +681,8 @@ def test_large_mu_bracket_holds_on_grid(i, r):
     st.floats(min_value=math.log(0.05), max_value=math.log(150.0)),
     st.integers(min_value=1, max_value=12),
 )
-def test_large_mu_bracket_holds_log_uniform(log_mu, r):
-    _check_bracket(min(math.exp(log_mu), 150.0), r)
+def test_large_mu_point_bound_holds_log_uniform(log_mu, r):
+    _check_large_mu_point_bounds(min(math.exp(log_mu), 150.0), r)
 
 
 @settings(max_examples=12, deadline=None)
@@ -681,8 +692,8 @@ def test_large_mu_bracket_holds_log_uniform(log_mu, r):
 )
 @example(math.log(700.0), 1)
 @example(math.log(215.0), 20)
-def test_large_mu_bracket_holds_past_150(log_mu, r):
-    _check_bracket(min(math.exp(log_mu), 700.0), r)
+def test_large_mu_point_bound_holds_past_150(log_mu, r):
+    _check_large_mu_point_bounds(min(math.exp(log_mu), 700.0), r)
 
 
 @settings(max_examples=150, deadline=None)

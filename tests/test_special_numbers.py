@@ -153,9 +153,9 @@ def test_alpha_generating_definition(j, l):
 
 
 def test_alpha_rejects_negative_indices():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         alpha(-1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         alpha(0, -3)
 
 
