@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from operator import mul
 
 import mpmath
@@ -20,7 +20,7 @@ from mpmath.libmp import to_fixed
 
 from .exact_oracle import (
     DomainError, _check_mu, _check_N, _check_walk_mu, _log2_jensen, _poisson_window,
-    _round_once,
+    _round_once, _ziv,
 )
 from .poisson_moments import (
     ShiftedMomentTable, _er_from_ei, _q_table, build_q_table,
@@ -202,7 +202,7 @@ def inverse_moment_estimate(poly: ExpansionPolynomial, q_table: ShiftedMomentTab
     difference's bound.  The result is the truncated series correctly
     rounded: when both ends of that interval round to one double, that
     double is returned; while they do not, the table is rebuilt at twice
-    its precision (Ziv's scheme).
+    its precision (_ziv, in _round_table_rows).
     """
     if poly.max_degree > q_table.A:
         raise IndexError(
@@ -210,15 +210,8 @@ def inverse_moment_estimate(poly: ExpansionPolynomial, q_table: ShiftedMomentTab
         )
     coeffs = [(d, Fraction(c)) for d, c in poly.coefficients.items()]
     L = math.lcm(*(c.denominator for _, c in coeffs))
-    coeffs = [(d, c.numerator * (L // c.denominator)) for d, c in coeffs]
-    table = q_table
-    while True:
-        nus = table.differences
-        num = sum(c * nus[d][0] for d, c in coeffs)
-        err = sum(abs(c) * nus[d][1] for d, c in coeffs)
-        if (value := _round_once(num - err, num + err, L << table.S)) is not None:
-            return value
-        table = _q_table(table.mu, table.r, table.A, 2 * table.prec)
+    row = [(d, c.numerator * (L // c.denominator)) for d, c in coeffs]
+    return _round_table_rows([row], L, q_table)[0]
 
 
 def first_inverse_moment_binomial(N: int, p: float, m: int) -> float:
@@ -331,7 +324,7 @@ def _inverse_moments(N: int, p: float, r: int, orders) -> list[float]:
     binomial_barbour_polynomial(N, mu, m) and the same table.
 
     While any order's rounding is undecided, T doubles, or one table at
-    twice the precision serves every order (Ziv's scheme).
+    twice the precision serves every order (_ziv).
     """
     orders = tuple(orders)
     if max(orders) > _ORDER_CAP:
@@ -350,16 +343,23 @@ def _inverse_moments(N: int, p: float, r: int, orders) -> list[float]:
         rows = [[sum(map(mul, c, scale)) for c in row] for row in rows]
         big = max(abs(U) + abs(V) for U, V, _ in rows)
         T = big.bit_length() - den.bit_length() + 77 - math.floor(_log2_jensen(mu, 1, 0))
-        while (values := _rounded_orders(rows, den, mu, T)) is None:
-            T *= 2
-        return values
+        return _ziv(partial(_rounded_orders, rows, den, mu), T)
     den, rows = _order_rows(N, orders)
     rows = [[(n, c * scale[n]) for n, c in enumerate(row) if c] for row in rows]
-    den <<= s * A
-    table = build_q_table(mu, r, A)
-    while (values := _round_rows(rows, table.differences, den << table.S)) is None:
-        table = _q_table(mu, r, A, 2 * table.prec)
-    return values
+    return _round_table_rows(rows, den << s * A, build_q_table(mu, r, A))
+
+
+def _round_table_rows(rows, den: int, table: ShiftedMomentTable) -> list[float]:
+    """Each row of (n, c) with the table's differences, over den 2**S, correctly rounded.
+
+    The first attempt reads ``table``; while any row is undecided, one
+    _q_table at twice the precision serves every row (_ziv, _round_rows).
+    """
+    def attempt(prec: int) -> list[float] | None:
+        t = table if prec == table.prec else _q_table(table.mu, table.r, table.A, prec)
+        return _round_rows(rows, t.differences, den << t.S)
+
+    return _ziv(attempt, table.prec)
 
 
 def _round_rows(rows, terms, den: int) -> list[float] | None:

@@ -406,9 +406,10 @@ class ShiftedMomentTable:
     Entry a is the integer ``totals[a]``, within ``errs[a]`` of
     2**S q(a) (the bound is _q_table's).  ``prec`` is the precision in
     bits the table was built for, which a reader doubles when it needs
-    a finer table.  ``value`` gives totals[a] / 2**S rounded once;
-    ``differences`` holds the alternating forward differences at a = 0,
-    computed once, on first use, for every reader of the table.
+    a finer table, so it must be positive: 0 doubled stays 0.
+    ``value`` gives totals[a] / 2**S rounded once; ``differences``
+    holds the alternating forward differences at a = 0, computed once,
+    on first use, for every reader of the table.
     """
 
     mu: float
@@ -417,6 +418,14 @@ class ShiftedMomentTable:
     errs: tuple[int, ...]
     S: int
     prec: int
+
+    def __post_init__(self) -> None:
+        if not self.totals:
+            raise DomainError("a table needs at least one entry")
+        if len(self.errs) != len(self.totals):
+            raise DomainError("a table needs one error bound per entry")
+        if self.prec < 1:
+            raise DomainError("the table's precision must be a positive integer")
 
     @property
     def A(self) -> int:
@@ -451,9 +460,9 @@ def build_q_table(mu: float, r: int, A: int) -> ShiftedMomentTable:
     sized so that an A-fold difference, which loses about
     A (1 + log2(mu) / 2) bits against the entries, still leaves a
     double's worth; a reader whose rounding it leaves undecided builds
-    a finer table itself (inverse_moment_estimate, and the expansion
-    kernel charlier_expansion._inverse_moments, whose one rebuild
-    serves all its orders).
+    a finer table itself (charlier_expansion._round_table_rows, for
+    inverse_moment_estimate and for the expansion kernel, whose one
+    rebuild serves all its orders).
     """
     _check_mu(mu)
     _check_walk_mu(mu)

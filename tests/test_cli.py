@@ -225,6 +225,15 @@ def test_orders_past_the_cap_exit_2_at_once(capsys):
     assert "order m must lie in 1..120" in capsys.readouterr().err
 
 
+def test_r2_past_the_walk_cap_exits_2_before_the_oracle(capsys):
+    # the binomial oracle alone takes seconds at N = 10**10
+    start = time.perf_counter()
+    assert main(["compute", "--N", "10000000000", "--p", "0.5", "--r", "2"]) == 2
+    assert main(["sweep", "--N", "10000000000", "--r", "2", "--grid", "0.5:0.5:1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "the Poisson walk takes mu <= 1e+08" in capsys.readouterr().err
+
+
 def test_poisson_table_at_huge_r_past_700_exits_2_at_once(capsys):
     # the oracle answers 0.0 at once and mu**r overflows
     start = time.perf_counter()

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mpf
 
-from _reference import _y_integers, linear_failing_index, mode_walk_pmf, reference_moment
+from _reference import (
+    _y_integers, linear_failing_index, mode_walk_pmf, reference_moment, shifted_stirling,
+)
 from invmoments import exact_oracle, poisson_moments
 
 from invmoments.charlier_expansion import _rounded_orders, binomial_barbour_polynomial, expand_pdf
@@ -720,6 +722,44 @@ def test_large_mu_interval_bound_holds_on_grid(lo, width, r, m2):
         approx = poisson_moments._asymptotic_partial(mu, r, m2)
         err = abs(1.0 - approx / poisson_moments._positive_moment_double(mu, r))
         assert err <= bound, (mu, r, m2, err, bound)
+
+
+LARGE_MU_POINTS = (1.0, 1.5, 2.0, 3.0, 5.0, 7.25, 10.0, 13.7, 20.0, 27.0, 29.2, 40.0, 47.07,
+                   60.0, 80.0, 100.0, 107.5, 125.0, 149.99, 150.0)
+
+
+@pytest.mark.parametrize("mu", LARGE_MU_POINTS)
+def test_large_mu_sums_bound_their_parts_at_50_digits(mu):
+    # at one point each part of _large_mu_sums against its 50-digit value:
+    # head >= D1 = sum_{n < r+m2} c_n P(Q <= n), rest >= D2 = E -
+    # sum_{n < r+m2} c_n P(Q >= n+1) and lower <= E, E = E+[1/Q**r],
+    # c_n = |s(n,r)| / mu**n, P from the regularized incomplete gamma;
+    # each within the sums' own rounding, 5 n + 15 units of 2**-53
+    # (_bracket_slack).  Where the explicit terms alone fall short of
+    # D2, only the middle and far tails make rest a bound.
+    with mpmath.workdps(50):
+        x = mpf(mu)
+        # P(Q <= n) and P(Q >= n+1) for n = 0 .. 32
+        cdf = [mpmath.gammainc(n + 1, x, mpmath.inf, regularized=True) for n in range(33)]
+        sf = [mpmath.gammainc(n + 1, 0, x, regularized=True) for n in range(33)]
+        # pi(k), k >= 1, until the tail P(Q > k) is below 10**-55 E+[1/Q**8]
+        pis, e8 = [mpmath.exp(-x) * x], mpf(0)
+        while len(pis) <= x or pis[-1] * (len(pis) + 1) / (len(pis) + 1 - x) >= e8 * mpf(10) ** -55:
+            e8 += pis[-1] / mpf(len(pis)) ** 8
+            pis.append(pis[-1] * x / (len(pis) + 1))
+    for r in range(1, 9):
+        with mpmath.workdps(50):
+            E = mpmath.fsum(pi / mpf(k) ** r for k, pi in enumerate(pis, 1))
+            c = {n: abs(shifted_stirling(0, n, r)) / x**n for n in range(r, r + 25)}
+            low = [c[n] * cdf[n] for n in c]  # the terms of D1 and of E - D2
+            high = [c[n] * sf[n] for n in c]
+        for m2 in (1, 4, 10, 25):
+            n, head, rest, upper, lower = poisson_moments._large_mu_sums(mu, mu, r, m2)
+            u = (5 * n + 15) * 2.0**-53
+            with mpmath.workdps(50):
+                assert head * (1 + u) >= mpmath.fsum(low[:m2]), (mu, r, m2)
+                assert rest * (1 + u) >= E - mpmath.fsum(high[:m2]), (mu, r, m2)
+                assert lower - u * upper <= E, (mu, r, m2)
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,9 +9,11 @@ direct mpmath sums at 100 digits or more, their alternating forward
 differences, the binomial coefficients (-1)**j alpha(k-j, j) / j!
 mu**(j+k) / N**k as exact Fractions, and one rounding to double.
 """
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import count
+from unittest import mock
 
 import mpmath
 import pytest
@@ -32,11 +34,12 @@ from mpmath.libmp import (
 from invmoments import charlier_expansion, poisson_moments
 from invmoments.charlier_expansion import (
     _inverse_moments,
+    barbour_polynomial,
     binomial_barbour_polynomial,
     inverse_moment_estimate,
 )
 from invmoments.cli import GridSpec
-from invmoments.exact_oracle import _log2_jensen
+from invmoments.exact_oracle import DomainError, _log2_jensen
 from invmoments.poisson_moments import ShiftedMomentTable, build_q_table
 from invmoments.special_numbers import alpha
 
@@ -165,6 +168,47 @@ def test_undecided_rounding_rebuilds_the_table_finer(monkeypatch):
                         lambda mu, r, A: poisson_moments._q_table(mu, r, A, 8))
     assert _inverse_moments(N, p, r, orders) == want_all
     assert seen and seen == [(mu, r, 10, 8 << i) for i in range(1, len(seen) + 1)]
+
+
+_fraction_kappas = st.tuples(
+    st.fractions(Fraction(1, 100), 60, max_denominator=1000),
+    st.lists(st.fractions(-60, 60, max_denominator=1000), min_size=5, max_size=5),
+)
+_float_kappas = st.tuples(
+    st.floats(0.01, 60.0),
+    st.lists(st.floats(-60.0, 60.0), min_size=5, max_size=5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kappas=st.one_of(_fraction_kappas, _float_kappas).map(lambda t: (t[0], *t[1])),
+    m=st.integers(1, 6),
+    r=st.integers(1, 3),
+    prec=st.sampled_from([4, 8, 16]),
+)
+def test_undecided_rounding_retries_for_any_polynomial(kappas, m, r, prec):
+    # a coarse table leaves the rounding undecided, and each rebuild at
+    # twice its precision ends on the double the full table gives
+    poly = barbour_polynomial(kappas, m)
+    mu = float(kappas[0])
+    want = inverse_moment_estimate(poly, build_q_table(mu, r, poly.max_degree))
+    coarse = poisson_moments._q_table(mu, r, poly.max_degree, prec)
+    with mock.patch.object(charlier_expansion, "_q_table", wraps=poisson_moments._q_table) as rebuild:
+        assert inverse_moment_estimate(poly, coarse) == want
+    assert rebuild.called
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"prec": 0}, "precision"),  # 0 doubled stays 0: the retries would never end
+    ({"prec": -8}, "precision"),
+    ({"totals": (), "errs": ()}, "at least one entry"),
+    ({"errs": ()}, "one error bound per entry"),
+])
+def test_a_hand_made_table_refuses_what_no_reader_can_use(change, message):
+    table = build_q_table(5.0, 2, 4)
+    with pytest.raises(DomainError, match=message):
+        dataclasses.replace(table, **change)
 
 
 # The q table as it was built before the walk from the mode, copied
