@@ -273,30 +273,6 @@ def _order_rows(N: int, orders: tuple[int, ...]) -> tuple[int, tuple[tuple[int, 
     return den, tuple(tuple(prefixes[m - 1]) for m in orders)
 
 
-@lru_cache(maxsize=64)
-def _r1_rows(N: int, orders: tuple[int, ...]) -> tuple[int, tuple]:
-    """(den, ((R, cv, cw), ...)): the r = 1 kernel's coefficients per order.
-
-    y(n) = mu**n G + E0 P_n(mu) - R_n(mu) with G = e**(-mu) Er(mu), E0 =
-    e**(-mu), P_n = sum_{l=1..n} (l-1)! C(n, l) mu**(n-l) and R_n =
-    sum_{l=1..n} (l-1)! mu**(n-l) is mu**n times the n-th alternating
-    forward difference of a -> E[1/(Q+a)].  So an order with row R of
-    _order_rows is (U G + V E0 - W) / den with U = sum_i R[i] mu**i, V =
-    sum_i cv[i] mu**i and W = sum_i cw[i] mu**i, where cv[i] = sum_{n>i}
-    R[n] C(n, i) (n-i-1)! and cw[i] = sum_{n>i} R[n] (n-i-1)!, exact
-    integers that depend on (N, orders) alone.
-    """
-    den, rows = _order_rows(N, orders)
-    out = []
-    for R in rows:
-        cv = tuple(sum(R[n] * math.comb(n, i) * math.factorial(n - i - 1)
-                       for n in range(i + 1, len(R))) for i in range(len(R)))
-        cw = tuple(sum(R[n] * math.factorial(n - i - 1)
-                       for n in range(i + 1, len(R))) for i in range(len(R)))
-        out.append((R, cv, cw))
-    return den, tuple(out)
-
-
 def _inverse_moments(N: int, p: float, r: int, orders) -> list[float]:
     """Orders ``orders`` of the expansion of E+[1/K**r], K ~ Binomial(N, p), at once.
 
@@ -306,11 +282,17 @@ def _inverse_moments(N: int, p: float, r: int, orders) -> list[float]:
     returns zeros.  Orders past _ORDER_CAP raise DomainError before any
     build; other arguments are the caller's to validate.
 
-    r = 1: y(n) is exact integers times G = e**(-mu) Er(mu) and E0 =
-    e**(-mu), so order m is (U G + V E0 - W) / D for exact integers U,
-    V, W, D.  The double mu is exactly a / 2**s, so with t_i = a**i
-    2**(s (A-i)) each of U, V, W is one integer dot product of a cached
-    coefficient vector of _r1_rows with t, and D = den 2**(s A).
+    r = 1: y(n) = mu**n G + E0 P_n(mu) - R_n(mu), G = e**(-mu) Er(mu),
+    E0 = e**(-mu), P_n = sum_{l=1..n} (l-1)! C(n, l) mu**(n-l) and R_n =
+    sum_{l=1..n} (l-1)! mu**(n-l).  So order m, with row c, is (U G + V
+    E0 - W) / D for exact integers: the double mu is exactly a / 2**s,
+    and on the scale 2**(s A), where mu**n is scale[n] = a**n 2**(s
+    (A-n)), U, V and W are sum_n c[n] times scale[n], P_n and R_n, and
+    D = den 2**(s A).  With P_0 = R_0 = 0, C(n+1, l) = C(n, l) + C(n,
+    l-1) gives P_{n+1} = mu P_n + f_n, f_n = sum_{k<=n} k! C(n, k)
+    mu**(n-k) = n! sum_{j<=n} mu**j / j!, so f_0 = 1 and f_{n+1} = (n+1)
+    f_n + mu**(n+1); and R_{n+1} = mu R_n + n!.  On the scale, times mu
+    is (a x) >> s, exact since P_n and R_n have degree n - 1 < A.
     _rounded_orders rounds them from G and E0 at T bits, taken by one
     integer series while mu <= T (_scaled_g_e0).  The first T is 77 bits
     (the double's 53 and 24 to spare) past the cancellation from
@@ -337,14 +319,19 @@ def _inverse_moments(N: int, p: float, r: int, orders) -> list[float]:
     a, b = mu.as_integer_ratio()
     s = b.bit_length() - 1
     scale = [a**n << s * (A - n) for n in range(A + 1)]
+    den, rows = _order_rows(N, orders)
     if r == 1:
-        den, rows = _r1_rows(N, orders)
+        P, R, f, fact = [0], [0], scale[0], scale[0]  # f_n and n! on the scale
+        for n in range(A):
+            P.append((a * P[n] >> s) + f)
+            R.append((a * R[n] >> s) + fact)
+            f = (n + 1) * f + scale[n + 1]
+            fact *= n + 1
         den <<= s * A
-        rows = [[sum(map(mul, c, scale)) for c in row] for row in rows]
+        rows = [[sum(map(mul, row, v)) for v in (scale, P, R)] for row in rows]
         big = max(abs(U) + abs(V) for U, V, _ in rows)
         T = big.bit_length() - den.bit_length() + 77 - math.floor(_log2_jensen(mu, 1, 0))
         return _ziv(partial(_rounded_orders, rows, den, mu), T)
-    den, rows = _order_rows(N, orders)
     rows = [[(n, c * scale[n]) for n, c in enumerate(row) if c] for row in rows]
     return _round_table_rows(rows, den << s * A, build_q_table(mu, r, A))
 

@@ -28,7 +28,9 @@ from .charlier_expansion import (
     inverse_moment_estimate,
 )
 from .competing import _rempala_partial_sums, _stephan_partial_sums, _znidaric_partial_sums
-from .exact_oracle import Binomial, DomainError, _check_N, exact_inverse_moment
+from .exact_oracle import (
+    Binomial, DomainError, _check_N, _check_walk_mu, exact_inverse_moment,
+)
 from .poisson_moments import (
     CalibrationError,
     build_q_table,
@@ -154,11 +156,15 @@ def run_sweep(config: SweepConfig) -> ErrorSweepReport:
         if config.error_kind in ("rel", "both"):
             columns.append(f"{label}_rel")
 
+    points = config.p_grid.points()
+    # the r >= 2 expansion's walk cap, checked before any point is evaluated
+    if config.r >= 2 and "charlier" in config.methods:
+        _check_walk_mu(config.N * max(points))
     rows: list[tuple[float, ...]] = []
-    for p in config.p_grid.points():
+    for p in points:
         values: dict[str, dict[int, float]] = {}  # method -> count -> value
-        # the expansion before the oracle: its refusals (the walk cap at
-        # r >= 2) come at once, where the oracle at a huge N takes seconds
+        # the expansion before the oracle: its refusals (an order past the
+        # cap) come at once, where the oracle at a huge N takes seconds
         if "charlier" in config.methods:
             values["charlier"] = dict(zip(config.orders, _inverse_moments(
                 config.N, p, config.r, config.orders)))

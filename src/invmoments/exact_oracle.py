@@ -90,9 +90,14 @@ class OracleValue:
 
 
 def _check_N(N: int, least: int = 1) -> None:
-    """Reject an N that is not an int (10.0 is not one) or lies below ``least``, 1 or 0."""
+    """Reject an N that is not an int (10.0 is not one), lies below ``least``, 1 or 0,
+    or passes the double range (every route forms the double N p)."""
     if not isinstance(N, int) or N < least:
         raise DomainError(f"N must be a {'positive' if least else 'non-negative'} integer")
+    try:
+        float(N)
+    except OverflowError:
+        raise DomainError("N must lie within the double range") from None
 
 
 def _check_mu(mu: float) -> None:

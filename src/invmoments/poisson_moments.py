@@ -20,8 +20,8 @@ scale, stop and bound of every walk (exact_oracle._walk_scale), about
 alternating forward difference of a -> E[1/(Q+a)], is exact integers
 times e**(-mu) Er(mu) and e**(-mu), which the expansion kernel takes
 from one integer series while mu is at most its working precision in
-bits, and from _er_from_ei past that (charlier_expansion._r1_rows and
-_scaled_g_e0).
+bits, and from _er_from_ei past that (charlier_expansion._inverse_moments
+and _scaled_g_e0).
 """
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from _reference import shifted_closed_form
 
 from invmoments.charlier_expansion import (
+    _inverse_moments,
     barbour_error_bound,
     barbour_polynomial,
     binomial_barbour_polynomial,
@@ -284,3 +285,46 @@ def test_criterion_10_oracle_cross_checks():
     assert ok1, v1
     assert ok2, gap2
     assert ok3, gap3
+
+
+def test_criterion_12_series_converges():
+    # empirical: the paper claims convergence; the rates are measured here
+    floor = 4 * 2.0**-52  # 4 ulp of relative error
+    t0 = time.perf_counter()
+    rel = {}
+    cells = [(N, p) for N in (1, 2, 3, 5, 10, 20) for p in (0.05, 0.3, 0.6, 0.9, 1.0)]
+    for N, p in cells + [(4, 1.0)]:
+        exact = exact_inverse_moment(Binomial(N, p), 1)
+        values = _inverse_moments(N, p, 1, range(1, 81))
+        rel[N, p] = [abs(v / exact - 1.0) for v in values]
+    elapsed = time.perf_counter() - t0
+
+    rising = []
+    for N, p in cells:
+        e = [max(rel[N, p][m - 1], floor) for m in (10, 20, 40, 80)]
+        if any(b > a for a, b in zip(e, e[1:])):
+            rising.append((N, p, e))
+    slopes = []
+    xs = [math.log(m) for m in range(40, 81)]
+    mx = sum(xs) / len(xs)
+    for N in range(1, 6):
+        ys = [math.log(rel[N, 1.0][m - 1]) for m in range(40, 81)]
+        my = sum(ys) / len(ys)
+        slopes.append(sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                      / sum((x - mx) ** 2 for x in xs))
+    off = [(N, s) for N, s in enumerate(slopes, 1) if not -(N + 1) - 0.25 <= s <= -N]
+    # consecutive orders need not fall: count the rises above the floor from m = 10
+    for N, p in cells:
+        e = rel[N, p][9:]
+        rises = sum(b > a and b > floor for a, b in zip(e, e[1:]))
+        print(f"  N={N} p={p:g}: m=10 {e[0]:.1e}, m=80 {e[-1]:.1e}, "
+              f"{rises} rises over m=10..80")
+
+    ok = not rising and not off
+    _report(12, ok,
+            f"30 (N, p) cells non-increasing at m = 10, 20, 40, 80 down to 4 ulp "
+            f"({30 - len(rising)}/30, empirical); p = 1 slopes over m = 40..80 for "
+            f"N = 1..5: " + ", ".join(f"{s:.2f}" for s in slopes)
+            + f"; {elapsed:.1f} s")
+    assert not rising, rising
+    assert not off, off

@@ -234,6 +234,23 @@ def test_r2_past_the_walk_cap_exits_2_before_the_oracle(capsys):
     assert "the Poisson walk takes mu <= 1e+08" in capsys.readouterr().err
 
 
+def test_an_r2_sweep_past_the_walk_cap_exits_2_before_any_point(capsys):
+    # the default grid reaches the cap only at p = 0.012, after seconds of points below it
+    start = time.perf_counter()
+    assert main(["sweep", "--N", "10000000000", "--r", "2", "--orders", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "the Poisson walk takes mu <= 1e+08" in capsys.readouterr().err
+
+
+def test_an_N_past_the_double_range_exits_2_without_a_traceback(capsys):
+    N = str(10**400)
+    assert main(["compute", "--N", N, "--p", "0.5"]) == 2
+    assert main(["sweep", "--N", N, "--grid", "0.5:0.5:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("domain error: N must lie within the double range") == 2
+    assert "Traceback" not in err
+
+
 def test_poisson_table_at_huge_r_past_700_exits_2_at_once(capsys):
     # the oracle answers 0.0 at once and mu**r overflows
     start = time.perf_counter()

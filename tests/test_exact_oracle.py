@@ -19,10 +19,12 @@ from invmoments.charlier_expansion import (
     ExpansionPolynomial,
     barbour_error_bound,
     binomial_barbour_polynomial,
+    binomial_cumulants,
     expand_pdf,
     first_inverse_moment_binomial,
 )
 from invmoments.cli import GridSpec
+from invmoments.competing import rempala
 from invmoments.exact_oracle import (
     Binomial,
     DomainError,
@@ -441,6 +443,25 @@ def test_exact_inverse_moment_rounds_the_sum_once():
 def test_exact_inverse_moment_rejects_bad_order():
     with pytest.raises(DomainError):
         exact_inverse_moment(Binomial(5, 0.5), 0)
+
+
+@pytest.mark.parametrize("route", [
+    lambda N: first_inverse_moment_binomial(N, 0.5, 3),
+    lambda N: exact_inverse_moment(Binomial(N, 0.5), 1),
+    lambda N: barbour_error_bound(N, 0.5, 3),
+    lambda N: binomial_cumulants(N, 0.5, 3),
+    lambda N: rempala(N, 0.5, 3),
+], ids=["expansion", "oracle", "a_priori_bound", "cumulants", "rempala"])
+def test_an_N_past_the_double_range_is_a_domain_error(route):
+    # every route forms the double N p, which overflowed with a bare OverflowError
+    with pytest.raises(DomainError, match="double range"):
+        route(10**400)
+    with pytest.raises(DomainError, match="double range"):
+        route(2**1024 - 2**970)  # the least int that rounds past the largest double
+
+
+def test_an_N_that_rounds_to_the_largest_double_is_accepted():
+    assert float(Binomial(2**1024 - 2**970 - 1, 0.5).N) == 1.7976931348623157e308
 
 
 def test_explicit_pdf_validation():

@@ -260,7 +260,8 @@ def _parent_sums(N: int, p: float, orders) -> tuple[int, list[tuple[int, int, in
 
 
 @pytest.mark.parametrize("N", [1, 10, 100, 10**5])
-@pytest.mark.parametrize("orders", [(1, 2, 3, 4, 5, 6), (3,), (1, 8), tuple(range(1, 13)), (20,)])
+@pytest.mark.parametrize("orders", [(1, 2, 3, 4, 5, 6), (3,), (1, 8), tuple(range(1, 13)), (20,),
+                                    tuple(range(1, 41))])
 def test_cached_rows_give_the_per_row_sums(N, orders, monkeypatch):
     seen = []
 
